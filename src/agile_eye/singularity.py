@@ -31,13 +31,11 @@ from .dk import (
 )
 from .exceptions import DenominatorDegenerate, NotAssembled
 from .mechanism import JointTriplet, constraint_residuals, singular_legs
-from .so3 import TWO_PI, rotation_distance
+from .so3 import rotation_distance, wrap_angle
 
 # Signs of (B11, B22, B33) per assembly mode, relative labeling with the
 # first (canonical) solution taken all-negative.
 TABLE_SIGNS = ((-1, -1, -1), (1, 1, -1), (-1, 1, 1), (1, -1, 1))
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -156,37 +154,24 @@ def b_diag_closed_form(
     )
 
 
-def family_distance(
-    r: np.ndarray, family_id: int, coarse: int = 128
-) -> tuple[float, float]:
+def family_distance(r: np.ndarray, family_id: int) -> tuple[float, float]:
     """Min rotation distance from r to a self-motion curve.
 
-    Returns (parameter, distance).  Coarse scan over the parameter circle
-    followed by golden-section refinement around the best sample.
+    Returns (parameter, distance) with the parameter in (-pi, pi].  Each
+    curve is affine in (cos t, sin t), so trace(r^T S(t)) = a + b cos t +
+    c sin t, read off S at t = 0, pi and pi/2.  The geodesic distance falls
+    as that trace grows, so the nearest point is at t* = atan2(c, b); the
+    distance is rotation_distance(r, S(t*)).  When b = c = 0 the whole
+    curve is equally far and t* is simply what atan2 gives for the
+    rounded b and c.
     """
-    best_t, best_d = 0.0, math.inf
-    step = TWO_PI / coarse
-    for k in range(coarse):
-        t = -math.pi + step * (k + 1)
-        d = rotation_distance(r, self_motion_family(family_id, t))
-        if d < best_d:
-            best_t, best_d = t, d
-    lo, hi = best_t - step, best_t + step
-    f = lambda t: rotation_distance(r, self_motion_family(family_id, t))
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(60):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    t = 0.5 * (lo + hi)
-    return t, f(t)
+    f0, f_pi, f_half = (
+        float(np.sum(r * self_motion_family(family_id, t)))
+        for t in (0.0, math.pi, 0.5 * math.pi)
+    )
+    a, b = 0.5 * (f0 + f_pi), 0.5 * (f0 - f_pi)
+    t = wrap_angle(math.atan2(f_half - a, b))
+    return t, rotation_distance(r, self_motion_family(family_id, t))
 
 
 def _best_family(r: np.ndarray, family_ids) -> tuple[int, float]:
@@ -218,7 +203,7 @@ def classify_configuration(
     """
     residuals = constraint_residuals(j, r)
     worst = float(np.max(np.abs(residuals)))
-    if worst > cfg.residual_tol:
+    if not worst <= cfg.residual_tol:  # NaN residuals fail too
         raise NotAssembled(
             f"constraint residuals reach {worst:.3e} (> {cfg.residual_tol:g})"
         )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import ndimage
 
 from .config import DEFAULT_CONFIG, ToolConfig
 
@@ -60,6 +59,9 @@ def _periodic_components(mask: np.ndarray) -> np.ndarray:
     scipy labels with open boundaries; labels touching opposite faces are
     then merged with a union-find pass.
     """
+    # Imported here so that importing the package does not load scipy.
+    from scipy import ndimage
+
     labels, nlab = ndimage.label(mask)
     if nlab == 0:
         return labels

@@ -137,6 +137,20 @@ def test_classify_command(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--joints", "nan", "0", "0", "--euler", "0", "0", "0"],
+        ["--joints", "0", "0", "0", "--euler", "nan", "0", "0"],
+    ],
+    ids=["nan_joint", "nan_euler"],
+)
+def test_classify_non_finite_exit_code(runner, args):
+    result = runner.invoke(main, ["classify", *args])
+    assert result.exit_code == 3
+    assert "not assembled" in result.output
+
+
 def test_classify_self_motion_config(runner):
     result = invoke(
         runner,

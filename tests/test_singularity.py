@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agile_eye import (
     DenominatorDegenerate,
@@ -14,13 +16,14 @@ from agile_eye import (
     euler_to_rotation,
     family_distance,
     jacobians,
+    rotation_distance,
     self_motion_family,
     solve_dk,
     solve_ik,
     trivial_orientations,
 )
 from agile_eye.singularity import det3
-from conftest import random_joints, random_orientation
+from conftest import circ_diff, random_joints, random_orientation
 from test_dk import generic_joints, trivial_only_joints
 
 
@@ -128,6 +131,92 @@ def test_family_distance_on_and_off_curve(rng):
     assert d > 0.1
 
 
+# Dense-scan oracle: every family sampled at SCAN_N parameters.  Each curve
+# has unit speed (trace(S(s)^T S(t)) = 1 + 2 cos(s - t)), so the scan
+# minimum exceeds the true minimum by at most half the spacing.
+SCAN_N = 4096
+_SCAN_T = np.linspace(-math.pi, math.pi, SCAN_N, endpoint=False)
+_SCAN = np.array(
+    [[self_motion_family(fid, t) for t in _SCAN_T] for fid in range(1, 7)]
+)
+
+
+def _oracle_angle(s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Geodesic angle between each rotation in s (shape (..., 3, 3)) and r.
+
+    The angle of m = s^T r is atan2 of its sine (from the skew part) and
+    its cosine (from the trace), which stays accurate at every angle; the
+    arccos of the trace alone loses digits near 0 and near pi.
+    """
+    m = np.einsum("...ji,jk->...ik", s, r)
+    sin_angle = np.linalg.norm(m - np.swapaxes(m, -1, -2), axis=(-2, -1))
+    cos_angle = 0.5 * (np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    return np.arctan2(sin_angle / (2.0 * math.sqrt(2.0)), cos_angle)
+
+
+@st.composite
+def rotations(draw):
+    q = np.array(
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    )
+    n = float(np.linalg.norm(q))
+    if n < 0.1:
+        q, n = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
+    w, x, y, z = q / n
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotations())
+def test_family_distance_matches_dense_scan(r):
+    # The projection maximises trace(r^T S(t)); check that against the scan
+    # for every input.  The angle check, with both sides measured by the
+    # oracle, is limited to distances below 3 rad: closer to pi a trace
+    # rounding of 1e-16 moves the angle by more than 1e-14 (by up to 1e-8
+    # for float rotations within 1e-8 of pi), for any trace-based method.
+    traces = np.einsum("fnij,ij->fn", _SCAN, r).max(axis=1)
+    scan = _oracle_angle(_SCAN, r).min(axis=1)
+    for fid in range(1, 7):
+        t, d = family_distance(r, fid)
+        s_t = self_motion_family(fid, t)
+        assert -math.pi < t <= math.pi
+        assert d == rotation_distance(r, s_t)
+        assert float(np.sum(r * s_t)) >= traces[fid - 1] - 1e-14
+        at_t = float(_oracle_angle(s_t, r))
+        if scan[fid - 1] < 3.0:
+            assert at_t <= scan[fid - 1] + 1e-14
+        assert at_t >= scan[fid - 1] - math.pi / SCAN_N
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.floats(-math.pi, math.pi))
+def test_family_distance_on_curve_is_exact(fid, t0):
+    t, d = family_distance(self_motion_family(fid, t0), fid)
+    assert d <= 1e-15
+    assert circ_diff(t, t0) <= 1e-15
+    assert -math.pi < t <= math.pi
+
+
+def test_family_distance_equidistant_input():
+    # trace(r^T S1(t)) = -1 for every t (b = c = 0): all of curve 1a lies at
+    # angle pi, and the parameter returned must not depend on the call
+    r = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    for t in np.linspace(-3.0, 3.0, 7):
+        assert rotation_distance(r, self_motion_family(1, t)) == pytest.approx(
+            math.pi, abs=1e-7
+        )
+    t, d = family_distance(r, 1)
+    assert -math.pi < t <= math.pi
+    assert d == pytest.approx(math.pi, abs=1e-7)
+    assert all(family_distance(r.copy(), 1) == (t, d) for _ in range(3))
+
+
 def test_classify_regular():
     out = classify_configuration(JointTriplet(0, 0, 0), np.eye(3))
     assert out.kind == "regular"
@@ -170,6 +259,19 @@ def test_classify_not_assembled():
         classify_configuration(
             JointTriplet(0.4, 0.4, 0.4), euler_to_rotation((1.0, 0.5, -1.0))
         )
+
+
+@pytest.mark.parametrize(
+    "j, r",
+    [
+        (JointTriplet(math.nan, 0.0, 0.0), np.eye(3)),
+        (JointTriplet(0.0, 0.0, 0.0), euler_to_rotation((math.nan, 0.0, 0.0))),
+    ],
+    ids=["nan_joint", "nan_orientation"],
+)
+def test_classify_non_finite_not_assembled(j, r):
+    with pytest.raises(NotAssembled):
+        classify_configuration(j, r)
 
 
 def test_classify_regular_almost_everywhere(rng):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -104,3 +107,23 @@ def test_sweep_deterministic():
     np.testing.assert_array_equal(a.det_a, b.det_a)
     np.testing.assert_array_equal(a.component_id, b.component_id)
     assert a.summary == b.summary
+
+
+def test_package_import_does_not_load_scipy():
+    # scipy.ndimage is needed only by run_sweep's labelling
+    import agile_eye
+
+    src = os.path.dirname(os.path.dirname(agile_eye.__file__))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, agile_eye, agile_eye.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
