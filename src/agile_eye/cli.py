@@ -382,9 +382,12 @@ def _read_path_file(path_file: str) -> list[JointTriplet]:
             if len(row) != 3:
                 raise click.UsageError(f"{path_file}:{lineno}: expected 3 columns")
             try:
-                waypoints.append(JointTriplet(*(float(c) for c in row)))
+                values = [float(c) for c in row]
             except ValueError as exc:
                 raise click.UsageError(f"{path_file}:{lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise click.UsageError(f"{path_file}:{lineno}: non-finite joint angle")
+            waypoints.append(JointTriplet(*values))
     if not waypoints:
         raise click.UsageError(f"{path_file}: no waypoints")
     return waypoints
@@ -410,15 +413,14 @@ def track(ctx, path_file, start_euler, start_matrix):
     except StartNotASolution as exc:
         click.echo(f"start orientation rejected: {exc}", err=True)
         sys.exit(EXIT_START_NOT_A_SOLUTION)
+    # track_path holds the solution index, so the mode id of step 0 holds
+    # for every step; the per-step signatures are the independent evidence
+    mode = assembly_mode_id(waypoints[0], result.orientations[0])
     steps = []
     sigs = set()
-    modes = set()
     for k, e in enumerate(result.eulers):
         jk = waypoints[k]
-        r = result.orientations[k]
-        mode = assembly_mode_id(jk, r)
-        sig = _signature_or_none(jk, r)
-        modes.add(mode)
+        sig = _signature_or_none(jk, result.orientations[k])
         sigs.add(sig)
         steps.append(
             {
@@ -433,7 +435,7 @@ def track(ctx, path_file, start_euler, start_matrix):
         "schema_version": SCHEMA_VERSION,
         "command": "track",
         "steps": steps,
-        "mode_constant": len(modes) <= 1 and len(sigs) <= 1,
+        "mode_constant": len(sigs) <= 1,
         "crossing": None
         if result.crossing is None
         else {"segment": result.crossing.segment, "reason": result.crossing.reason},

@@ -1,5 +1,5 @@
 """Working-mode signatures, the working/assembly mode correspondence,
-and singularity-aware path tracking.
+and certified path tracking.
 
 The sign triple of diag(B) identifies the working mode: flipping one
 leg's angle by pi flips the corresponding B_ii.  For fixed generic joints
@@ -7,20 +7,26 @@ the four nontrivial assembly modes realize four distinct signatures whose
 pattern relative to the canonical first solution is (s1,s2,s3),
 (-s1,-s2,s3), (s1,-s2,-s3), (-s1,s2,-s3); the common sign product equals
 the sign of the joint-space determinant factor, so only one of the two
-signature groups is ever reachable for given joints.  Tracking a joint
-path therefore pins the assembly mode as long as no singularity is
-crossed.
+signature groups is ever reachable for given joints.
+
+The wrist is non-cuspidal: a joint path can change assembly mode only
+where it meets the determinant surface q2 = sin t1 sin t2 sin t3 +
+cos t1 cos t2 cos t3 = 0.  Inside one sign domain of q2 no B_ii vanishes,
+so every direct solution keeps its signature, and the canonical solution
+order ties each index 1..4 to a signature.  Tracking is therefore two
+steps per segment: certify by a Lipschitz bound that |q2| stays above the
+singular tolerance, then take the end waypoint's direct solution with the
+start's index.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .dk import DkResult, _condition_pair, _theta_coeffs, solve_dk
+from .dk import DkResult, _theta_coeffs, solve_dk
 from .exceptions import (
     DegenerateJoints,
     NoMatchingSolution,
@@ -34,16 +40,6 @@ from .so3 import EulerZyx, euler_to_rotation, rotation_distance, wrap_angle
 
 # Orientation-to-solution matching tolerance (rotation distance, radians).
 MATCH_TOL = 1e-6
-
-# Path refinement: base per-joint step bound, and the tighter bound applied
-# near roots of the determinant factor.
-COARSE_STEP = 0.2
-FINE_STEP = 0.05
-NEAR_ROOT_BAND = 0.2
-
-# Nearest-solution ambiguity guard: second-nearest must be at least this
-# factor farther than the nearest.
-AMBIGUITY_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -157,32 +153,60 @@ def assembly_mode_id(
     )
 
 
-def _interp(a: JointTriplet, b: JointTriplet, f: float) -> JointTriplet:
-    # Shortest-arc interpolation per joint on the circle.
-    aa, bb = a.as_tuple(), b.as_tuple()
-    return JointTriplet(*(x + f * wrap_angle(y - x) for x, y in zip(aa, bb)))
+def _segment_crossing(a: JointTriplet, b: JointTriplet, tol: float) -> str | None:
+    """Why the shortest-arc segment a -> b is not certified clear, or None.
 
-
-def _segment_substeps(a: JointTriplet, b: JointTriplet) -> list[float]:
-    span = max(abs(wrap_angle(y - x)) for x, y in zip(a.as_tuple(), b.as_tuple()))
-    n = max(1, math.ceil(span / COARSE_STEP))
-    return [k / n for k in range(1, n + 1)]
+    Every first and second partial of q2 has magnitude <= 1, so along
+    a + f * d (d the wrapped joint differences) |dq2/df| <= L and
+    |d2q2/df2| <= L**2, with L = |d1| + |d2| + |d3|.  An interval [f0, f1]
+    of length h keeps |q2| > tol throughout when its endpoint values v0,
+    v1 share a sign and either (|v0| + |v1| - L h) / 2 > tol
+    (Piyavskii-Shubert exclusion) or min(|v0|, |v1|) - (L h)**2 / 8 > tol
+    (linear interpolation error); any other interval is bisected.  The
+    second bound keeps the bisection short on segments that run close to
+    the surface q2 = 0.  Every comparison is written so that NaN fails it.
+    """
+    base = a.as_tuple()
+    d = [wrap_angle(y - x) for x, y in zip(base, b.as_tuple())]
+    lip = sum(abs(x) for x in d)
+    stack = [(0.0, 1.0, _theta_coeffs(*base)[1], _theta_coeffs(*b.as_tuple())[1])]
+    while stack:
+        f0, f1, v0, v1 = stack.pop()
+        if not (abs(v0) > tol and abs(v1) > tol):
+            return "determinant factor within tolerance"
+        if (v0 > 0.0) != (v1 > 0.0):
+            return "determinant sign change"
+        lh = lip * (f1 - f0)
+        lipschitz = (abs(v0) + abs(v1) - lh) / 2.0
+        curvature = min(abs(v0), abs(v1)) - lh * lh / 8.0
+        if max(lipschitz, curvature) > tol:
+            continue
+        fm = 0.5 * (f0 + f1)
+        if not (lh > tol and f0 < fm < f1):
+            return "determinant factor within tolerance"
+        vm = _theta_coeffs(*(x + fm * dx for x, dx in zip(base, d)))[1]
+        stack.append((fm, f1, vm, v1))
+        stack.append((f0, fm, v0, vm))
+    return None
 
 
 def track_path(
     path, start: np.ndarray, cfg: ToolConfig = DEFAULT_CONFIG
 ) -> TrackResult:
-    """Track the assembly mode along a joint path by nearest-solution
-    continuation.
+    """Track the assembly mode along a joint path.
 
     `start` must match one of the four direct solutions of path[0] within
-    MATCH_TOL (else StartNotASolution).  Segments are refined so that no
-    substep moves a joint more than COARSE_STEP, and more finely near
-    roots of the determinant factor.  A SingularityCrossing is reported
-    when the determinant factor changes sign or drops below the singular
-    tolerance, when the joints enter a self-motion condition pair, when
-    the direct solve degenerates, or when nearest-solution matching is
-    ambiguous.
+    MATCH_TOL (else StartNotASolution); its index is the tracked mode.
+    Each segment is first certified to keep |q2| > cfg.singular_tol (see
+    _segment_crossing); the waypoint's orientation is then the direct
+    solution with the start's index.  Inside one sign domain of q2 every
+    B_ii is nonzero, so each solution keeps its working-mode signature and
+    the canonical order pins the index to that signature.  A
+    SingularityCrossing is reported on the first segment that is not
+    certified ("determinant sign change" or "determinant factor within
+    tolerance"), or whose end waypoint has no finite direct solutions
+    ("direct solve became ...").  The condition pairs and trivial-only
+    joints lie inside |q2| <= tol, so the certificate excludes them too.
     """
     waypoints = [p if isinstance(p, JointTriplet) else JointTriplet(*p) for p in path]
     if not waypoints:
@@ -201,63 +225,19 @@ def track_path(
             f"start orientation is {dists[best]:.3e} rad from the nearest "
             f"direct solution (tol {MATCH_TOL:g})"
         )
-    current = mats[best]
-    current_euler = dk0.solutions[best]
-    orientations = [current]
-    eulers = [current_euler]
+    orientations = [mats[best]]
+    eulers = [dk0.solutions[best]]
 
-    prev_q2 = _theta_coeffs(*waypoints[0].as_tuple())[1]
     for seg in range(len(waypoints) - 1):
-        a, b = waypoints[seg], waypoints[seg + 1]
-        fractions = _segment_substeps(a, b)
-        crossing = None
-        prev_f = 0.0
-        for f in fractions:
-            js = _interp(a, b, f)
-            q2 = _theta_coeffs(*js.as_tuple())[1]
-            # Near a determinant root, re-walk this substep finely.
-            if min(abs(prev_q2), abs(q2)) < NEAR_ROOT_BAND:
-                span = max(
-                    abs(wrap_angle(y - x))
-                    for x, y in zip(a.as_tuple(), b.as_tuple())
-                ) * (f - prev_f)
-                pieces = max(1, math.ceil(span / FINE_STEP))
-                subs = [prev_f + (f - prev_f) * k / pieces for k in range(1, pieces + 1)]
-            else:
-                subs = [f]
-            for ff in subs:
-                jj = _interp(a, b, ff)
-                q2_here = _theta_coeffs(*jj.as_tuple())[1]
-                if abs(q2_here) <= cfg.singular_tol:
-                    crossing = SingularityCrossing(seg, "determinant factor vanished")
-                    break
-                if q2_here * prev_q2 < 0.0:
-                    crossing = SingularityCrossing(seg, "determinant sign change")
-                    break
-                if _condition_pair(jj, cfg.structure_tol) is not None:
-                    crossing = SingularityCrossing(seg, "self-motion conditions entered")
-                    break
-                dk = solve_dk(jj)
-                if not dk.is_finite:
-                    crossing = SingularityCrossing(seg, f"direct solve became {dk.branch}")
-                    break
-                cand = [euler_to_rotation(s) for s in dk.solutions]
-                dd = sorted(
-                    range(4), key=lambda i: rotation_distance(current, cand[i])
-                )
-                d1 = rotation_distance(current, cand[dd[0]])
-                d2 = rotation_distance(current, cand[dd[1]])
-                if d2 < AMBIGUITY_FACTOR * d1:
-                    crossing = SingularityCrossing(seg, "nearest-solution matching ambiguous")
-                    break
-                current = cand[dd[0]]
-                current_euler = dk.solutions[dd[0]]
-                prev_q2 = q2_here
-            if crossing is not None:
-                break
-            prev_f = f
-        if crossing is not None:
+        b = waypoints[seg + 1]
+        reason = _segment_crossing(waypoints[seg], b, cfg.singular_tol)
+        if reason is None:
+            dk = solve_dk(b)
+            if not dk.is_finite:
+                reason = f"direct solve became {dk.branch}"
+        if reason is not None:
+            crossing = SingularityCrossing(seg, reason)
             return TrackResult(tuple(orientations), tuple(eulers), crossing)
-        orientations.append(current)
-        eulers.append(current_euler)
+        eulers.append(dk.solutions[best])
+        orientations.append(euler_to_rotation(eulers[-1]))
     return TrackResult(tuple(orientations), tuple(eulers), None)

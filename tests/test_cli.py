@@ -252,6 +252,17 @@ def test_track_bad_header_exit_code(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("row", ["nan,-0.2,0.5", "0.3,inf,0.5", "0.3,-0.2,-inf"])
+def test_track_non_finite_row_exit_code(runner, tmp_path, row):
+    path = tmp_path / "path.csv"
+    path.write_text(f"theta1,theta2,theta3\n0.3,-0.2,0.5\n{row}\n")
+    result = runner.invoke(
+        main, ["track", str(path), "--start-euler", "0", "0", "0"]
+    )
+    assert result.exit_code == 2
+    assert f"{path}:3: non-finite joint angle" in result.output
+
+
 def test_sweep_summary_and_records(runner, tmp_path):
     records = tmp_path / "records.csv"
     result = invoke(
