@@ -45,7 +45,9 @@ from .singularity import (
     jacobians,
 )
 from .so3 import euler_to_rotation, validate_rotation
-from .sweep import iter_records, run_sweep
+# iter_records stays importable from this module; the CLI itself writes
+# records a slab at a time (_record_slabs).
+from .sweep import DEGENERACY_TAGS, iter_records, run_sweep  # noqa: F401
 
 EXIT_NOT_ASSEMBLED = 3
 EXIT_START_NOT_A_SOLUTION = 4
@@ -114,6 +116,13 @@ def _matrix_rows(r: np.ndarray):
     return [[float(x) for x in row] for row in r]
 
 
+def _require_finite(name: str, values) -> None:
+    """Usage error naming the first non-finite value given for `name`."""
+    for v in values or ():
+        if not math.isfinite(v):
+            raise click.UsageError(f"{name}: non-finite value {v!r}")
+
+
 def _parse_orientation(euler, matrix, degrees: bool) -> np.ndarray:
     if (euler is None or len(euler) == 0) == (matrix is None or len(matrix) == 0):
         raise click.UsageError("provide exactly one of --euler or --matrix")
@@ -177,6 +186,8 @@ def main(ctx, tol_residual, tol_singular, output_format, degrees):
 def ik(ctx, euler, matrix, fill_arbitrary):
     """Inverse kinematics: up to 8 joint solutions for an orientation."""
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
+    _require_finite("--euler", euler)
+    _require_finite("--matrix", matrix)
     r = _parse_orientation(euler, matrix, degrees)
     result = solve_ik(r, fill_arbitrary=fill_arbitrary)
     solutions = [
@@ -220,6 +231,7 @@ def dk(ctx, joints):
     """Direct kinematics for one joint triplet (radians; use -- before
     negative values)."""
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
+    _require_finite("JOINTS", joints)
     j = JointTriplet(*_angles_in(joints, degrees))
     result = solve_dk(j)
     doc = {
@@ -407,6 +419,8 @@ def track(ctx, path_file, start_euler, start_matrix):
         waypoints = [
             JointTriplet(*_angles_in(w.as_tuple(), True)) for w in waypoints
         ]
+    _require_finite("--start-euler", start_euler)
+    _require_finite("--start-matrix", start_matrix)
     start = _parse_orientation(start_euler, start_matrix, degrees)
     try:
         result = track_path(waypoints, start, cfg)
@@ -461,6 +475,36 @@ def track(ctx, path_file, start_euler, start_matrix):
         sys.exit(EXIT_SINGULARITY_CROSSING)
 
 
+def _record_slabs(result):
+    """The sweep's CSV record lines, one theta1-slab (n^2 lines) per string,
+    in the scan order of iter_records.
+
+    Each distinct value in a slab is formatted once: det_a keyed by its
+    bit pattern, so that only identical doubles share a string, and
+    degeneracy with component id as one integer key.
+    """
+    grid = [_fmt(v) for v in result.grid]
+    n_tags = len(DEGENERACY_TAGS)
+    heads = [f"{g2},{g3}," for g2 in grid for g3 in grid]
+    for g1, det, deg, comp in zip(
+        grid, result.det_a, result.degeneracy, result.component_id
+    ):
+        bits, det_idx = np.unique(det.view(np.int64).ravel(), return_inverse=True)
+        det_text = [_fmt(v) for v in bits.view(np.float64).tolist()]
+        keys, tail_idx = np.unique(
+            (comp * n_tags + deg).ravel(), return_inverse=True
+        )
+        tail_text = [
+            f"{DEGENERACY_TAGS[k % n_tags]},{k // n_tags}\n" for k in keys.tolist()
+        ]
+        yield "".join(
+            [
+                f"{g1},{head}{det_text[i]},{tail_text[j]}"
+                for head, i, j in zip(heads, det_idx.tolist(), tail_idx.tolist())
+            ]
+        )
+
+
 @main.command()
 @click.option("--grid-n", type=int, default=None, help="Grid points per joint axis.")
 @click.option(
@@ -504,11 +548,7 @@ def sweep(ctx, grid_n, records_out, no_records):
 
     def write_records(out):
         out.write(header + "\n")
-        for rec in iter_records(result):
-            out.write(
-                f"{_fmt(rec.theta1)},{_fmt(rec.theta2)},{_fmt(rec.theta3)},"
-                f"{_fmt(rec.det_a)},{rec.degeneracy},{rec.component_id}\n"
-            )
+        out.writelines(_record_slabs(result))
 
     if no_records:
         click.echo(summary_text)

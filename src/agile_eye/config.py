@@ -8,6 +8,7 @@ branch extraction) use the tightest value.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,8 +28,9 @@ class ToolConfig:
 
     def validate(self) -> "ToolConfig":
         for name in _FLOAT_FIELDS:
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            # written so that NaN fails it too
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.grid_n < 8:
             raise ValueError("grid_n must be at least 8")
         if self.output_format not in ("json", "csv"):

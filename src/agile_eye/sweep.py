@@ -52,19 +52,18 @@ def joint_grid(grid_n: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * k / grid_n
 
 
-def _periodic_components(mask: np.ndarray) -> np.ndarray:
+def _periodic_components(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Label connected True-regions of a 3-d mask on the torus.
 
-    Returns an int array with labels >= 1 inside the mask, 0 outside.
-    scipy labels with open boundaries; labels touching opposite faces are
-    then merged with a union-find pass.
+    Returns (labels, roots): scipy's open-boundary labels (>= 1 inside the
+    mask, 0 outside) and, per label, the smallest label of its torus
+    component, found by a union-find pass over the label pairs that touch
+    across opposite faces.
     """
     # Imported here so that importing the package does not load scipy.
     from scipy import ndimage
 
     labels, nlab = ndimage.label(mask)
-    if nlab == 0:
-        return labels
     parent = list(range(nlab + 1))
 
     def find(x: int) -> int:
@@ -73,16 +72,34 @@ def _periodic_components(mask: np.ndarray) -> np.ndarray:
             x = parent[x]
         return x
 
+    keys = []
     for axis in range(3):
-        lo = np.take(labels, 0, axis=axis).ravel()
+        lo = np.take(labels, 0, axis=axis).ravel().astype(np.int64)
         hi = np.take(labels, -1, axis=axis).ravel()
         both = (lo > 0) & (hi > 0)
-        for a, b in zip(lo[both], hi[both]):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(x) for x in range(nlab + 1)])
-    return roots[labels]
+        keys.append(lo[both] * (nlab + 1) + hi[both])
+    # Each root is the smallest label of its set, whatever the merge order,
+    # so every distinct face pair needs one union only.
+    for key in np.unique(np.concatenate(keys)).tolist():
+        ra, rb = find(key // (nlab + 1)), find(key % (nlab + 1))
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return labels, np.array([find(x) for x in range(nlab + 1)], dtype=np.int64)
+
+
+def _first_cells(labels: np.ndarray) -> np.ndarray:
+    """Flat index of the first cell in scan order of each label 1..max
+    (entry 0 unused): the first hit in the top plane of its bounding box."""
+    from scipy import ndimage
+
+    _, n2, n3 = labels.shape
+    boxes = ndimage.find_objects(labels)
+    first = np.zeros(len(boxes) + 1, dtype=np.int64)
+    for lab, box in enumerate(boxes, 1):
+        top = labels[box][0]
+        i2, i3 = divmod(int(np.argmax(top == lab)), top.shape[1])
+        first[lab] = (box[0].start * n2 + box[1].start + i2) * n3 + box[2].start + i3
+    return first
 
 
 def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> SweepResult:
@@ -92,49 +109,60 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
     if n < 8:
         raise ValueError("grid_n must be at least 8")
     g = joint_grid(n)
-    t1, t2, t3 = np.meshgrid(g, g, g, indexing="ij")
-    s1, c1 = np.sin(t1), np.cos(t1)
-    s2, c2 = np.sin(t2), np.cos(t2)
-    s3, c3 = np.sin(t3), np.cos(t3)
-    det = s1 * s2 * s3 + c1 * c2 * c3
+    # Every factor depends on one joint, so 1-d sines and cosines broadcast
+    # along axes 0, 1, 2; the products keep the order s1*s2*s3 + c1*c2*c3.
+    s, c = np.sin(g), np.cos(g)
+    ax = (np.s_[:, None, None], np.s_[None, :, None], np.s_[None, None, :])
+    det = s[ax[0]] * s[ax[1]] * s[ax[2]]
+    det += c[ax[0]] * c[ax[1]] * c[ax[2]]
 
     st = cfg.structure_tol
+    small_s, small_c = np.abs(s) < st, np.abs(c) < st
     pair = (
-        ((np.abs(s2) < st) & (np.abs(c3) < st))
-        | ((np.abs(s3) < st) & (np.abs(c1) < st))
-        | ((np.abs(s1) < st) & (np.abs(c2) < st))
+        (small_s[ax[1]] & small_c[ax[2]])
+        | (small_s[ax[2]] & small_c[ax[0]])
+        | (small_s[ax[0]] & small_c[ax[1]])
     )
+    abs_det = np.abs(det)
     degeneracy = np.zeros(det.shape, dtype=np.uint8)
-    degeneracy[(np.abs(det) <= st) & ~pair] = 2
+    degeneracy[abs_det <= st] = 2
     degeneracy[pair] = 1
 
-    wall = np.abs(det) <= cfg.singular_tol
-    component = np.full(det.shape, -1, dtype=np.int64)
-    pos = _periodic_components((det > 0.0) & ~wall)
-    neg = _periodic_components((det < 0.0) & ~wall)
-    n_pos_raw = int(pos.max())
-    combined = np.where(pos > 0, pos, 0) + np.where(neg > 0, neg + n_pos_raw, 0)
+    wall = abs_det <= cfg.singular_tol
+    del abs_det, pair
+    pos_mask = (det > 0.0) & ~wall
+    neg_mask = (det < 0.0) & ~wall
+    pos, pos_roots = _periodic_components(pos_mask)
+    neg, neg_roots = _periodic_components(neg_mask)
 
-    # Relabel contiguous from 0 in scan order of first occurrence.
-    flat = combined.ravel()
-    labels, first = np.unique(flat[flat > 0], return_index=True)
-    order = labels[np.argsort(first)]
-    remap = np.zeros(int(combined.max()) + 1, dtype=np.int64)
-    remap[order] = np.arange(len(order))
-    component[combined > 0] = remap[combined[combined > 0]]
+    # Number the torus components from 0 in scan order of their first cell.
+    # Negative labels and roots are shifted past the positive ones, so that
+    # both sides share one label array.
+    n_pos = len(pos_roots) - 1
+    neg[neg > 0] += n_pos
+    labels = pos + neg
+    del pos, neg
+    roots = np.concatenate([pos_roots, neg_roots[1:] + n_pos])
+    set_first = np.full(len(roots), labels.size, dtype=np.int64)
+    np.minimum.at(set_first, roots[1:], _first_cells(labels)[1:])
+    sets = np.unique(roots[1:])
+    rank = np.zeros(len(roots), dtype=np.int64)
+    rank[sets[np.argsort(set_first[sets])]] = np.arange(len(sets))
+    lut = rank[roots]
+    lut[0] = -1  # walls
+    component = lut[labels]
+    del labels
 
-    components_positive = len(
-        np.unique(component[(det > 0.0) & (component >= 0)])
-    )
-    components_negative = len(
-        np.unique(component[(det < 0.0) & (component >= 0)])
-    )
+    components_positive = len(np.unique(pos_roots[1:]))
+    components_negative = len(np.unique(neg_roots[1:]))
 
-    sign_code = np.where(wall, 0, np.sign(det)).astype(np.int8)
+    # Only inequality of neighbours matters: walls 0, positive 1, negative -1.
+    code = pos_mask.view(np.int8) - neg_mask.view(np.int8)
     singular = wall.copy()
     for axis in range(3):
-        singular |= sign_code != np.roll(sign_code, 1, axis=axis)
-        singular |= sign_code != np.roll(sign_code, -1, axis=axis)
+        step = code != np.roll(code, 1, axis=axis)
+        singular |= step
+        singular |= np.roll(step, -1, axis=axis)
 
     summary = {
         "schema_version": "1",

@@ -346,3 +346,59 @@ def test_csv_format_dk(runner):
     lines = result.output.strip().splitlines()
     assert lines[0] == "mode_id,phi,theta,psi,signature"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["dk", "nan", "0", "0"], "JOINTS: non-finite value nan"),
+        (["dk", "--", "0", "-inf", "0"], "JOINTS: non-finite value -inf"),
+        (["ik", "--euler", "inf", "0", "0"], "--euler: non-finite value inf"),
+        (
+            ["ik", "--matrix", "1", "0", "0", "0", "1", "0", "0", "0", "nan"],
+            "--matrix: non-finite value nan",
+        ),
+    ],
+)
+def test_non_finite_query_is_usage_error(runner, args, named):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert named in result.output
+
+
+@pytest.mark.parametrize(
+    "start,named",
+    [
+        (["--start-euler", "nan", "0", "0"], "--start-euler: non-finite value nan"),
+        (
+            ["--start-matrix", "1", "0", "0", "0", "inf", "0", "0", "0", "1"],
+            "--start-matrix: non-finite value inf",
+        ),
+    ],
+)
+def test_track_non_finite_start_is_usage_error(runner, tmp_path, start, named):
+    path = tmp_path / "path.csv"
+    path.write_text("theta1,theta2,theta3\n0.3,-0.2,0.5\n0.4,-0.2,0.5\n")
+    result = runner.invoke(main, ["track", str(path), *start])
+    assert result.exit_code == 2
+    assert named in result.output
+
+
+@pytest.mark.parametrize("flag", ["--tol-singular", "--tol-residual"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_flag_is_usage_error(runner, flag, value):
+    args = [flag, value, "sweep", "--grid-n", "8", "--no-records"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "must be positive and finite" in result.output
+
+
+@pytest.mark.parametrize("key", ["singular_tol", "residual_tol", "structure_tol"])
+def test_non_finite_tolerance_in_config_file_is_usage_error(runner, tmp_path, key):
+    cfg = tmp_path / "agile.cfg"
+    cfg.write_text(f"{key} = nan\n")
+    result = runner.invoke(
+        main, ["sweep", "--grid-n", "8", "--no-records"], env={"AGILE_CONFIG": str(cfg)}
+    )
+    assert result.exit_code == 2
+    assert f"bad config file: {key} must be positive and finite" in result.output

@@ -10,12 +10,19 @@ in-domain loop from each of the four assembly modes, the same loop as
 CSV, a determinant sign change, a self-motion entry, and a rejected
 start.
 
-Rebuild either corpus from the repository root with
+`agile sweep` (tests/golden/sweep.json): records at n = 8 to a file and
+to stdout (summary on stderr), a tolerance wide enough for thick walls
+(component id -1), n = 40 and a CSV n = 64 run whose records are kept as
+sha256 and length, and an n = 128 summary without records.
+
+Rebuild a corpus from the repository root with
 
     PYTHONPATH=src python tests/golden/make_classify.py > tests/golden/classify.json
     PYTHONPATH=src python tests/golden/make_track.py > tests/golden/track.json
+    PYTHONPATH=src python tests/golden/make_sweep.py > tests/golden/sweep.json
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -27,6 +34,7 @@ from agile_eye.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = json.loads((GOLDEN / "classify.json").read_text())
 TRACK_CORPUS = json.loads((GOLDEN / "track.json").read_text())
+SWEEP_CORPUS = json.loads((GOLDEN / "sweep.json").read_text())
 
 
 @pytest.mark.parametrize("case", CORPUS, ids=[c["name"] for c in CORPUS])
@@ -44,3 +52,25 @@ def test_track_output_byte_identical(case, tmp_path):
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.exit_code == case["exit_code"]
     assert result.output == case["output"]
+
+
+def _assert_stream(data: bytes, expected):
+    if isinstance(expected, str):
+        assert data.decode() == expected
+    else:
+        assert len(data) == expected["bytes"]
+        assert hashlib.sha256(data).hexdigest() == expected["sha256"]
+
+
+@pytest.mark.parametrize("case", SWEEP_CORPUS, ids=[c["name"] for c in SWEEP_CORPUS])
+def test_sweep_output_byte_identical(case, tmp_path):
+    records = tmp_path / "records.csv"
+    args = [str(records) if a == "RECORDS" else a for a in case["args"]]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == case["exit_code"]
+    _assert_stream(result.stdout_bytes, case["stdout"])
+    _assert_stream(result.stderr_bytes, case["stderr"])
+    if case["records"] is None:
+        assert not records.exists()
+    else:
+        _assert_stream(records.read_bytes(), case["records"])

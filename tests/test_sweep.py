@@ -4,15 +4,19 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+from click.testing import CliRunner
 
 from agile_eye import (
     JointTriplet,
+    ToolConfig,
     classify_joint_degeneracy,
     det_a_closed_form,
     iter_records,
     joint_grid,
     run_sweep,
 )
+from agile_eye.cli import _fmt, main
 
 
 def test_joint_grid_interval():
@@ -127,3 +131,123 @@ def test_package_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _meshgrid_components(mask):
+    """Torus labelling as first written: scipy labels, then a union-find
+    over every face pair in turn."""
+    from scipy import ndimage
+
+    labels, nlab = ndimage.label(mask)
+    if nlab == 0:
+        return labels
+    parent = list(range(nlab + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for axis in range(3):
+        lo = np.take(labels, 0, axis=axis).ravel()
+        hi = np.take(labels, -1, axis=axis).ravel()
+        both = (lo > 0) & (hi > 0)
+        for a, b in zip(lo[both], hi[both]):
+            ra, rb = find(int(a)), find(int(b))
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    roots = np.array([find(x) for x in range(nlab + 1)])
+    return roots[labels]
+
+
+def _meshgrid_sweep(n, cfg):
+    """Reference sweep on full 3-d meshgrid arrays: det_a, degeneracy,
+    component ids and summary, written the direct way."""
+    g = joint_grid(n)
+    t1, t2, t3 = np.meshgrid(g, g, g, indexing="ij")
+    s1, c1 = np.sin(t1), np.cos(t1)
+    s2, c2 = np.sin(t2), np.cos(t2)
+    s3, c3 = np.sin(t3), np.cos(t3)
+    det = s1 * s2 * s3 + c1 * c2 * c3
+
+    st = cfg.structure_tol
+    pair = (
+        ((np.abs(s2) < st) & (np.abs(c3) < st))
+        | ((np.abs(s3) < st) & (np.abs(c1) < st))
+        | ((np.abs(s1) < st) & (np.abs(c2) < st))
+    )
+    degeneracy = np.zeros(det.shape, dtype=np.uint8)
+    degeneracy[(np.abs(det) <= st) & ~pair] = 2
+    degeneracy[pair] = 1
+
+    wall = np.abs(det) <= cfg.singular_tol
+    component = np.full(det.shape, -1, dtype=np.int64)
+    pos = _meshgrid_components((det > 0.0) & ~wall)
+    neg = _meshgrid_components((det < 0.0) & ~wall)
+    n_pos_raw = int(pos.max())
+    combined = np.where(pos > 0, pos, 0) + np.where(neg > 0, neg + n_pos_raw, 0)
+    flat = combined.ravel()
+    labels, first = np.unique(flat[flat > 0], return_index=True)
+    order = labels[np.argsort(first)]
+    remap = np.zeros(int(combined.max()) + 1, dtype=np.int64)
+    remap[order] = np.arange(len(order))
+    component[combined > 0] = remap[combined[combined > 0]]
+
+    sign_code = np.where(wall, 0, np.sign(det)).astype(np.int8)
+    singular = wall.copy()
+    for axis in range(3):
+        singular |= sign_code != np.roll(sign_code, 1, axis=axis)
+        singular |= sign_code != np.roll(sign_code, -1, axis=axis)
+    summary = {
+        "schema_version": "1",
+        "grid_n": n,
+        "components_positive": len(np.unique(component[(det > 0.0) & (component >= 0)])),
+        "components_negative": len(np.unique(component[(det < 0.0) & (component >= 0)])),
+        "singular_cell_fraction": float(singular.mean()),
+        "wall_cell_fraction": float(wall.mean()),
+        "degeneracy_counts": {
+            tag: int(np.count_nonzero(degeneracy == i))
+            for i, tag in enumerate(("generic", "self_motion", "trivial_only"))
+        },
+    }
+    return det, degeneracy, component, summary
+
+
+@pytest.mark.parametrize(
+    "n,singular_tol",
+    [(8, 1e-7), (37, 1e-7), (64, 1e-7), (24, 0.9), (37, 0.7), (8, 2.0)],
+)
+def test_sweep_bitwise_equal_to_meshgrid_reference(n, singular_tol):
+    cfg = ToolConfig(singular_tol=singular_tol)
+    result = run_sweep(n, cfg)
+    det, degeneracy, component, summary = _meshgrid_sweep(n, cfg)
+    assert result.det_a.shape == (n, n, n)
+    np.testing.assert_array_equal(result.det_a.view(np.int64), det.view(np.int64))
+    np.testing.assert_array_equal(result.degeneracy, degeneracy)
+    assert result.component_id.dtype == component.dtype
+    np.testing.assert_array_equal(result.component_id, component)
+    assert result.summary == summary
+
+
+@pytest.mark.parametrize("n,tol_args", [(8, []), (12, ["--tol-singular", "0.2"])])
+def test_cli_records_match_iter_records(n, tol_args, tmp_path):
+    out = tmp_path / "records.csv"
+    res = CliRunner().invoke(
+        main,
+        [*tol_args, "sweep", "--grid-n", str(n), "--records-out", str(out)],
+        catch_exceptions=False,
+    )
+    assert res.exit_code == 0
+    cfg = ToolConfig(singular_tol=float(tol_args[1]) if tol_args else 1e-7)
+    records = list(iter_records(run_sweep(n, cfg)))
+    lines = out.read_text().split("\n")
+    assert lines[0] == "theta1,theta2,theta3,det_a,degeneracy,component_id"
+    assert lines[-1] == ""
+    assert len(lines) == len(records) + 2
+    for line, rec in zip(lines[1:], records):
+        assert line == (
+            f"{_fmt(rec.theta1)},{_fmt(rec.theta2)},{_fmt(rec.theta3)},"
+            f"{_fmt(rec.det_a)},{rec.degeneracy},{rec.component_id}"
+        )
+    assert any(rec.component_id == -1 for rec in records)
