@@ -279,6 +279,8 @@ def dk(ctx, joints):
 def jacobian(ctx, joints, euler, matrix):
     """Numeric Jacobians A and diag(B) plus determinant cross-checks."""
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
+    for name, values in (("--joints", joints), ("--euler", euler), ("--matrix", matrix)):
+        _require_finite(name, values)
     j = JointTriplet(*_angles_in(joints, degrees))
     r = _parse_orientation(euler, matrix, degrees)
     pair = jacobians(j, r)
@@ -351,6 +353,7 @@ def classify(ctx, joints, euler, matrix):
 def self_motion(ctx, family, parameter):
     """Orientation on one of the six self-motion curves."""
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
+    _require_finite("--parameter", [parameter])
     label = family.strip().lower()
     t = _angles_in([parameter], degrees)[0]
     try:

@@ -29,8 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import UnknownFamily
-from .mechanism import JointTriplet
-from .so3 import HALF_PI, EulerZyx, wrap_angle
+from .mechanism import (
+    JointTriplet,
+    b_diagonal,
+    condition_pairs,
+    det_factor,
+    joint_factors,
+    joint_trig,
+)
+from .so3 import HALF_PI, EulerZyx, euler_to_rotation, wrap_angle
 
 # Tolerance on the sines/cosines deciding every degeneracy in the cascade.
 DEGENERACY_TOL = 1e-9
@@ -117,53 +124,35 @@ def trivial_orientations() -> tuple[np.ndarray, ...]:
     return tuple(m.copy() for m in _TRIVIAL)
 
 
-def _theta_coeffs(t1: float, t2: float, t3: float) -> tuple[float, float]:
-    q1 = math.sin(t1) * math.cos(t2) * math.cos(t3) * math.sin(t3) - math.cos(
-        t1
-    ) * math.sin(t2)
-    q2 = math.sin(t1) * math.sin(t2) * math.sin(t3) + math.cos(t1) * math.cos(
-        t2
-    ) * math.cos(t3)
-    return q1, q2
+def _psi_coeffs(trig, theta: float) -> tuple[float, float, float, float]:
+    # (p1, p2, p3, p4) of the two psi equations at theta
+    s1, c1, s2, c2, s3, c3 = trig
+    ct, st = math.cos(theta), math.sin(theta)
+    return s1 * c3, s1 * st * s3 - ct * c1, c2 * st * c3 - ct * s2, c2 * s3
 
 
 def cascade_intermediates(j: JointTriplet, theta: float) -> CascadeIntermediates:
     """Evaluate all cascade coefficients at the given theta."""
-    t1, t2, t3 = j.as_tuple()
-    q1, q2 = _theta_coeffs(t1, t2, t3)
-    ct, st = math.cos(theta), math.sin(theta)
-    return CascadeIntermediates(
-        p1=math.sin(t1) * math.cos(t3),
-        p2=math.sin(t1) * st * math.sin(t3) - ct * math.cos(t1),
-        p3=math.cos(t2) * st * math.cos(t3) - ct * math.sin(t2),
-        p4=math.cos(t2) * math.sin(t3),
-        q1=q1,
-        q2=q2,
-    )
+    trig = joint_trig(*j.as_tuple())
+    q1, q2 = joint_factors(*trig)
+    return CascadeIntermediates(*_psi_coeffs(trig, theta), q1=q1, q2=q2)
 
 
-def _condition_pair(j: JointTriplet, tol: float) -> int | None:
-    t1, t2, t3 = j.as_tuple()
-    if abs(math.sin(t2)) < tol and abs(math.cos(t3)) < tol:
-        return 1
-    if abs(math.sin(t3)) < tol and abs(math.cos(t1)) < tol:
-        return 2
-    if abs(math.sin(t1)) < tol and abs(math.cos(t2)) < tol:
-        return 3
-    return None
+def _degeneracy(trig, q2: float, tol: float) -> JointDegeneracy:
+    pairs = condition_pairs(*trig, tol)
+    if True in pairs:
+        return JointDegeneracy(kind="self_motion", pair=pairs.index(True) + 1)
+    if abs(q2) <= tol:
+        return JointDegeneracy(kind="trivial_only")
+    return JointDegeneracy(kind="generic")
 
 
 def classify_joint_degeneracy(
     j: JointTriplet, tol: float = DEGENERACY_TOL
 ) -> JointDegeneracy:
     """Sort a joint triplet into generic / self-motion / trivial-only."""
-    pair = _condition_pair(j, tol)
-    if pair is not None:
-        return JointDegeneracy(kind="self_motion", pair=pair)
-    _, q2 = _theta_coeffs(*j.as_tuple())
-    if abs(q2) <= tol:
-        return JointDegeneracy(kind="trivial_only")
-    return JointDegeneracy(kind="generic")
+    trig = joint_trig(*j.as_tuple())
+    return _degeneracy(trig, det_factor(*trig), tol)
 
 
 def _fold_half(a: float) -> float:
@@ -176,6 +165,22 @@ def _fold_half(a: float) -> float:
     return a
 
 
+# Solution order from the signs of diag(B) at the cascade's first solution,
+# each compared with the sign of q2.  Solution 1 has the all-equal
+# working-mode signature, a label that is continuous inside one det-sign
+# domain, so a tracked mode id cannot change without a singularity
+# crossing; the others follow the half-turn table, which flips (1,2),
+# (2,3), (1,3) of the signature.  Other patterns are unreachable for
+# generic joints (the signature product is the sign of q2); cascade order
+# is kept if roundoff ever lands there.
+_TABLE_ORDERS = {
+    (True, True, True): (0, 1, 2, 3),
+    (False, False, True): (1, 0, 3, 2),
+    (True, False, False): (2, 3, 0, 1),
+    (False, True, False): (3, 2, 1, 0),
+}
+
+
 def solve_dk(j: JointTriplet, tol: float = DEGENERACY_TOL) -> DkResult:
     """Solve the direct kinematics for one joint triplet.
 
@@ -185,7 +190,9 @@ def solve_dk(j: JointTriplet, tol: float = DEGENERACY_TOL) -> DkResult:
     self-motion or trivial-only branch instead.  The trivial orientations
     are attached in every case.
     """
-    deg = classify_joint_degeneracy(j, tol)
+    trig = joint_trig(*j.as_tuple())
+    q1, q2 = joint_factors(*trig)
+    deg = _degeneracy(trig, q2, tol)
     if deg.kind == "self_motion":
         return DkResult(
             trivial=trivial_orientations(),
@@ -197,64 +204,25 @@ def solve_dk(j: JointTriplet, tol: float = DEGENERACY_TOL) -> DkResult:
     if deg.kind == "trivial_only":
         return DkResult(trivial=trivial_orientations(), branch="trivial_only")
 
-    t1, t2, t3 = j.as_tuple()
-    q1, q2 = _theta_coeffs(t1, t2, t3)
-    phi = t3
+    phi = j.theta3
     theta = _fold_half(math.atan2(-q1, q2))
-    inter = cascade_intermediates(j, theta)
+    p1, p2, p3, p4 = _psi_coeffs(trig, theta)
     # Either psi equation may degenerate alone; use the better-conditioned one.
-    if max(abs(inter.p1), abs(inter.p2)) >= max(abs(inter.p3), abs(inter.p4)):
-        psi = _fold_half(math.atan2(-inter.p1, inter.p2))
-    else:
-        psi = _fold_half(math.atan2(-inter.p3, inter.p4))
+    if max(abs(p1), abs(p2)) < max(abs(p3), abs(p4)):
+        p1, p2 = p3, p4
+    psi = _fold_half(math.atan2(-p1, p2))
     raw = (
         EulerZyx(phi, theta, psi),
         EulerZyx(phi, theta, psi + math.pi),
         EulerZyx(phi, theta + math.pi, -psi),
         EulerZyx(phi, theta + math.pi, -psi + math.pi),
     )
-    solutions = tuple(raw[i] for i in _table_order(j, raw[0], q2))
+    first = b_diagonal(j, euler_to_rotation(raw[0]))
+    order = _TABLE_ORDERS.get(tuple((b > 0.0) == (q2 > 0.0) for b in first), (0, 1, 2, 3))
+    solutions = tuple(raw[i] for i in order)
     return DkResult(
         trivial=trivial_orientations(), branch="finite", solutions=solutions
     )
-
-
-def _leg_branch_values(j: JointTriplet, e: EulerZyx) -> tuple[float, float, float]:
-    # diag(B) at a direct solution, expanded in the Euler angles; the sign
-    # of entry i tells which of the two leg-i branches the solution uses
-    t1, t2, t3 = j.as_tuple()
-    cf, sf = math.cos(e.phi), math.sin(e.phi)
-    ct, st = math.cos(e.theta), math.sin(e.theta)
-    cp, sp = math.cos(e.psi), math.sin(e.psi)
-    return (
-        math.sin(t1) * ct * sp + math.cos(t1) * (cf * cp + sf * st * sp),
-        math.sin(t2) * (cf * st * cp + sf * sp) + math.cos(t2) * ct * cp,
-        math.sin(t3) * sf * ct + math.cos(t3) * cf * ct,
-    )
-
-
-def _table_order(j: JointTriplet, first: EulerZyx, q2: float) -> tuple[int, ...]:
-    # Solution 1 is anchored to the all-equal working-mode signature (the
-    # one signature group member whose three signs coincide; those signs
-    # equal the sign of q2).  Unlike an angle-interval anchor, this label
-    # is continuous everywhere inside one det-sign domain, so the mode id
-    # of a tracked orientation cannot change without a singularity
-    # crossing.  The remaining labels follow the half-turn table, which
-    # flips (1,2), (2,3), (1,3) of the signature respectively.
-    sigma = q2 > 0.0
-    b1, b2, b3 = _leg_branch_values(j, first)
-    pattern = ((b1 > 0.0) == sigma, (b2 > 0.0) == sigma, (b3 > 0.0) == sigma)
-    if pattern == (True, True, True):
-        return (0, 1, 2, 3)
-    if pattern == (False, False, True):
-        return (1, 0, 3, 2)
-    if pattern == (True, False, False):
-        return (2, 3, 0, 1)
-    if pattern == (False, True, False):
-        return (3, 2, 1, 0)
-    # unreachable for generic joints (the signature product equals the
-    # sign of q2); keep cascade order if roundoff ever lands here
-    return (0, 1, 2, 3)
 
 
 def self_motion_family(family_id, parameter: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import JointTriplet
+from .mechanism import JointTriplet, leg_table
 from .so3 import wrap_angle
 
 # A leg is degenerate when max(|numerator|, |denominator|) falls below this.
@@ -57,23 +57,18 @@ class IkSolutionSet:
         return any(leg.arbitrary for leg in self.legs)
 
 
-def _leg_atan2_args(leg: int, r: np.ndarray) -> tuple[float, float]:
-    # (numerator, denominator) of tan(theta_i) read off the orientation matrix
-    if leg == 1:
-        return float(r[2, 1]), float(r[1, 1])
-    if leg == 2:
-        return float(r[0, 2]), float(r[2, 2])
-    if leg == 3:
-        return float(r[1, 0]), float(r[0, 0])
-    raise ValueError(f"leg index must be 1..3, got {leg}")
+def _leg_outcome(num: float, den: float) -> LegIkOutcome:
+    # theta = atan2(num, den) and its antipode, from the leg table
+    if max(abs(num), abs(den)) < DEGENERATE_TOL:
+        return LegIkOutcome.arbitrary_leg()
+    return LegIkOutcome.two(math.atan2(num, den))
 
 
 def leg_ik(leg: int, r: np.ndarray) -> LegIkOutcome:
     """Solve one leg: two antipodal angles, or Arbitrary when singular."""
-    num, den = _leg_atan2_args(leg, r)
-    if max(abs(num), abs(den)) < DEGENERATE_TOL:
-        return LegIkOutcome.arbitrary_leg()
-    return LegIkOutcome.two(math.atan2(num, den))
+    if leg not in (1, 2, 3):
+        raise ValueError(f"leg index must be 1..3, got {leg}")
+    return _leg_outcome(*leg_table(r)[leg - 1])
 
 
 def solve_ik(r: np.ndarray, fill_arbitrary: bool = False) -> IkSolutionSet:
@@ -83,7 +78,7 @@ def solve_ik(r: np.ndarray, fill_arbitrary: bool = False) -> IkSolutionSet:
     each arbitrary leg contributes the single convention angle 0 to the
     enumeration instead of suppressing it.
     """
-    legs = tuple(leg_ik(i, r) for i in (1, 2, 3))
+    legs = tuple(_leg_outcome(num, den) for num, den in leg_table(r))
     if any(leg.arbitrary for leg in legs) and not fill_arbitrary:
         return IkSolutionSet(legs, ())
     options = [(0.0,) if leg.arbitrary else leg.angles for leg in legs]

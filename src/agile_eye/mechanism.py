@@ -1,10 +1,23 @@
-"""Geometry of the orthogonal 3-RRR wrist: joint axes and constraints.
+"""Geometry of the orthogonal 3-RRR wrist: joint axes, constraints, and
+the joint-space factors of the direct kinematics.
 
 Legs are indexed 1..3.  Leg i runs from a base revolute joint with fixed
 axis u_i through an intermediate joint with axis w_i(theta_i) to a
 platform joint whose axis v_i rotates with the mobile platform.  All
 adjacent axes are orthogonal by construction; the wrist is assembled at
 (joints, orientation) exactly when w_i . v_i = 0 for every leg.
+
+The leg table: leg i reads two entries (num_i, den_i) of R, the
+components of -v_i across u_i: (r21, r11), (r02, r22) and (r10, r00)
+(`leg_table`).  With s_i, c_i the sine and cosine of theta_i,
+
+    w_i . v_i = s_i den_i - c_i num_i     (constraint_residuals)
+    theta_i   = atan2(num_i, den_i)       (inverse kinematics, or + pi)
+    B_ii      = s_i num_i + c_i den_i     (b_diagonal; (w_i x v_i) . u_i)
+
+The joint-space factors q1, q2 and the three condition pairs use only
+arithmetic, abs, < and & on the sines and cosines of `joint_trig`, so the
+same functions take Python floats and broadcasting numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,18 +32,7 @@ from .so3 import wrap_angle
 # Leg i is fully folded or extended when |u_i . v_i| exceeds 1 minus this.
 LEG_FOLD_TOL = 1e-9
 
-_BASE_AXES = (
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-    np.array([0.0, 0.0, 1.0]),
-)
-
-# Platform joint axes in the mobile frame (reference orientation).
-_PLATFORM_AXES_HOME = (
-    np.array([0.0, -1.0, 0.0]),
-    np.array([0.0, 0.0, -1.0]),
-    np.array([-1.0, 0.0, 0.0]),
-)
+_BASE_AXES = tuple(np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -66,38 +68,89 @@ def base_axes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def platform_axes_home() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Platform joint axes in the mobile frame."""
-    return tuple(a.copy() for a in _PLATFORM_AXES_HOME)
+    return platform_axes_base(np.eye(3))
+
+
+def joint_trig(t1: float, t2: float, t3: float):
+    """(s1, c1, s2, c2, s3, c3): sines and cosines of the joint angles."""
+    return math.sin(t1), math.cos(t1), math.sin(t2), math.cos(t2), math.sin(t3), math.cos(t3)
+
+
+def det_factor(s1, c1, s2, c2, s3, c3):
+    """q2 = s1 s2 s3 + c1 c2 c3, det(A) on the nontrivial direct solutions.
+
+    The sum is accumulated in place, so on grid arrays no third
+    grid-sized temporary is made.
+    """
+    q2 = s1 * s2 * s3
+    q2 += c1 * c2 * c3
+    return q2
+
+
+def joint_factors(s1, c1, s2, c2, s3, c3):
+    """(q1, q2): the direct kinematics' theta equation is
+    q1 cos(theta) + q2 sin(theta) = 0."""
+    return s1 * c2 * c3 * s3 - c1 * s2, det_factor(s1, c1, s2, c2, s3, c3)
+
+
+def condition_pairs(s1, c1, s2, c2, s3, c3, tol):
+    """Whether each condition pair holds within tol: 1 is sin t2 = cos t3
+    = 0, 2 is sin t3 = cos t1 = 0, 3 is sin t1 = cos t2 = 0."""
+    return (
+        (abs(s2) < tol) & (abs(c3) < tol),
+        (abs(s3) < tol) & (abs(c1) < tol),
+        (abs(s1) < tol) & (abs(c2) < tol),
+    )
+
+
+def _w(j: JointTriplet):
+    s1, c1, s2, c2, s3, c3 = joint_trig(*j.as_tuple())
+    return (0.0, -s1, c1), (c2, 0.0, -s2), (-s3, c3, 0.0)
+
+
+def _v(r: np.ndarray):
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    return (-r01, -r11, -r21), (-r02, -r12, -r22), (-r00, -r10, -r20)
 
 
 def platform_axes_base(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Platform joint axes in the base frame: v_i = R v'_i."""
-    return (-r[:, 1].copy(), -r[:, 2].copy(), -r[:, 0].copy())
+    return tuple(np.array(v) for v in _v(r))
 
 
 def intermediate_axes(j: JointTriplet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intermediate joint axes w_i as functions of the active angles."""
-    t1, t2, t3 = j.as_tuple()
-    return (
-        np.array([0.0, -math.sin(t1), math.cos(t1)]),
-        np.array([math.cos(t2), 0.0, -math.sin(t2)]),
-        np.array([-math.sin(t3), math.cos(t3), 0.0]),
-    )
+    return tuple(np.array(w) for w in _w(j))
+
+
+def jacobian_rows(j: JointTriplet, r: np.ndarray):
+    """Rows w_i x v_i of the Jacobian A, as float triples."""
+    return [
+        (wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx)
+        for (wx, wy, wz), (vx, vy, vz) in zip(_w(j), _v(r))
+    ]
+
+
+def leg_table(r: np.ndarray):
+    """(num_i, den_i) of legs 1..3: (r21, r11), (r02, r22), (r10, r00)."""
+    (r00, _, r02), (r10, r11, _), (_, r21, r22) = r.tolist()
+    return (r21, r11), (r02, r22), (r10, r00)
 
 
 def constraint_residuals(j: JointTriplet, r: np.ndarray) -> np.ndarray:
-    """Raw dot products w_i . v_i; all zero when assembled.
+    """Raw dot products w_i . v_i = s_i den_i - c_i num_i; all zero when
+    assembled.  Signs are kept so downstream mode logic can reuse them."""
+    s1, c1, s2, c2, s3, c3 = joint_trig(*j.as_tuple())
+    (n1, d1), (n2, d2), (n3, d3) = leg_table(r)
+    return np.array([s1 * d1 - c1 * n1, s2 * d2 - c2 * n2, s3 * d3 - c3 * n3])
 
-    Signs are kept (not absolute values) so downstream mode logic can
-    reuse them.
-    """
-    t1, t2, t3 = j.as_tuple()
-    return np.array(
-        [
-            math.sin(t1) * float(r[1, 1]) - math.cos(t1) * float(r[2, 1]),
-            -math.cos(t2) * float(r[0, 2]) + math.sin(t2) * float(r[2, 2]),
-            math.sin(t3) * float(r[0, 0]) - math.cos(t3) * float(r[1, 0]),
-        ]
-    )
+
+def b_diagonal(j: JointTriplet, r: np.ndarray) -> tuple[float, float, float]:
+    """diag(B), B_ii = s_i num_i + c_i den_i; its sign tells which of the
+    two leg-i branches the configuration uses."""
+    s1, c1, s2, c2, s3, c3 = joint_trig(*j.as_tuple())
+    (n1, d1), (n2, d2), (n3, d3) = leg_table(r)
+    return s1 * n1 + c1 * d1, s2 * n2 + c2 * d2, s3 * n3 + c3 * d3
 
 
 def leg_axes(leg: int, j: JointTriplet, r: np.ndarray) -> LegAxes:

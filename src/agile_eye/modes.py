@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .dk import DkResult, _theta_coeffs, solve_dk
+from .dk import DkResult, solve_dk
 from .exceptions import (
     DegenerateJoints,
     NoMatchingSolution,
@@ -34,8 +34,7 @@ from .exceptions import (
     SingularNoSignature,
     StartNotASolution,
 )
-from .mechanism import JointTriplet
-from .singularity import jacobians
+from .mechanism import JointTriplet, b_diagonal, det_factor, joint_trig
 from .so3 import EulerZyx, euler_to_rotation, rotation_distance, wrap_angle
 
 # Orientation-to-solution matching tolerance (rotation distance, radians).
@@ -102,11 +101,11 @@ def working_mode_signature(
 ) -> WorkingModeSignature:
     """Componentwise signs of the numeric diag(B).
 
-    Raises SingularNoSignature when any |B_ii| <= tol: the configuration
-    is leg-singular and carries no working mode.
+    Raises SingularNoSignature unless every |B_ii| > tol (NaN fails too):
+    the configuration is leg-singular and carries no working mode.
     """
-    b = jacobians(j, r).b_diag
-    if float(np.min(np.abs(b))) <= tol:
+    b = b_diagonal(j, r)
+    if not all(abs(x) > tol for x in b):
         raise SingularNoSignature(
             f"diag(B) = {tuple(b)} has a vanishing entry (tol {tol:g})"
         )
@@ -133,7 +132,7 @@ def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
     for sol in dk.solutions:
         if working_mode_signature(j, euler_to_rotation(sol)) == sig:
             return sol
-    _, q2 = _theta_coeffs(*j.as_tuple())
+    q2 = det_factor(*joint_trig(*j.as_tuple()))
     raise NoSuchMode(
         f"signature {sig.label} not realized: these joints admit the "
         f"sign-product {'+' if q2 > 0 else '-'} group only"
@@ -169,7 +168,7 @@ def _segment_crossing(a: JointTriplet, b: JointTriplet, tol: float) -> str | Non
     base = a.as_tuple()
     d = [wrap_angle(y - x) for x, y in zip(base, b.as_tuple())]
     lip = sum(abs(x) for x in d)
-    stack = [(0.0, 1.0, _theta_coeffs(*base)[1], _theta_coeffs(*b.as_tuple())[1])]
+    stack = [(0.0, 1.0, det_factor(*joint_trig(*base)), det_factor(*joint_trig(*b.as_tuple())))]
     while stack:
         f0, f1, v0, v1 = stack.pop()
         if not (abs(v0) > tol and abs(v1) > tol):
@@ -184,7 +183,7 @@ def _segment_crossing(a: JointTriplet, b: JointTriplet, tol: float) -> str | Non
         fm = 0.5 * (f0 + f1)
         if not (lh > tol and f0 < fm < f1):
             return "determinant factor within tolerance"
-        vm = _theta_coeffs(*(x + fm * dx for x, dx in zip(base, d)))[1]
+        vm = det_factor(*joint_trig(*(x + fm * dx for x, dx in zip(base, d))))
         stack.append((fm, f1, vm, v1))
         stack.append((f0, fm, v0, vm))
     return None
@@ -220,7 +219,7 @@ def track_path(
     mats = [euler_to_rotation(s) for s in dk0.solutions]
     dists = [rotation_distance(start, m) for m in mats]
     best = min(range(4), key=dists.__getitem__)
-    if dists[best] > MATCH_TOL:
+    if not dists[best] <= MATCH_TOL:  # NaN fails too
         raise StartNotASolution(
             f"start orientation is {dists[best]:.3e} rad from the nearest "
             f"direct solution (tol {MATCH_TOL:g})"

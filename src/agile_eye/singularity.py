@@ -24,13 +24,20 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToolConfig
 from .dk import (
     PAIR_FAMILIES,
-    _condition_pair,
-    _theta_coeffs,
+    classify_joint_degeneracy,
     self_motion_family,
     trivial_orientations,
 )
 from .exceptions import DenominatorDegenerate, NotAssembled
-from .mechanism import JointTriplet, constraint_residuals, singular_legs
+from .mechanism import (
+    JointTriplet,
+    b_diagonal,
+    constraint_residuals,
+    det_factor,
+    jacobian_rows,
+    joint_trig,
+    singular_legs,
+)
 from .so3 import rotation_distance, wrap_angle
 
 # Signs of (B11, B22, B33) per assembly mode, relative labeling with the
@@ -62,29 +69,12 @@ class SingularityClass:
 def jacobians(j: JointTriplet, r: np.ndarray) -> JacobianPair:
     """Numeric A and diag(B) at a configuration.
 
-    Because u_i is the i-th base frame axis, B_ii is simply the i-th
-    component of row i of A.
+    Because u_i is the i-th base frame axis, B_ii is the i-th component
+    of row i of A.
     """
-    t1, t2, t3 = j.as_tuple()
-    w = (
-        (0.0, -math.sin(t1), math.cos(t1)),
-        (math.cos(t2), 0.0, -math.sin(t2)),
-        (-math.sin(t3), math.cos(t3), 0.0),
+    return JacobianPair(
+        a=np.array(jacobian_rows(j, r)), b_diag=np.array(b_diagonal(j, r))
     )
-    v = (
-        (-float(r[0, 1]), -float(r[1, 1]), -float(r[2, 1])),
-        (-float(r[0, 2]), -float(r[1, 2]), -float(r[2, 2])),
-        (-float(r[0, 0]), -float(r[1, 0]), -float(r[2, 0])),
-    )
-    rows = []
-    b = []
-    for i in range(3):
-        wx, wy, wz = w[i]
-        vx, vy, vz = v[i]
-        row = (wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx)
-        rows.append(row)
-        b.append(row[i])
-    return JacobianPair(a=np.array(rows), b_diag=np.array(b))
 
 
 def det3(m: np.ndarray) -> float:
@@ -103,24 +93,12 @@ def det_a_closed_form(j: JointTriplet, branch: str = "nontrivial") -> float:
     branch "trivial" (the four trivial orientations) carries the opposite
     sign.  The value is identical across the four assembly modes.
     """
-    _, q2 = _theta_coeffs(*j.as_tuple())
+    q2 = det_factor(*joint_trig(*j.as_tuple()))
     if branch == "nontrivial":
         return q2
     if branch == "trivial":
         return -q2
     raise ValueError(f"branch must be 'nontrivial' or 'trivial', got {branch!r}")
-
-
-def _denominators(j: JointTriplet) -> tuple[float, float, float]:
-    # sqrt(1 - cos^2 a sin^2 b) rewritten without cancellation
-    t1, t2, t3 = j.as_tuple()
-    s1, c1 = math.sin(t1), math.cos(t1)
-    s2, c2 = math.sin(t2), math.cos(t2)
-    s3, c3 = math.sin(t3), math.cos(t3)
-    d1 = math.sqrt(s3 * s3 + c3 * c3 * c1 * c1)  # 1 - cos^2 t3 sin^2 t1
-    d2 = math.sqrt(s1 * s1 + c1 * c1 * c2 * c2)  # 1 - cos^2 t1 sin^2 t2
-    d3 = math.sqrt(s2 * s2 + c2 * c2 * c3 * c3)  # 1 - cos^2 t2 sin^2 t3
-    return d1, d2, d3
 
 
 def b_diag_closed_form(
@@ -140,14 +118,17 @@ def b_diag_closed_form(
     """
     if mode not in (1, 2, 3, 4):
         raise ValueError(f"assembly mode must be 1..4, got {mode}")
-    d1, d2, d3 = _denominators(j)
+    s1, c1, s2, c2, s3, c3 = joint_trig(*j.as_tuple())
+    # sqrt(1 - cos^2 a sin^2 b) rewritten without cancellation
+    d1 = math.sqrt(s3 * s3 + c3 * c3 * c1 * c1)  # 1 - cos^2 t3 sin^2 t1
+    d2 = math.sqrt(s1 * s1 + c1 * c1 * c2 * c2)  # 1 - cos^2 t1 sin^2 t2
+    d3 = math.sqrt(s2 * s2 + c2 * c2 * c3 * c3)  # 1 - cos^2 t2 sin^2 t3
     if min(d1, d2, d3) <= tol:
         raise DenominatorDegenerate(
             "closed-form B denominator vanished (leg-singular joints): "
             f"d = ({d1:.3e}, {d2:.3e}, {d3:.3e})"
         )
-    _, q2 = _theta_coeffs(*j.as_tuple())
-    mag = abs(q2)
+    mag = abs(det_factor(s1, c1, s2, c2, s3, c3))
     signs = TABLE_SIGNS[mode - 1]
     return np.array(
         [signs[0] * mag / (d1 * d2), signs[1] * mag / (d3 * d2), signs[2] * mag / (d3 * d1)]
@@ -207,12 +188,12 @@ def classify_configuration(
         raise NotAssembled(
             f"constraint residuals reach {worst:.3e} (> {cfg.residual_tol:g})"
         )
-    pair = _condition_pair(j, cfg.structure_tol)
+    pair = classify_joint_degeneracy(j, cfg.structure_tol).pair
     if pair is not None:
         fid, dist = _best_family(r, PAIR_FAMILIES[pair])
         if dist < cfg.singular_tol:
             return SingularityClass(kind="self_motion", family_id=fid)
-    _, q2 = _theta_coeffs(*j.as_tuple())
+    q2 = det_factor(*joint_trig(*j.as_tuple()))
     trivial_id, trivial_dist = _nearest_trivial(r)
     if trivial_dist < cfg.singular_tol:
         if abs(q2) > cfg.structure_tol:

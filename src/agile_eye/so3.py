@@ -155,18 +155,14 @@ def canonicalize_euler(e: EulerZyx) -> EulerZyx:
 def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Geodesic angle between two rotations, in [0, pi].
 
-    The angle satisfies trace(a^T b) = 1 + 2 cos(angle); the argument is
-    clamped against roundoff.  Near zero the arccos form loses half the
-    working digits, so small angles are evaluated through the equivalent
-    Frobenius identity ||a - b||_F = 2 sqrt(2) sin(angle / 2) instead.
+    With M = a^T b rotating by the angle, |vee(M - M^T)| = 2 sin(angle)
+    and trace(M) - 1 = 2 cos(angle); their atan2 keeps full precision
+    over the whole range.  NaN entries give NaN.
     """
-    # trace(a^T b) is the elementwise product sum
-    t = float(np.sum(a * b))
-    if t > 3.0 - 1e-4:
-        d = a - b
-        s = math.sqrt(float(np.sum(d * d))) / (2.0 * math.sqrt(2.0))
-        return 2.0 * math.asin(min(1.0, s))
-    return math.acos(min(1.0, max(-1.0, 0.5 * (t - 1.0))))
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (a.T @ b).tolist()
+    return math.atan2(
+        math.hypot(m21 - m12, m02 - m20, m10 - m01), m00 + m11 + m22 - 1.0
+    )
 
 
 def axis_angle_rotation(axis, angle: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
+from .mechanism import condition_pairs, det_factor
 
 DEGENERACY_TAGS = ("generic", "self_motion", "trivial_only")
 
@@ -110,19 +111,15 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
         raise ValueError("grid_n must be at least 8")
     g = joint_grid(n)
     # Every factor depends on one joint, so 1-d sines and cosines broadcast
-    # along axes 0, 1, 2; the products keep the order s1*s2*s3 + c1*c2*c3.
+    # along axes 0, 1, 2 into the shared joint-space formulas.
     s, c = np.sin(g), np.cos(g)
-    ax = (np.s_[:, None, None], np.s_[None, :, None], np.s_[None, None, :])
-    det = s[ax[0]] * s[ax[1]] * s[ax[2]]
-    det += c[ax[0]] * c[ax[1]] * c[ax[2]]
+    axes = (np.s_[:, None, None], np.s_[None, :, None], np.s_[None, None, :])
+    trig = [v[ax] for ax in axes for v in (s, c)]
+    det = det_factor(*trig)
 
     st = cfg.structure_tol
-    small_s, small_c = np.abs(s) < st, np.abs(c) < st
-    pair = (
-        (small_s[ax[1]] & small_c[ax[2]])
-        | (small_s[ax[2]] & small_c[ax[0]])
-        | (small_s[ax[0]] & small_c[ax[1]])
-    )
+    pair1, pair2, pair3 = condition_pairs(*trig, st)
+    pair = pair1 | pair2 | pair3
     abs_det = np.abs(det)
     degeneracy = np.zeros(det.shape, dtype=np.uint8)
     degeneracy[abs_det <= st] = 2

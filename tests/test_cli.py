@@ -358,6 +358,27 @@ def test_csv_format_dk(runner):
             ["ik", "--matrix", "1", "0", "0", "0", "1", "0", "0", "0", "nan"],
             "--matrix: non-finite value nan",
         ),
+        (
+            ["jacobian", "--joints", "nan", "0", "0", "--euler", "0", "0", "0"],
+            "--joints: non-finite value nan",
+        ),
+        (
+            ["jacobian", "--joints", "0", "0", "0", "--euler", "inf", "0", "0"],
+            "--euler: non-finite value inf",
+        ),
+        (
+            ["jacobian", "--joints", "0", "0", "0", "--matrix", "1", "0", "0", "0",
+             "1", "0", "0", "0", "-inf"],
+            "--matrix: non-finite value -inf",
+        ),
+        (
+            ["self-motion", "--family", "1", "--parameter", "nan"],
+            "--parameter: non-finite value nan",
+        ),
+        (
+            ["--degrees", "self-motion", "--family", "2a", "--parameter", "inf"],
+            "--parameter: non-finite value inf",
+        ),
     ],
 )
 def test_non_finite_query_is_usage_error(runner, args, named):

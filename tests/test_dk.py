@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from agile_eye import (
@@ -16,6 +18,7 @@ from agile_eye import (
     classify_joint_degeneracy,
     constraint_residuals,
     euler_to_rotation,
+    jacobians,
     platform_axes_home,
     rotation_distance,
     self_motion_family,
@@ -310,3 +313,73 @@ def test_solve_dk_runtime():
         solve_dk(j)
     per_call = (time.perf_counter() - start) / n
     assert per_call < 1e-3
+
+
+def euler_b_diag(j: JointTriplet, e: EulerZyx) -> tuple[float, float, float]:
+    """diag(B) at an orientation, expanded in its Euler angles: an oracle
+    that shares neither the leg table nor euler_to_rotation."""
+    t1, t2, t3 = j.as_tuple()
+    cf, sf = math.cos(e.phi), math.sin(e.phi)
+    ct, st_ = math.cos(e.theta), math.sin(e.theta)
+    cp, sp = math.cos(e.psi), math.sin(e.psi)
+    return (
+        math.sin(t1) * ct * sp + math.cos(t1) * (cf * cp + sf * st_ * sp),
+        math.sin(t2) * (cf * st_ * cp + sf * sp) + math.cos(t2) * ct * cp,
+        math.sin(t3) * sf * ct + math.cos(t3) * cf * ct,
+    )
+
+
+# Whether each B_ii has the sign of q2, for solutions 1..4: solution 1 has
+# the all-equal signature and the half-turn table flips legs (1, 2),
+# (2, 3) and (1, 3).
+ORACLE_PATTERNS = (
+    (True, True, True),
+    (False, False, True),
+    (True, False, False),
+    (False, True, False),
+)
+
+
+def oracle_order(j: JointTriplet, solutions) -> tuple[EulerZyx, ...]:
+    """The four direct solutions in the order the Euler-expanded diag(B)
+    picks."""
+    positive = cascade_intermediates(j, 0.0).q2 > 0.0
+    patterns = [tuple((b > 0.0) == positive for b in euler_b_diag(j, s)) for s in solutions]
+    assert sorted(patterns) == sorted(ORACLE_PATTERNS)
+    return tuple(solutions[patterns.index(p)] for p in ORACLE_PATTERNS)
+
+
+def test_euler_b_diag_matches_jacobians(rng):
+    for _ in range(500):
+        j = generic_joints(rng)
+        for s in solve_dk(j).solutions:
+            numeric = jacobians(j, euler_to_rotation(s)).b_diag
+            np.testing.assert_allclose(euler_b_diag(j, s), numeric, rtol=0, atol=1e-14)
+
+
+angles = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles, angles, angles)
+def test_solution_order_matches_euler_oracle(t1, t2, t3):
+    j = JointTriplet(t1, t2, t3)
+    assume(classify_joint_degeneracy(j).kind == "generic")
+    sols = solve_dk(j).solutions
+    assert sols == oracle_order(j, sols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles, angles, st.floats(min_value=-8.5, max_value=-6.0), st.booleans())
+def test_solution_order_matches_euler_oracle_near_q2_zero(t1, t2, log_q2, negative):
+    # q2 = s1 s2 sin(t3) + c1 c2 cos(t3) = rho sin(t3 + delta): put t3 where
+    # q2 is +-10**log_q2, 3e-9 to 1e-6
+    a, b = math.sin(t1) * math.sin(t2), math.cos(t1) * math.cos(t2)
+    rho = math.hypot(a, b)
+    assume(rho > 1e-3)
+    q2 = -(10.0**log_q2) if negative else 10.0**log_q2
+    j = JointTriplet(t1, t2, math.asin(q2 / rho) - math.atan2(b, a))
+    assume(classify_joint_degeneracy(j).kind == "generic")
+    assert abs(cascade_intermediates(j, 0.0).q2) < 2e-6
+    sols = solve_dk(j).solutions
+    assert sols == oracle_order(j, sols)

@@ -10,6 +10,13 @@ in-domain loop from each of the four assembly modes, the same loop as
 CSV, a determinant sign change, a self-motion entry, and a rejected
 start.
 
+`agile dk`, `ik`, `jacobian` and `self-motion`
+(tests/golden/kinematics.json): generic joints, each condition pair,
+trivial-only joints, an orientation with an arbitrary leg with and
+without --fill-arbitrary, the home and a trivial Jacobian (whose `a`
+prints signed zeros), self-motion curves by id and by label, with
+--degrees and as CSV.
+
 `agile sweep` (tests/golden/sweep.json): records at n = 8 to a file and
 to stdout (summary on stderr), a tolerance wide enough for thick walls
 (component id -1), n = 40 and a CSV n = 64 run whose records are kept as
@@ -20,6 +27,7 @@ Rebuild a corpus from the repository root with
     PYTHONPATH=src python tests/golden/make_classify.py > tests/golden/classify.json
     PYTHONPATH=src python tests/golden/make_track.py > tests/golden/track.json
     PYTHONPATH=src python tests/golden/make_sweep.py > tests/golden/sweep.json
+    PYTHONPATH=src python tests/golden/make_kinematics.py > tests/golden/kinematics.json
 """
 
 import hashlib
@@ -35,10 +43,20 @@ GOLDEN = Path(__file__).parent / "golden"
 CORPUS = json.loads((GOLDEN / "classify.json").read_text())
 TRACK_CORPUS = json.loads((GOLDEN / "track.json").read_text())
 SWEEP_CORPUS = json.loads((GOLDEN / "sweep.json").read_text())
+KINEMATICS_CORPUS = json.loads((GOLDEN / "kinematics.json").read_text())
 
 
 @pytest.mark.parametrize("case", CORPUS, ids=[c["name"] for c in CORPUS])
 def test_classify_output_byte_identical(case):
+    result = CliRunner().invoke(main, case["args"], catch_exceptions=False)
+    assert result.exit_code == case["exit_code"]
+    assert result.output == case["output"]
+
+
+@pytest.mark.parametrize(
+    "case", KINEMATICS_CORPUS, ids=[c["name"] for c in KINEMATICS_CORPUS]
+)
+def test_kinematics_output_byte_identical(case):
     result = CliRunner().invoke(main, case["args"], catch_exceptions=False)
     assert result.exit_code == case["exit_code"]
     assert result.output == case["output"]

@@ -152,3 +152,26 @@ def test_singular_legs():
     assert singular_legs(np.eye(3)) == (False, False, False)
     r = euler_to_rotation((0.3, 0.1, -0.2))
     assert singular_legs(r) == (False, False, False)
+
+
+def test_leg_table_identities(rng):
+    # the three identities of the leg table against the axis vectors
+    from agile_eye.mechanism import b_diagonal, leg_table
+
+    for _ in range(500):
+        j, r = random_joints(rng), random_orientation(rng)
+        table = leg_table(r)
+        vs = platform_axes_base(r)
+        for i, (num, den) in enumerate(table):
+            # (num, den) are the components of -v_i across u_i = e_i
+            assert sorted((num, den)) == sorted(np.delete(-vs[i], i).tolist())
+        b = b_diagonal(j, r)
+        for i, (u, w, v) in enumerate(zip(base_axes(), intermediate_axes(j), vs)):
+            assert b[i] == pytest.approx(float(np.cross(w, v) @ u), abs=1e-15)
+        # the IK angle zeroes the residual and has B_ii = +hypot(num, den)
+        angles = [math.atan2(num, den) for num, den in table]
+        at_ik = JointTriplet(*angles)
+        np.testing.assert_allclose(constraint_residuals(at_ik, r), 0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            b_diagonal(at_ik, r), [math.hypot(n, d) for n, d in table], rtol=1e-15
+        )

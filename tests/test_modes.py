@@ -164,6 +164,11 @@ def test_track_requires_valid_start():
         )
 
 
+def test_track_rejects_nan_start():
+    with pytest.raises(StartNotASolution, match="nan rad"):
+        track_path([FIG_JOINTS], euler_to_rotation((math.nan, 0.4, 0.9)))
+
+
 def test_track_loop_closes_and_keeps_mode():
     base = JointTriplet(0.3, -0.2, 0.5)
     loop = [
@@ -421,13 +426,13 @@ def test_track_segment_along_surface_is_certified_briefly(monkeypatch):
     import agile_eye.modes as modes
 
     calls = []
-    theta_coeffs = modes._theta_coeffs
+    det_factor = modes.det_factor
 
-    def counting(*joints):
-        calls.append(joints)
-        return theta_coeffs(*joints)
+    def counting(*trig):
+        calls.append(trig)
+        return det_factor(*trig)
 
-    monkeypatch.setattr(modes, "_theta_coeffs", counting)
+    monkeypatch.setattr(modes, "det_factor", counting)
     t3 = math.pi / 2 - 3e-7
     a, b = JointTriplet(-0.5, 0.0, t3), JointTriplet(0.5, 0.0, t3)
     assert np.all(_scan_q2(a, b) > 2.5e-7)

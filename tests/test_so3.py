@@ -163,3 +163,19 @@ def test_rotation_to_euler_theta_range(rng):
         )
         if not fam.singular:
             assert -math.pi / 2 < fam.euler.theta < math.pi / 2
+
+
+def test_rotation_distance_accurate_near_half_turn(rng):
+    # within 1e-5 rad of pi the trace alone cannot resolve the angle
+    axis = np.array([0.3, -0.5, 0.8])
+    for delta in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        b = axis_angle_rotation(axis, math.pi - delta)
+        assert abs(rotation_distance(np.eye(3), b) - (math.pi - delta)) < 1e-14
+        a = euler_to_rotation(random_euler(rng))
+        assert abs(rotation_distance(a, a @ b) - (math.pi - delta)) < 1e-14
+
+
+def test_rotation_distance_nan_is_nan():
+    r = euler_to_rotation((0.4, 0.2, -1.0))
+    assert math.isnan(rotation_distance(r, np.full((3, 3), math.nan)))
+    assert math.isnan(rotation_distance(r * math.nan, r))

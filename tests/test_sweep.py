@@ -29,11 +29,14 @@ def test_joint_grid_interval():
 
 
 def test_det_values_match_closed_form():
-    result = run_sweep(8)
-    g = result.grid
-    for i1, i2, i3 in ((0, 0, 0), (3, 5, 1), (7, 7, 7), (2, 6, 4)):
-        j = JointTriplet(g[i1], g[i2], g[i3])
-        assert result.det_a[i1, i2, i3] == det_a_closed_form(j)
+    # every cell, bit for bit (signed zeros included)
+    for n in (8, 37):
+        result = run_sweep(n)
+        g = result.grid.tolist()
+        expected = np.array(
+            [[[det_a_closed_form(JointTriplet(a, b, c)) for c in g] for b in g] for a in g]
+        )
+        assert np.array_equal(result.det_a.view(np.int64), expected.view(np.int64))
 
 
 def test_degeneracy_tags_match_classifier():
