@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -31,13 +32,12 @@ from .dk import (
 from .exceptions import (
     MalformedRotation,
     NotAssembled,
-    SingularNoSignature,
     StartNotASolution,
     UnknownFamily,
 )
 from .ik import solve_ik
 from .mechanism import JointTriplet, constraint_residuals
-from .modes import assembly_mode_id, track_path, working_mode_signature
+from .modes import direct_signature, track_path
 from .singularity import (
     classify_configuration,
     det3,
@@ -123,22 +123,16 @@ def _require_finite(name: str, values) -> None:
             raise click.UsageError(f"{name}: non-finite value {v!r}")
 
 
-def _parse_orientation(euler, matrix, degrees: bool) -> np.ndarray:
+def _parse_orientation(euler, matrix, degrees: bool, prefix: str = "") -> np.ndarray:
+    """Rotation from the --{prefix}euler or --{prefix}matrix values."""
     if (euler is None or len(euler) == 0) == (matrix is None or len(matrix) == 0):
-        raise click.UsageError("provide exactly one of --euler or --matrix")
+        raise click.UsageError(f"provide exactly one of --{prefix}euler or --{prefix}matrix")
     if euler:
         return euler_to_rotation(_angles_in(euler, degrees))
     try:
         return validate_rotation(np.array(matrix, dtype=float).reshape(3, 3))
     except MalformedRotation as exc:
         raise click.UsageError(f"invalid rotation matrix: {exc}") from exc
-
-
-def _signature_or_none(j: JointTriplet, r: np.ndarray) -> str | None:
-    try:
-        return working_mode_signature(j, r).label
-    except SingularNoSignature:
-        return None
 
 
 @click.group()
@@ -190,12 +184,12 @@ def ik(ctx, euler, matrix, fill_arbitrary):
     _require_finite("--matrix", matrix)
     r = _parse_orientation(euler, matrix, degrees)
     result = solve_ik(r, fill_arbitrary=fill_arbitrary)
+    # B_ii = +hypot(num_i, den_i) at the atan2 root, - at its antipode (0 if filled)
+    signs = itertools.product("+-", repeat=3)
+    labels = itertools.repeat(None) if result.any_arbitrary else map("".join, signs)
     solutions = [
-        {
-            "joints": _angles_out(j.as_tuple(), degrees),
-            "signature": _signature_or_none(j, r),
-        }
-        for j in result.enumerated
+        {"joints": _angles_out(j.as_tuple(), degrees), "signature": label}
+        for j, label in zip(result.enumerated, labels)
     ]
     if cfg.output_format == "csv":
         lines = ["theta1,theta2,theta3,signature"]
@@ -244,12 +238,11 @@ def dk(ctx, joints):
     if result.is_finite:
         doc["solutions"] = []
         for mode_id, sol in enumerate(result.solutions, 1):
-            r = euler_to_rotation(sol)
             doc["solutions"].append(
                 {
                     "mode_id": mode_id,
                     "euler": _angles_out(sol.as_tuple(), degrees),
-                    "signature": _signature_or_none(j, r),
+                    "signature": direct_signature(j, mode_id).label,
                 }
             )
     elif result.branch == "self_motion":
@@ -424,27 +417,24 @@ def track(ctx, path_file, start_euler, start_matrix):
         ]
     _require_finite("--start-euler", start_euler)
     _require_finite("--start-matrix", start_matrix)
-    start = _parse_orientation(start_euler, start_matrix, degrees)
+    start = _parse_orientation(start_euler, start_matrix, degrees, prefix="start-")
     try:
         result = track_path(waypoints, start, cfg)
     except StartNotASolution as exc:
         click.echo(f"start orientation rejected: {exc}", err=True)
         sys.exit(EXIT_START_NOT_A_SOLUTION)
-    # track_path holds the solution index, so the mode id of step 0 holds
-    # for every step; the per-step signatures are the independent evidence
-    mode = assembly_mode_id(waypoints[0], result.orientations[0])
     steps = []
     sigs = set()
     for k, e in enumerate(result.eulers):
         jk = waypoints[k]
-        sig = _signature_or_none(jk, result.orientations[k])
+        sig = direct_signature(jk, result.mode_id).label
         sigs.add(sig)
         steps.append(
             {
                 "step": k,
                 "joints": _angles_out(jk.as_tuple(), degrees),
                 "euler": _angles_out(e.as_tuple(), degrees),
-                "mode_id": mode,
+                "mode_id": result.mode_id,
                 "signature": sig,
             }
         )

@@ -30,6 +30,7 @@ import numpy as np
 
 from .exceptions import UnknownFamily
 from .mechanism import (
+    SIGN_TABLE,
     JointTriplet,
     b_diagonal,
     condition_pairs,
@@ -165,19 +166,15 @@ def _fold_half(a: float) -> float:
     return a
 
 
-# Solution order from the signs of diag(B) at the cascade's first solution,
-# each compared with the sign of q2.  Solution 1 has the all-equal
-# working-mode signature, a label that is continuous inside one det-sign
-# domain, so a tracked mode id cannot change without a singularity
-# crossing; the others follow the half-turn table, which flips (1,2),
-# (2,3), (1,3) of the signature.  Other patterns are unreachable for
-# generic joints (the signature product is the sign of q2); cascade order
-# is kept if roundoff ever lands there.
-_TABLE_ORDERS = {
-    (True, True, True): (0, 1, 2, 3),
-    (False, False, True): (1, 0, 3, 2),
-    (True, False, False): (2, 3, 0, 1),
-    (False, True, False): (3, 2, 1, 0),
+# Canonical order, keyed by which signs of diag(B) at the cascade's first
+# solution agree with sign(q2) (pattern rel): cascade solution i has pattern
+# rel * P_i, so solution k is cascade solution P.index(rel * P_k).  Other
+# keys are unreachable; cascade order is kept if roundoff lands there.
+_ORDERS = {
+    tuple(r > 0 for r in rel): tuple(
+        SIGN_TABLE.index(tuple(r * p for r, p in zip(rel, pk))) for pk in SIGN_TABLE
+    )
+    for rel in SIGN_TABLE
 }
 
 
@@ -185,8 +182,8 @@ def solve_dk(j: JointTriplet, tol: float = DEGENERACY_TOL) -> DkResult:
     """Solve the direct kinematics for one joint triplet.
 
     Generic joints give four nontrivial Euler solutions in canonical
-    order: solution 1 has theta in (-pi/2, pi/2] and psi in (-pi/2, pi/2],
-    the rest follow the half-turn table.  Degenerate joints give the
+    order: solution k has working-mode signature sign(q2) * P_k, with P
+    the mechanism's SIGN_TABLE.  Degenerate joints give the
     self-motion or trivial-only branch instead.  The trivial orientations
     are attached in every case.
     """
@@ -218,7 +215,7 @@ def solve_dk(j: JointTriplet, tol: float = DEGENERACY_TOL) -> DkResult:
         EulerZyx(phi, theta + math.pi, -psi + math.pi),
     )
     first = b_diagonal(j, euler_to_rotation(raw[0]))
-    order = _TABLE_ORDERS.get(tuple((b > 0.0) == (q2 > 0.0) for b in first), (0, 1, 2, 3))
+    order = _ORDERS.get(tuple((b > 0.0) == (q2 > 0.0) for b in first), (0, 1, 2, 3))
     solutions = tuple(raw[i] for i in order)
     return DkResult(
         trivial=trivial_orientations(), branch="finite", solutions=solutions

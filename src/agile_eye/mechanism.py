@@ -34,6 +34,11 @@ LEG_FOLD_TOL = 1e-9
 
 _BASE_AXES = tuple(np.eye(3))
 
+# P: at direct solution k (1..4), B_ii = P_k,i q2 / (d_j d_l) with the leg
+# denominators of b_diag_closed_form, so its signature is sign(q2) P_k.
+# The rows flip legs (1, 2), (2, 3), (1, 3) and form a group under product.
+SIGN_TABLE = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
+
 
 @dataclass(frozen=True)
 class JointTriplet:

@@ -2,21 +2,19 @@
 and certified path tracking.
 
 The sign triple of diag(B) identifies the working mode: flipping one
-leg's angle by pi flips the corresponding B_ii.  For fixed generic joints
-the four nontrivial assembly modes realize four distinct signatures whose
-pattern relative to the canonical first solution is (s1,s2,s3),
-(-s1,-s2,s3), (s1,-s2,-s3), (-s1,s2,-s3); the common sign product equals
-the sign of the joint-space determinant factor, so only one of the two
-signature groups is ever reachable for given joints.
+leg's angle by pi flips the corresponding B_ii.  Direct solution k of
+generic joints has signature sign(q2) * P_k (P the mechanism's SIGN_TABLE,
+q2 the joint-space determinant factor), so only the four signatures of
+sign product sign(q2) are reachable, each naming its solution by lookup.
 
 The wrist is non-cuspidal: a joint path can change assembly mode only
 where it meets the determinant surface q2 = sin t1 sin t2 sin t3 +
 cos t1 cos t2 cos t3 = 0.  Inside one sign domain of q2 no B_ii vanishes,
 so every direct solution keeps its signature, and the canonical solution
 order ties each index 1..4 to a signature.  Tracking is therefore two
-steps per segment: certify by a Lipschitz bound that |q2| stays above the
-singular tolerance, then take the end waypoint's direct solution with the
-start's index.
+steps per segment: certify by Lipschitz and curvature bounds that |q2|
+stays above the singular tolerance, then take the end waypoint's direct
+solution with the start's index.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .exceptions import (
     SingularNoSignature,
     StartNotASolution,
 )
-from .mechanism import JointTriplet, b_diagonal, det_factor, joint_trig
+from .mechanism import SIGN_TABLE, JointTriplet, b_diagonal, det_factor, joint_trig
 from .so3 import EulerZyx, euler_to_rotation, rotation_distance, wrap_angle
 
 # Orientation-to-solution matching tolerance (rotation distance, radians).
@@ -81,14 +79,16 @@ class SingularityCrossing:
 class TrackResult:
     """Orientation path produced by track_path.
 
-    One entry per input waypoint actually reached.  `crossing` is None
-    for a clean track; otherwise it names the first offending segment
+    One entry per input waypoint actually reached; each is direct
+    solution `mode_id` (1..4) of its waypoint.  `crossing` is None for a
+    clean track; otherwise it names the first offending segment
     (path[segment] -> path[segment + 1]) and the orientations list stops
     at the last safely reached waypoint.
     """
 
     orientations: tuple[np.ndarray, ...]
     eulers: tuple[EulerZyx, ...]
+    mode_id: int
     crossing: SingularityCrossing | None = None
 
     @property
@@ -121,6 +121,17 @@ def _finite_dk(j: JointTriplet) -> DkResult:
     return dk
 
 
+def _q2_sign(j: JointTriplet) -> int:
+    return 1 if det_factor(*joint_trig(*j.as_tuple())) > 0.0 else -1
+
+
+def direct_signature(j: JointTriplet, mode: int) -> WorkingModeSignature:
+    """Signature sign(q2) * SIGN_TABLE[mode - 1] of direct solution `mode`
+    (1..4) of j, exact wherever solve_dk(j) is finite."""
+    s = _q2_sign(j)
+    return WorkingModeSignature(*(s * p for p in SIGN_TABLE[mode - 1]))
+
+
 def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
     """The direct solution realizing a requested working-mode signature.
 
@@ -129,13 +140,13 @@ def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
     the opposite group raises NoSuchMode.
     """
     dk = _finite_dk(j)
-    for sol in dk.solutions:
-        if working_mode_signature(j, euler_to_rotation(sol)) == sig:
-            return sol
-    q2 = det_factor(*joint_trig(*j.as_tuple()))
+    s = _q2_sign(j)
+    rel = (s * sig.s1, s * sig.s2, s * sig.s3)
+    if rel in SIGN_TABLE:
+        return dk.solutions[SIGN_TABLE.index(rel)]
     raise NoSuchMode(
         f"signature {sig.label} not realized: these joints admit the "
-        f"sign-product {'+' if q2 > 0 else '-'} group only"
+        f"sign-product {'+' if s > 0 else '-'} group only"
     )
 
 
@@ -236,7 +247,7 @@ def track_path(
                 reason = f"direct solve became {dk.branch}"
         if reason is not None:
             crossing = SingularityCrossing(seg, reason)
-            return TrackResult(tuple(orientations), tuple(eulers), crossing)
+            return TrackResult(tuple(orientations), tuple(eulers), best + 1, crossing)
         eulers.append(dk.solutions[best])
         orientations.append(euler_to_rotation(eulers[-1]))
-    return TrackResult(tuple(orientations), tuple(eulers), None)
+    return TrackResult(tuple(orientations), tuple(eulers), best + 1)

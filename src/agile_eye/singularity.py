@@ -30,6 +30,7 @@ from .dk import (
 )
 from .exceptions import DenominatorDegenerate, NotAssembled
 from .mechanism import (
+    SIGN_TABLE,
     JointTriplet,
     b_diagonal,
     constraint_residuals,
@@ -39,10 +40,6 @@ from .mechanism import (
     singular_legs,
 )
 from .so3 import rotation_distance, wrap_angle
-
-# Signs of (B11, B22, B33) per assembly mode, relative labeling with the
-# first (canonical) solution taken all-negative.
-TABLE_SIGNS = ((-1, -1, -1), (1, 1, -1), (-1, 1, 1), (1, -1, 1))
 
 
 @dataclass(frozen=True)
@@ -104,13 +101,11 @@ def det_a_closed_form(j: JointTriplet, branch: str = "nontrivial") -> float:
 def b_diag_closed_form(
     j: JointTriplet, mode: int, tol: float = 1e-9
 ) -> np.ndarray:
-    """Closed-form diagonal of B for one assembly mode (1..4).
+    """Closed-form diagonal of B at direct solution `mode` (1..4).
 
-    Magnitudes are |det factor| / (paired denominators); the sign pattern
-    follows TABLE_SIGNS for the requested mode.  The mode-1-all-negative
-    labeling is a convention: the numerically realized global sign at a
-    physical configuration depends on the joints (see working-mode
-    signatures), while the relative pattern between modes does not.
+    B_ii = P_mode,i * q2 / (d_j d_l), with P the mechanism's SIGN_TABLE
+    and d_j, d_l the two denominators paired with leg i.  This is the
+    numeric diag(B) at solve_dk(j).solutions[mode - 1], sign included.
 
     Raises DenominatorDegenerate when a denominator vanishes within tol;
     there the numerator vanishes too and the configuration is leg-singular,
@@ -128,11 +123,9 @@ def b_diag_closed_form(
             "closed-form B denominator vanished (leg-singular joints): "
             f"d = ({d1:.3e}, {d2:.3e}, {d3:.3e})"
         )
-    mag = abs(det_factor(s1, c1, s2, c2, s3, c3))
-    signs = TABLE_SIGNS[mode - 1]
-    return np.array(
-        [signs[0] * mag / (d1 * d2), signs[1] * mag / (d3 * d2), signs[2] * mag / (d3 * d1)]
-    )
+    q2 = det_factor(s1, c1, s2, c2, s3, c3)
+    p1, p2, p3 = SIGN_TABLE[mode - 1]
+    return np.array([p1 * q2 / (d1 * d2), p2 * q2 / (d3 * d2), p3 * q2 / (d3 * d1)])
 
 
 def family_distance(r: np.ndarray, family_id: int) -> tuple[float, float]:

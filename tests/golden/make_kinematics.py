@@ -38,7 +38,12 @@ def cases():
     out = {}
     half = math.pi / 2
     out["dk_generic"] = _dk((0.3, -1.2, 2.0))
+    # despite its name, q2 = +0.746 here
     out["dk_generic_negative_q2"] = _dk((-0.3, -0.7, 0.1))
+    # the two remaining relative sign patterns of diag(B) at the cascade's
+    # first solution: (-, -, +) and (-, +, -) against sign(q2)
+    out["dk_pattern_flip_12"] = _dk((1.4, 2.4, 1.1))
+    out["dk_pattern_flip_13"] = _dk((0.5, 2.4, 0.0))
     # one triplet on each condition pair, a little off the exact angles
     out["dk_pair_1"] = _dk((0.4, 0.0, half))
     out["dk_pair_2"] = _dk((-half, 0.4, math.pi))
@@ -47,6 +52,10 @@ def cases():
     t1, t2 = 1.0, -0.8
     t3 = math.atan2(-math.cos(t1) * math.cos(t2), math.sin(t1) * math.sin(t2))
     out["dk_trivial_only"] = _dk((t1, t2, t3))
+    # the same joints moved off q2 = 0 to q2 = 2e-9, just above the
+    # degeneracy tolerance: still four finite solutions
+    amp = math.hypot(math.sin(t1) * math.sin(t2), math.cos(t1) * math.cos(t2))
+    out["dk_near_degenerate"] = _dk((t1, t2, t3 + 2e-9 / amp))
     out["dk_generic_csv"] = _dk((1.1, 0.25, -2.9), fmt="csv")
     out["dk_degrees"] = ["--degrees", "dk", "--", "20", "-35", "150"]
 

@@ -423,3 +423,48 @@ def test_non_finite_tolerance_in_config_file_is_usage_error(runner, tmp_path, ke
     )
     assert result.exit_code == 2
     assert f"bad config file: {key} must be positive and finite" in result.output
+
+
+@pytest.mark.parametrize(
+    "start", [[], ["--start-euler", "0", "0", "0", "--start-matrix", *R_TO1_FLAT]]
+)
+def test_track_start_usage_names_track_options(runner, tmp_path, start):
+    path = tmp_path / "path.csv"
+    path.write_text("theta1,theta2,theta3\n0,0,0\n")
+    result = runner.invoke(main, ["track", str(path), *start])
+    assert result.exit_code == 2
+    assert "provide exactly one of --start-euler or --start-matrix" in result.output
+
+
+def test_signatures_match_numeric_diag_b(runner, rng, tmp_path):
+    # the sign-table signatures of `dk`, `ik` and `track` against the
+    # numeric signs of diag(B) at each reported configuration
+    from agile_eye import (
+        JointTriplet,
+        euler_to_rotation,
+        solve_dk,
+        working_mode_signature,
+    )
+
+    for _ in range(40):
+        j = JointTriplet(*rng.uniform(-math.pi, math.pi, 3))
+        args = ["dk", "--", *(repr(t) for t in j.as_tuple())]
+        for sol in json.loads(invoke(runner, args).output)["solutions"]:
+            r = euler_to_rotation(sol["euler"])
+            assert sol["signature"] == working_mode_signature(j, r).label
+        r = euler_to_rotation(rng.uniform(-1.5, 1.5, 3))
+        args = ["ik", "--matrix", *(repr(x) for x in r.ravel().tolist())]
+        for sol in json.loads(invoke(runner, args).output)["solutions"]:
+            jk = JointTriplet(*sol["joints"])
+            assert sol["signature"] == working_mode_signature(jk, r).label
+    path = tmp_path / "path.csv"
+    path.write_text("theta1,theta2,theta3\n0.2,0.1,-0.1\n0.3,0.1,-0.1\n")
+    waypoints = [JointTriplet(0.2, 0.1, -0.1), JointTriplet(0.3, 0.1, -0.1)]
+    for mode, start in enumerate(solve_dk(waypoints[0]).solutions, 1):
+        args = ["track", str(path), "--start-euler", *(repr(a) for a in start.as_tuple())]
+        steps = json.loads(invoke(runner, args).output)["steps"]
+        assert len(steps) == 2
+        for step, jk in zip(steps, waypoints):
+            assert step["mode_id"] == mode
+            r = euler_to_rotation(step["euler"])
+            assert step["signature"] == working_mode_signature(jk, r).label

@@ -12,6 +12,7 @@ from agile_eye import (
     leg_ik,
     solve_ik,
     trivial_orientations,
+    working_mode_signature,
 )
 from conftest import circ_diff, random_orientation
 
@@ -112,3 +113,13 @@ def test_solution_count_property(rng):
             continue
         assert len(result.enumerated) == 8
     assert arbitrary_seen == 0
+
+
+def test_product_index_is_working_mode_signature(rng):
+    # enumerated[m] takes the atan2 root (+) or its antipode (-) per leg in
+    # itertools.product order, and B_ii = +-hypot(num_i, den_i) there
+    labels = ["".join(p) for p in itertools.product("+-", repeat=3)]
+    for _ in range(2000):
+        r = random_orientation(rng)
+        sols = solve_ik(r).enumerated
+        assert [working_mode_signature(j, r).label for j in sols] == labels

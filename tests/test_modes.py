@@ -17,6 +17,7 @@ from agile_eye import (
     assembly_mode_for,
     assembly_mode_id,
     det_a_closed_form,
+    direct_signature,
     euler_to_rotation,
     rotation_distance,
     solve_dk,
@@ -137,6 +138,20 @@ def test_assembly_mode_for_degenerate_joints():
         )
 
 
+@settings(max_examples=400, deadline=None)
+@given(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 3)
+def test_direct_signature_is_numeric_signature(t1, t2, t3):
+    # sign(q2) * P_k against the numeric signs of diag(B) at solution k,
+    # and assembly_mode_for inverts it
+    j = JointTriplet(t1, t2, t3)
+    dk = solve_dk(j)
+    assume(dk.is_finite)
+    for mode, sol in enumerate(dk.solutions, 1):
+        sig = direct_signature(j, mode)
+        assert sig == working_mode_signature(j, euler_to_rotation(sol))
+        assert assembly_mode_for(j, sig) == sol
+
+
 def test_assembly_mode_ids():
     r1 = euler_to_rotation((0.100, -0.672, -0.383))
     r4 = euler_to_rotation((0.100, 2.470, 3.525))
@@ -181,6 +196,7 @@ def test_track_loop_closes_and_keeps_mode():
         start = euler_to_rotation(solve_dk(base).solutions[mode_index])
         result = track_path(loop, start)
         assert not result.crossed
+        assert result.mode_id == mode_index + 1
         assert rotation_distance(result.orientations[-1], start) < 1e-8
         ids = {
             assembly_mode_id(j, r)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agile_eye import (
@@ -22,6 +22,7 @@ from agile_eye import (
     solve_ik,
     trivial_orientations,
 )
+from agile_eye.mechanism import b_diagonal
 from agile_eye.singularity import det3
 from conftest import circ_diff, random_joints, random_orientation
 from test_dk import generic_joints, trivial_only_joints
@@ -85,15 +86,73 @@ def test_det_invariance_across_solutions(rng):
 
 
 def test_b_diag_closed_form_values():
+    # home joints: solution 1 is the identity, where every B_ii is +1
     np.testing.assert_allclose(
-        b_diag_closed_form(JointTriplet(0, 0, 0), mode=1), [-1, -1, -1], atol=1e-15
+        b_diag_closed_form(JointTriplet(0, 0, 0), mode=1), [1, 1, 1], atol=1e-15
     )
-    got = b_diag_closed_form(JointTriplet(-0.3, -0.7, 0.1), mode=2)
-    ref = b_diag_closed_form(JointTriplet(-0.3, -0.7, 0.1), mode=1)
-    assert np.sign(got).tolist() == [1, 1, -1]
-    np.testing.assert_allclose(np.abs(got), np.abs(ref), atol=0)
+    # q2 < 0: solution 1 carries the all-negative signature
+    j = JointTriplet(math.pi, 0.0, 0.0)
+    np.testing.assert_allclose(b_diag_closed_form(j, mode=1), [-1, -1, -1], atol=1e-15)
+    j = JointTriplet(-0.3, -0.7, 0.1)
+    for mode, sol in enumerate(solve_dk(j).solutions, 1):
+        got = b_diag_closed_form(j, mode)
+        numeric = b_diagonal(j, euler_to_rotation(sol))
+        assert np.sign(got).tolist() == np.sign(numeric).tolist()
+        np.testing.assert_allclose(got, numeric, rtol=1e-10, atol=0)
     with pytest.raises(ValueError):
         b_diag_closed_form(JointTriplet(0, 0, 0), mode=5)
+
+
+angles = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@st.composite
+def finite_dk_joints(draw):
+    """Joints with four finite direct solutions: uniform, or a small
+    offset (down to ~1e-9 in q2) off the surface q2 = 0."""
+    t1, t2 = draw(angles), draw(angles)
+    if draw(st.booleans()):
+        t3 = draw(angles)
+    else:
+        amp = math.hypot(math.sin(t1) * math.sin(t2), math.cos(t1) * math.cos(t2))
+        assume(amp > 1e-3)
+        offset = draw(st.floats(min_value=-8.9, max_value=-1.0))
+        sign = draw(st.sampled_from((-1.0, 1.0)))
+        t3 = trivial_only_joints(t1, t2).theta3 + sign * 10.0**offset / amp
+    j = JointTriplet(t1, t2, t3)
+    assume(solve_dk(j).is_finite)
+    return j
+
+
+@settings(max_examples=600, deadline=None)
+@given(finite_dk_joints())
+def test_b_diag_closed_form_is_numeric_diag_b(j):
+    # B_ii = P_k,i q2 / (d_j d_l) at direct solution k, sign exact; the
+    # absolute floor covers the ~1e-15 roundoff of the numeric B near q2 = 0
+    for mode, sol in enumerate(solve_dk(j).solutions, 1):
+        try:
+            closed = b_diag_closed_form(j, mode)
+        except DenominatorDegenerate:
+            assume(False)
+        numeric = np.array(b_diagonal(j, euler_to_rotation(sol)))
+        assert np.sign(closed).tolist() == np.sign(numeric).tolist()
+        np.testing.assert_allclose(closed, numeric, rtol=1e-10, atol=1e-13)
+
+
+@settings(max_examples=600, deadline=None)
+@given(angles, angles, angles, st.booleans())
+def test_non_cuspidal_identity(t1, t2, t3, on_surface):
+    # wherever every denominator is nonzero, every B_ii is nonzero exactly
+    # when q2 is, and the signature product is sign(q2) for every mode
+    j = trivial_only_joints(t1, t2) if on_surface else JointTriplet(t1, t2, t3)
+    q2 = det_a_closed_form(j)
+    for mode in (1, 2, 3, 4):
+        try:
+            b = b_diag_closed_form(j, mode)
+        except DenominatorDegenerate:
+            return
+        assert bool(np.all(b != 0.0)) == (q2 != 0.0)
+        assert np.prod(np.sign(b)) == np.sign(q2)
 
 
 def test_b_diag_closed_form_zero_when_det_factor_zero():
