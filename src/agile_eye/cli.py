@@ -327,7 +327,7 @@ def classify(ctx, joints, euler, matrix):
         "trivial_id": result.trivial_id,
         "det_a": det3(jacobians(j, r).a),
         "det_factor": det_a_closed_form(j, "nontrivial"),
-        "joint_degeneracy": classify_joint_degeneracy(j, cfg.structure_tol).kind,
+        "joint_degeneracy": classify_joint_degeneracy(j).kind,
         "residuals": [float(x) for x in constraint_residuals(j, r)],
     }
     if cfg.output_format == "csv":

@@ -1,9 +1,8 @@
 """Tolerance and output settings shared by the analysis layers.
 
-One record controls all configurable thresholds: assembly residuals are
-checked loosest (trig error accumulates), determinant/degeneracy checks
-sit in the middle, and exact structural identities (condition pairs,
-branch extraction) use the tightest value.
+Two thresholds are settable: the assembly residual check (loose; trig
+error accumulates) and the determinant / curve-membership check.  Exact
+structural identities use the constant mechanism.STRUCTURE_TOL.
 """
 
 from __future__ import annotations
@@ -15,14 +14,13 @@ from pathlib import Path
 
 CONFIG_ENV_VAR = "AGILE_CONFIG"
 
-_FLOAT_FIELDS = ("residual_tol", "singular_tol", "structure_tol")
+_FLOAT_FIELDS = ("residual_tol", "singular_tol")
 
 
 @dataclass(frozen=True)
 class ToolConfig:
     residual_tol: float = 1e-6
     singular_tol: float = 1e-7
-    structure_tol: float = 1e-9
     grid_n: int = 64
     output_format: str = "json"
 

@@ -31,6 +31,7 @@ import numpy as np
 from .exceptions import UnknownFamily
 from .mechanism import (
     SIGN_TABLE,
+    STRUCTURE_TOL,
     JointTriplet,
     b_diagonal,
     condition_pairs,
@@ -39,9 +40,6 @@ from .mechanism import (
     joint_trig,
 )
 from .so3 import HALF_PI, EulerZyx, euler_to_rotation, wrap_angle
-
-# Tolerance on the sines/cosines deciding every degeneracy in the cascade.
-DEGENERACY_TOL = 1e-9
 
 _TRIVIAL = (
     np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
@@ -139,21 +137,19 @@ def cascade_intermediates(j: JointTriplet, theta: float) -> CascadeIntermediates
     return CascadeIntermediates(*_psi_coeffs(trig, theta), q1=q1, q2=q2)
 
 
-def _degeneracy(trig, q2: float, tol: float) -> JointDegeneracy:
-    pairs = condition_pairs(*trig, tol)
+def _degeneracy(trig, q2: float) -> JointDegeneracy:
+    pairs = condition_pairs(*trig)
     if True in pairs:
         return JointDegeneracy(kind="self_motion", pair=pairs.index(True) + 1)
-    if abs(q2) <= tol:
+    if abs(q2) <= STRUCTURE_TOL:
         return JointDegeneracy(kind="trivial_only")
     return JointDegeneracy(kind="generic")
 
 
-def classify_joint_degeneracy(
-    j: JointTriplet, tol: float = DEGENERACY_TOL
-) -> JointDegeneracy:
+def classify_joint_degeneracy(j: JointTriplet) -> JointDegeneracy:
     """Sort a joint triplet into generic / self-motion / trivial-only."""
     trig = joint_trig(*j.as_tuple())
-    return _degeneracy(trig, det_factor(*trig), tol)
+    return _degeneracy(trig, det_factor(*trig))
 
 
 def _fold_half(a: float) -> float:
@@ -178,18 +174,18 @@ _ORDERS = {
 }
 
 
-def solve_dk(j: JointTriplet, tol: float = DEGENERACY_TOL) -> DkResult:
+def solve_dk(j: JointTriplet) -> DkResult:
     """Solve the direct kinematics for one joint triplet.
 
     Generic joints give four nontrivial Euler solutions in canonical
     order: solution k has working-mode signature sign(q2) * P_k, with P
-    the mechanism's SIGN_TABLE.  Degenerate joints give the
-    self-motion or trivial-only branch instead.  The trivial orientations
-    are attached in every case.
+    the mechanism's SIGN_TABLE.  Degenerate joints (within STRUCTURE_TOL)
+    give the self-motion or trivial-only branch instead.  The trivial
+    orientations are attached in every case.
     """
     trig = joint_trig(*j.as_tuple())
     q1, q2 = joint_factors(*trig)
-    deg = _degeneracy(trig, q2, tol)
+    deg = _degeneracy(trig, q2)
     if deg.kind == "self_motion":
         return DkResult(
             trivial=trivial_orientations(),

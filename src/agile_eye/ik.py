@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import JointTriplet, leg_table
+from .mechanism import STRUCTURE_TOL, JointTriplet, leg_table
 from .so3 import wrap_angle
-
-# A leg is degenerate when max(|numerator|, |denominator|) falls below this.
-DEGENERATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class IkSolutionSet:
 
 def _leg_outcome(num: float, den: float) -> LegIkOutcome:
     # theta = atan2(num, den) and its antipode, from the leg table
-    if max(abs(num), abs(den)) < DEGENERATE_TOL:
+    if max(abs(num), abs(den)) < STRUCTURE_TOL:
         return LegIkOutcome.arbitrary_leg()
     return LegIkOutcome.two(math.atan2(num, den))
 

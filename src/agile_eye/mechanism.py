@@ -29,8 +29,9 @@ import numpy as np
 
 from .so3 import wrap_angle
 
-# Leg i is fully folded or extended when |u_i . v_i| exceeds 1 minus this.
-LEG_FOLD_TOL = 1e-9
+# Tolerance of every exact structural identity: the condition pairs, q2 = 0,
+# folded or extended legs and vanishing B denominators.
+STRUCTURE_TOL = 1e-9
 
 _BASE_AXES = tuple(np.eye(3))
 
@@ -98,13 +99,13 @@ def joint_factors(s1, c1, s2, c2, s3, c3):
     return s1 * c2 * c3 * s3 - c1 * s2, det_factor(s1, c1, s2, c2, s3, c3)
 
 
-def condition_pairs(s1, c1, s2, c2, s3, c3, tol):
-    """Whether each condition pair holds within tol: 1 is sin t2 = cos t3
-    = 0, 2 is sin t3 = cos t1 = 0, 3 is sin t1 = cos t2 = 0."""
+def condition_pairs(s1, c1, s2, c2, s3, c3):
+    """Whether each condition pair holds within STRUCTURE_TOL: 1 is sin t2
+    = cos t3 = 0, 2 is sin t3 = cos t1 = 0, 3 is sin t1 = cos t2 = 0."""
     return (
-        (abs(s2) < tol) & (abs(c3) < tol),
-        (abs(s3) < tol) & (abs(c1) < tol),
-        (abs(s1) < tol) & (abs(c2) < tol),
+        (abs(s2) < STRUCTURE_TOL) & (abs(c3) < STRUCTURE_TOL),
+        (abs(s3) < STRUCTURE_TOL) & (abs(c1) < STRUCTURE_TOL),
+        (abs(s1) < STRUCTURE_TOL) & (abs(c2) < STRUCTURE_TOL),
     )
 
 
@@ -174,10 +175,10 @@ def singular_legs(r: np.ndarray) -> tuple[bool, bool, bool]:
     """Which legs are fully folded/extended at this orientation.
 
     Leg i is singular when its base and platform joint axes coincide,
-    i.e. |u_i . v_i| > 1 - LEG_FOLD_TOL.  For this geometry u_i . v_i is
+    i.e. |u_i . v_i| > 1 - STRUCTURE_TOL.  For this geometry u_i . v_i is
     a single matrix entry per leg.
     """
-    lim = 1.0 - LEG_FOLD_TOL
+    lim = 1.0 - STRUCTURE_TOL
     return (
         abs(float(r[0, 1])) > lim,
         abs(float(r[1, 2])) > lim,

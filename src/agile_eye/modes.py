@@ -32,7 +32,14 @@ from .exceptions import (
     SingularNoSignature,
     StartNotASolution,
 )
-from .mechanism import SIGN_TABLE, JointTriplet, b_diagonal, det_factor, joint_trig
+from .mechanism import (
+    SIGN_TABLE,
+    STRUCTURE_TOL,
+    JointTriplet,
+    b_diagonal,
+    det_factor,
+    joint_trig,
+)
 from .so3 import EulerZyx, euler_to_rotation, rotation_distance, wrap_angle
 
 # Orientation-to-solution matching tolerance (rotation distance, radians).
@@ -96,18 +103,16 @@ class TrackResult:
         return self.crossing is not None
 
 
-def working_mode_signature(
-    j: JointTriplet, r: np.ndarray, tol: float = 1e-9
-) -> WorkingModeSignature:
+def working_mode_signature(j: JointTriplet, r: np.ndarray) -> WorkingModeSignature:
     """Componentwise signs of the numeric diag(B).
 
-    Raises SingularNoSignature unless every |B_ii| > tol (NaN fails too):
-    the configuration is leg-singular and carries no working mode.
+    Raises SingularNoSignature unless every |B_ii| > STRUCTURE_TOL (NaN
+    fails too): otherwise the configuration is leg-singular, with no mode.
     """
     b = b_diagonal(j, r)
-    if not all(abs(x) > tol for x in b):
+    if not all(abs(x) > STRUCTURE_TOL for x in b):
         raise SingularNoSignature(
-            f"diag(B) = {tuple(b)} has a vanishing entry (tol {tol:g})"
+            f"diag(B) = {tuple(b)} has a vanishing entry (tol {STRUCTURE_TOL:g})"
         )
     return WorkingModeSignature(*(1 if x > 0 else -1 for x in b))
 
@@ -163,15 +168,15 @@ def assembly_mode_id(
     )
 
 
-def _segment_crossing(a: JointTriplet, b: JointTriplet, tol: float) -> str | None:
+def _segment_crossing(a: JointTriplet, b: JointTriplet, singular_tol: float) -> str | None:
     """Why the shortest-arc segment a -> b is not certified clear, or None.
 
     Every first and second partial of q2 has magnitude <= 1, so along
     a + f * d (d the wrapped joint differences) |dq2/df| <= L and
     |d2q2/df2| <= L**2, with L = |d1| + |d2| + |d3|.  An interval [f0, f1]
-    of length h keeps |q2| > tol throughout when its endpoint values v0,
-    v1 share a sign and either (|v0| + |v1| - L h) / 2 > tol
-    (Piyavskii-Shubert exclusion) or min(|v0|, |v1|) - (L h)**2 / 8 > tol
+    of length h keeps |q2| > t = singular_tol throughout when its endpoint
+    values v0, v1 share a sign and either (|v0| + |v1| - L h) / 2 > t
+    (Piyavskii-Shubert exclusion) or min(|v0|, |v1|) - (L h)**2 / 8 > t
     (linear interpolation error); any other interval is bisected.  The
     second bound keeps the bisection short on segments that run close to
     the surface q2 = 0.  Every comparison is written so that NaN fails it.
@@ -182,17 +187,17 @@ def _segment_crossing(a: JointTriplet, b: JointTriplet, tol: float) -> str | Non
     stack = [(0.0, 1.0, det_factor(*joint_trig(*base)), det_factor(*joint_trig(*b.as_tuple())))]
     while stack:
         f0, f1, v0, v1 = stack.pop()
-        if not (abs(v0) > tol and abs(v1) > tol):
+        if not (abs(v0) > singular_tol and abs(v1) > singular_tol):
             return "determinant factor within tolerance"
         if (v0 > 0.0) != (v1 > 0.0):
             return "determinant sign change"
         lh = lip * (f1 - f0)
         lipschitz = (abs(v0) + abs(v1) - lh) / 2.0
         curvature = min(abs(v0), abs(v1)) - lh * lh / 8.0
-        if max(lipschitz, curvature) > tol:
+        if max(lipschitz, curvature) > singular_tol:
             continue
         fm = 0.5 * (f0 + f1)
-        if not (lh > tol and f0 < fm < f1):
+        if not (lh > singular_tol and f0 < fm < f1):
             return "determinant factor within tolerance"
         vm = det_factor(*joint_trig(*(x + fm * dx for x, dx in zip(base, d))))
         stack.append((fm, f1, vm, v1))
@@ -215,8 +220,8 @@ def track_path(
     SingularityCrossing is reported on the first segment that is not
     certified ("determinant sign change" or "determinant factor within
     tolerance"), or whose end waypoint has no finite direct solutions
-    ("direct solve became ...").  The condition pairs and trivial-only
-    joints lie inside |q2| <= tol, so the certificate excludes them too.
+    ("direct solve became ...").  Condition pairs and trivial-only joints
+    have |q2| < 2 STRUCTURE_TOL, inside the default singular_tol.
     """
     waypoints = [p if isinstance(p, JointTriplet) else JointTriplet(*p) for p in path]
     if not waypoints:

@@ -31,6 +31,7 @@ from .dk import (
 from .exceptions import DenominatorDegenerate, NotAssembled
 from .mechanism import (
     SIGN_TABLE,
+    STRUCTURE_TOL,
     JointTriplet,
     b_diagonal,
     constraint_residuals,
@@ -98,18 +99,16 @@ def det_a_closed_form(j: JointTriplet, branch: str = "nontrivial") -> float:
     raise ValueError(f"branch must be 'nontrivial' or 'trivial', got {branch!r}")
 
 
-def b_diag_closed_form(
-    j: JointTriplet, mode: int, tol: float = 1e-9
-) -> np.ndarray:
+def b_diag_closed_form(j: JointTriplet, mode: int) -> np.ndarray:
     """Closed-form diagonal of B at direct solution `mode` (1..4).
 
     B_ii = P_mode,i * q2 / (d_j d_l), with P the mechanism's SIGN_TABLE
     and d_j, d_l the two denominators paired with leg i.  This is the
     numeric diag(B) at solve_dk(j).solutions[mode - 1], sign included.
 
-    Raises DenominatorDegenerate when a denominator vanishes within tol;
-    there the numerator vanishes too and the configuration is leg-singular,
-    so no finite ratio is reported.
+    Raises DenominatorDegenerate unless every denominator exceeds
+    STRUCTURE_TOL (NaN fails too): else the numerator vanishes too and the
+    configuration is leg-singular, so no finite ratio is reported.
     """
     if mode not in (1, 2, 3, 4):
         raise ValueError(f"assembly mode must be 1..4, got {mode}")
@@ -118,7 +117,7 @@ def b_diag_closed_form(
     d1 = math.sqrt(s3 * s3 + c3 * c3 * c1 * c1)  # 1 - cos^2 t3 sin^2 t1
     d2 = math.sqrt(s1 * s1 + c1 * c1 * c2 * c2)  # 1 - cos^2 t1 sin^2 t2
     d3 = math.sqrt(s2 * s2 + c2 * c2 * c3 * c3)  # 1 - cos^2 t2 sin^2 t3
-    if min(d1, d2, d3) <= tol:
+    if not (d1 > STRUCTURE_TOL and d2 > STRUCTURE_TOL and d3 > STRUCTURE_TOL):
         raise DenominatorDegenerate(
             "closed-form B denominator vanished (leg-singular joints): "
             f"d = ({d1:.3e}, {d2:.3e}, {d3:.3e})"
@@ -181,7 +180,7 @@ def classify_configuration(
         raise NotAssembled(
             f"constraint residuals reach {worst:.3e} (> {cfg.residual_tol:g})"
         )
-    pair = classify_joint_degeneracy(j, cfg.structure_tol).pair
+    pair = classify_joint_degeneracy(j).pair
     if pair is not None:
         fid, dist = _best_family(r, PAIR_FAMILIES[pair])
         if dist < cfg.singular_tol:
@@ -189,7 +188,7 @@ def classify_configuration(
     q2 = det_factor(*joint_trig(*j.as_tuple()))
     trivial_id, trivial_dist = _nearest_trivial(r)
     if trivial_dist < cfg.singular_tol:
-        if abs(q2) > cfg.structure_tol:
+        if abs(q2) > STRUCTURE_TOL:
             return SingularityClass(kind="lockup", trivial_id=trivial_id)
         return SingularityClass(
             kind="infinitesimal_at_trivial", trivial_id=trivial_id
@@ -201,6 +200,6 @@ def classify_configuration(
     fid, fdist = _best_family(r, range(1, 7))
     if fdist <= trivial_dist:
         return SingularityClass(kind="self_motion", family_id=fid)
-    if abs(q2) > cfg.structure_tol:
+    if abs(q2) > STRUCTURE_TOL:
         return SingularityClass(kind="lockup", trivial_id=trivial_id)
     return SingularityClass(kind="infinitesimal_at_trivial", trivial_id=trivial_id)

@@ -96,20 +96,20 @@ def euler_to_rotation(e) -> np.ndarray:
     )
 
 
-def validate_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
+def validate_rotation(r: np.ndarray) -> np.ndarray:
     """Check that r is a proper rotation; return it as a float64 array.
 
-    Raises MalformedRotation if r is not 3x3, R^T R deviates from the
-    identity by more than tol entrywise, or det(R) deviates from +1.
+    Raises MalformedRotation if r is not 3x3, or unless R^T R and det(R)
+    are within ORTHONORMAL_TOL of I (entrywise) and of +1; NaN fails.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise MalformedRotation(f"expected 3x3 matrix, got shape {r.shape}")
     err = np.max(np.abs(r.T @ r - np.eye(3)))
-    if err > tol:
+    if not err <= ORTHONORMAL_TOL:
         raise MalformedRotation(f"R^T R deviates from identity by {err:.3e}")
     det = float(np.linalg.det(r))
-    if abs(det - 1.0) > tol:
+    if not abs(det - 1.0) <= ORTHONORMAL_TOL:
         raise MalformedRotation(f"det(R) = {det:.15g}, expected +1")
     return r
 

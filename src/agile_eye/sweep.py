@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .mechanism import condition_pairs, det_factor
+from .mechanism import STRUCTURE_TOL, condition_pairs, det_factor
 
 DEGENERACY_TAGS = ("generic", "self_motion", "trivial_only")
 
@@ -117,12 +117,11 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
     trig = [v[ax] for ax in axes for v in (s, c)]
     det = det_factor(*trig)
 
-    st = cfg.structure_tol
-    pair1, pair2, pair3 = condition_pairs(*trig, st)
+    pair1, pair2, pair3 = condition_pairs(*trig)
     pair = pair1 | pair2 | pair3
     abs_det = np.abs(det)
     degeneracy = np.zeros(det.shape, dtype=np.uint8)
-    degeneracy[abs_det <= st] = 2
+    degeneracy[abs_det <= STRUCTURE_TOL] = 2
     degeneracy[pair] = 1
 
     wall = abs_det <= cfg.singular_tol

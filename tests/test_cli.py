@@ -414,7 +414,7 @@ def test_non_finite_tolerance_flag_is_usage_error(runner, flag, value):
     assert "must be positive and finite" in result.output
 
 
-@pytest.mark.parametrize("key", ["singular_tol", "residual_tol", "structure_tol"])
+@pytest.mark.parametrize("key", ["singular_tol", "residual_tol"])
 def test_non_finite_tolerance_in_config_file_is_usage_error(runner, tmp_path, key):
     cfg = tmp_path / "agile.cfg"
     cfg.write_text(f"{key} = nan\n")
@@ -423,6 +423,33 @@ def test_non_finite_tolerance_in_config_file_is_usage_error(runner, tmp_path, ke
     )
     assert result.exit_code == 2
     assert f"bad config file: {key} must be positive and finite" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ik", "--euler", "0", "0", "0"],
+        ["dk", "--", "0.5", "1e-6", "1.5707953"],
+        ["jacobian", "--joints", "0", "0", "0", "--euler", "0", "0", "0"],
+        ["classify", "--joints", "0.5", "1e-6", "1.5707953", "--euler", "0", "0", "0"],
+        ["self-motion", "--family", "1a"],
+        ["track", "PATH", "--start-euler", "0", "0", "0"],
+        ["sweep", "--grid-n", "8", "--no-records"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_structure_tol_config_key_is_usage_error(runner, tmp_path, args):
+    # structural identities use the constant mechanism.STRUCTURE_TOL; a
+    # config file that tries to set it is rejected by every command, so
+    # `dk` and `classify` cannot disagree on a joint triplet's degeneracy
+    path = tmp_path / "path.csv"
+    path.write_text("theta1,theta2,theta3\n0,0,0\n")
+    cfg = tmp_path / "agile.cfg"
+    cfg.write_text("structure_tol = 1e-4\n")
+    args = [str(path) if a == "PATH" else a for a in args]
+    result = runner.invoke(main, args, env={"AGILE_CONFIG": str(cfg)})
+    assert result.exit_code == 2
+    assert "bad config file: config line 1: unknown key 'structure_tol'" in result.output
 
 
 @pytest.mark.parametrize(

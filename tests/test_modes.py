@@ -16,6 +16,7 @@ from agile_eye import (
     WorkingModeSignature,
     assembly_mode_for,
     assembly_mode_id,
+    axis_angle_rotation,
     det_a_closed_form,
     direct_signature,
     euler_to_rotation,
@@ -26,6 +27,8 @@ from agile_eye import (
     working_mode_signature,
     wrap_angle,
 )
+from agile_eye.mechanism import SIGN_TABLE, b_diagonal
+from agile_eye.modes import MATCH_TOL
 from conftest import circ_diff
 from test_dk import FIG_SOLUTIONS, generic_joints
 
@@ -159,6 +162,30 @@ def test_assembly_mode_ids():
     assert assembly_mode_id(FIG_JOINTS, r4, tol=2e-3) == 4
     with pytest.raises(NoMatchingSolution):
         assembly_mode_id(JointTriplet(0, 0, 0), trivial_orientations()[0])
+
+
+def test_assembly_mode_id_near_determinant_surface(rng):
+    # Direct solutions rotated by MATCH_TOL / 2 at 3e-9 <= |q2| <= 1e-6:
+    # there |B_ii| is below the perturbation, so the numeric signature of
+    # (j, r) often names another solution; matching against all four
+    # direct solutions still returns k.
+    cases = wrong = 0
+    while cases < 2000:
+        t1, t2 = rng.uniform(-math.pi, math.pi, 2)
+        a, b = math.sin(t1) * math.sin(t2), math.cos(t1) * math.cos(t2)
+        m = math.hypot(a, b)
+        if m < 0.1:
+            continue
+        q2 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(math.log10(3e-9), -6.0)
+        j = JointTriplet(t1, t2, math.atan2(a, b) + math.acos(q2 / m))
+        for k, sol in enumerate(solve_dk(j).solutions, 1):
+            axis = rng.normal(size=3)
+            r = euler_to_rotation(sol) @ axis_angle_rotation(axis, 0.5 * MATCH_TOL)
+            assert assembly_mode_id(j, r) == k
+            rel = tuple(int(np.sign(q2 * x)) for x in b_diagonal(j, r))
+            wrong += rel != SIGN_TABLE[k - 1]
+            cases += 1
+    assert wrong > cases // 4
 
 
 def test_track_constant_path():

@@ -167,6 +167,14 @@ def test_b_diag_denominator_degenerate():
         b_diag_closed_form(JointTriplet(math.pi / 2, 0.4, 0.0), mode=1)
 
 
+@pytest.mark.parametrize("leg", [0, 1, 2])
+def test_b_diag_closed_form_rejects_nan_joint(leg):
+    joints = [0.3, -0.7, 0.1]
+    joints[leg] = math.nan
+    with pytest.raises(DenominatorDegenerate):
+        b_diag_closed_form(JointTriplet(*joints), mode=1)
+
+
 def test_b_diag_magnitudes_match_numeric(rng):
     for _ in range(1000):
         j = generic_joints(rng)

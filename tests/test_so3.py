@@ -109,6 +109,12 @@ def test_malformed_rotation_rejected():
         rotation_to_euler(np.diag([1.0, 1.0, -1.0]))  # det -1
     with pytest.raises(MalformedRotation):
         rotation_to_euler(np.eye(4))
+    # NaN fails every threshold check
+    one_nan = np.eye(3)
+    one_nan[2, 1] = math.nan
+    for r in (np.full((3, 3), math.nan), one_nan):
+        with pytest.raises(MalformedRotation):
+            rotation_to_euler(r)
 
 
 def test_canonicalize_fixed_points():

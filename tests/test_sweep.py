@@ -17,6 +17,7 @@ from agile_eye import (
     run_sweep,
 )
 from agile_eye.cli import _fmt, main
+from agile_eye.mechanism import STRUCTURE_TOL
 
 
 def test_joint_grid_interval():
@@ -174,7 +175,7 @@ def _meshgrid_sweep(n, cfg):
     s3, c3 = np.sin(t3), np.cos(t3)
     det = s1 * s2 * s3 + c1 * c2 * c3
 
-    st = cfg.structure_tol
+    st = STRUCTURE_TOL
     pair = (
         ((np.abs(s2) < st) & (np.abs(c3) < st))
         | ((np.abs(s3) < st) & (np.abs(c1) < st))
