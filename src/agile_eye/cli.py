@@ -45,8 +45,9 @@ from .singularity import (
     jacobians,
 )
 from .so3 import euler_to_rotation, validate_rotation
-# iter_records stays importable from this module; the CLI itself writes
-# records a slab at a time (_record_slabs).
+# bench/tracing.py patches cli.run_sweep and cli.iter_records, so both
+# names stay here; the CLI itself writes records a slab at a time
+# (_record_slabs).
 from .sweep import DEGENERACY_TAGS, iter_records, run_sweep  # noqa: F401
 
 EXIT_NOT_ASSEMBLED = 3
@@ -100,6 +101,22 @@ def _write_json(obj, out) -> None:
         _write_json(obj.tolist(), out)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _cell(x) -> str:
+    """One CSV cell: floats through _fmt, None empty, anything else str."""
+    if isinstance(x, (float, np.floating)):
+        return _fmt(x)
+    return "" if x is None else str(x)
+
+
+def _emit(cfg, doc, header: str, rows, err: bool = False) -> None:
+    """Print `doc` as JSON or, in CSV mode, `header` and one line per row."""
+    if cfg.output_format == "csv":
+        text = "\n".join([header, *(",".join(map(_cell, row)) for row in rows)])
+    else:
+        text = _json(doc)
+    click.echo(text, err=err)
 
 
 def _angles_out(values, degrees: bool):
@@ -191,13 +208,6 @@ def ik(ctx, euler, matrix, fill_arbitrary):
         {"joints": _angles_out(j.as_tuple(), degrees), "signature": label}
         for j, label in zip(result.enumerated, labels)
     ]
-    if cfg.output_format == "csv":
-        lines = ["theta1,theta2,theta3,signature"]
-        for sol in solutions:
-            sig = sol["signature"] or ""
-            lines.append(",".join(_fmt(v) for v in sol["joints"]) + f",{sig}")
-        click.echo("\n".join(lines))
-        return
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "ik",
@@ -215,7 +225,8 @@ def ik(ctx, euler, matrix, fill_arbitrary):
         "solution_count": len(solutions),
         "solutions": solutions,
     }
-    click.echo(_json(doc))
+    rows = ([*s["joints"], s["signature"]] for s in solutions)
+    _emit(cfg, doc, "theta1,theta2,theta3,signature", rows)
 
 
 @main.command()
@@ -250,18 +261,8 @@ def dk(ctx, joints):
         doc["families"] = list(result.families)
         doc["family_labels"] = [FAMILY_LABELS[f - 1] for f in result.families]
         doc["constrained"] = result.constrained
-    if cfg.output_format == "csv":
-        lines = ["mode_id,phi,theta,psi,signature"]
-        for sol in doc.get("solutions", []):
-            sig = sol["signature"] or ""
-            lines.append(
-                f"{sol['mode_id']},"
-                + ",".join(_fmt(v) for v in sol["euler"])
-                + f",{sig}"
-            )
-        click.echo("\n".join(lines))
-        return
-    click.echo(_json(doc))
+    rows = ([s["mode_id"], *s["euler"], s["signature"]] for s in doc.get("solutions", []))
+    _emit(cfg, doc, "mode_id,phi,theta,psi,signature", rows)
 
 
 @main.command()
@@ -287,18 +288,9 @@ def jacobian(ctx, joints, euler, matrix):
         "det_a_closed_form_nontrivial": det_a_closed_form(j, "nontrivial"),
         "residuals": [float(x) for x in constraint_residuals(j, r)],
     }
-    if cfg.output_format == "csv":
-        lines = ["key,value"]
-        lines.append("det_a," + _fmt(doc["det_a"]))
-        lines.append(
-            "det_a_closed_form_nontrivial,"
-            + _fmt(doc["det_a_closed_form_nontrivial"])
-        )
-        for i in range(3):
-            lines.append(f"b{i + 1}{i + 1}," + _fmt(doc["b_diag"][i]))
-        click.echo("\n".join(lines))
-        return
-    click.echo(_json(doc))
+    rows = [(k, doc[k]) for k in ("det_a", "det_a_closed_form_nontrivial")]
+    rows += [(f"b{i}{i}", b) for i, b in enumerate(doc["b_diag"], 1)]
+    _emit(cfg, doc, "key,value", rows)
 
 
 @main.command()
@@ -330,13 +322,7 @@ def classify(ctx, joints, euler, matrix):
         "joint_degeneracy": classify_joint_degeneracy(j).kind,
         "residuals": [float(x) for x in constraint_residuals(j, r)],
     }
-    if cfg.output_format == "csv":
-        lines = ["key,value", f"kind,{doc['kind']}"]
-        lines.append("det_a," + _fmt(doc["det_a"]))
-        lines.append("det_factor," + _fmt(doc["det_factor"]))
-        click.echo("\n".join(lines))
-        return
-    click.echo(_json(doc))
+    _emit(cfg, doc, "key,value", [(k, doc[k]) for k in ("kind", "det_a", "det_factor")])
 
 
 @main.command("self-motion")
@@ -364,12 +350,8 @@ def self_motion(ctx, family, parameter):
         "variant": "folded" if fid_num % 2 == 1 else "extended",
         "matrix": _matrix_rows(r),
     }
-    if cfg.output_format == "csv":
-        lines = ["r11,r12,r13,r21,r22,r23,r31,r32,r33"]
-        lines.append(",".join(_fmt(x) for row in doc["matrix"] for x in row))
-        click.echo("\n".join(lines))
-        return
-    click.echo(_json(doc))
+    header = "r11,r12,r13,r21,r22,r23,r31,r32,r33"
+    _emit(cfg, doc, header, [[x for row in doc["matrix"] for x in row]])
 
 
 def _read_path_file(path_file: str) -> list[JointTriplet]:
@@ -423,42 +405,33 @@ def track(ctx, path_file, start_euler, start_matrix):
     except StartNotASolution as exc:
         click.echo(f"start orientation rejected: {exc}", err=True)
         sys.exit(EXIT_START_NOT_A_SOLUTION)
-    steps = []
-    sigs = set()
-    for k, e in enumerate(result.eulers):
-        jk = waypoints[k]
-        sig = direct_signature(jk, result.mode_id).label
-        sigs.add(sig)
-        steps.append(
-            {
-                "step": k,
-                "joints": _angles_out(jk.as_tuple(), degrees),
-                "euler": _angles_out(e.as_tuple(), degrees),
-                "mode_id": result.mode_id,
-                "signature": sig,
-            }
-        )
+    # Each reached segment is certified to keep sign(q2), and a step's
+    # signature is sign(q2) * SIGN_TABLE[mode_id - 1], so one signature holds
+    # for the whole track; mode_constant stays in the schema, always true.
+    sig = direct_signature(waypoints[0], result.mode_id).label
+    steps = [
+        {
+            "step": k,
+            "joints": _angles_out(jk.as_tuple(), degrees),
+            "euler": _angles_out(e.as_tuple(), degrees),
+            "mode_id": result.mode_id,
+            "signature": sig,
+        }
+        for k, (jk, e) in enumerate(zip(waypoints, result.eulers))
+    ]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "track",
         "steps": steps,
-        "mode_constant": len(sigs) <= 1,
+        "mode_constant": True,
         "crossing": None
         if result.crossing is None
         else {"segment": result.crossing.segment, "reason": result.crossing.reason},
     }
+    rows = ([s["step"], *s["euler"], s["mode_id"], s["signature"]] for s in steps)
+    _emit(cfg, doc, "step,phi,theta,psi,mode_id,signature", rows)
     if cfg.output_format == "csv":
-        lines = ["step,phi,theta,psi,mode_id,signature"]
-        for s in steps:
-            lines.append(
-                f"{s['step']},"
-                + ",".join(_fmt(v) for v in s["euler"])
-                + f",{s['mode_id']},{s['signature']}"
-            )
-        click.echo("\n".join(lines))
-        click.echo(f"mode constant: {str(doc['mode_constant']).lower()}", err=True)
-    else:
-        click.echo(_json(doc))
+        click.echo("mode constant: true", err=True)
     if result.crossing is not None:
         click.echo(
             f"singularity crossing at segment {result.crossing.segment}: "
@@ -515,43 +488,26 @@ def sweep(ctx, grid_n, records_out, no_records):
     to stdout, or to stderr when records already use stdout.
     """
     cfg = ctx.obj["cfg"]
-    n = grid_n if grid_n is not None else cfg.grid_n
-    if n < 8:
-        raise click.UsageError("grid_n must be at least 8")
-    result = run_sweep(n, cfg)
-    summary = result.summary
-    if cfg.output_format == "csv":
-        lines = ["key,value"]
-        for key in (
-            "grid_n",
-            "components_positive",
-            "components_negative",
-            "singular_cell_fraction",
-            "wall_cell_fraction",
-        ):
-            value = summary[key]
-            lines.append(
-                f"{key}," + (_fmt(value) if isinstance(value, float) else str(value))
-            )
-        summary_text = "\n".join(lines)
-    else:
-        summary_text = _json(summary)
-
-    header = "theta1,theta2,theta3,det_a,degeneracy,component_id"
+    try:
+        result = run_sweep(grid_n, cfg)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
     def write_records(out):
-        out.write(header + "\n")
+        out.write("theta1,theta2,theta3,det_a,degeneracy,component_id\n")
         out.writelines(_record_slabs(result))
 
-    if no_records:
-        click.echo(summary_text)
-    elif records_out is not None:
+    records_on_stdout = records_out is None and not no_records
+    if records_on_stdout:
+        write_records(sys.stdout)
+    elif not no_records:
         with open(records_out, "w") as fh:
             write_records(fh)
-        click.echo(summary_text)
-    else:
-        write_records(sys.stdout)
-        click.echo(summary_text, err=True)
+    summary = result.summary
+    keys = ("grid_n", "components_positive", "components_negative",
+            "singular_cell_fraction", "wall_cell_fraction")
+    rows = [(k, summary[k]) for k in keys]
+    _emit(cfg, summary, "key,value", rows, err=records_on_stdout)
 
 
 if __name__ == "__main__":

@@ -137,7 +137,10 @@ def cascade_intermediates(j: JointTriplet, theta: float) -> CascadeIntermediates
     return CascadeIntermediates(*_psi_coeffs(trig, theta), q1=q1, q2=q2)
 
 
-def _degeneracy(trig, q2: float) -> JointDegeneracy:
+def _degeneracy(j: JointTriplet, trig, q2: float) -> JointDegeneracy:
+    if math.isnan(q2):
+        # every threshold below would fail towards "generic"
+        raise ValueError(f"joints {j.as_tuple()} are not finite")
     pairs = condition_pairs(*trig)
     if True in pairs:
         return JointDegeneracy(kind="self_motion", pair=pairs.index(True) + 1)
@@ -147,9 +150,11 @@ def _degeneracy(trig, q2: float) -> JointDegeneracy:
 
 
 def classify_joint_degeneracy(j: JointTriplet) -> JointDegeneracy:
-    """Sort a joint triplet into generic / self-motion / trivial-only."""
+    """Sort a joint triplet into generic / self-motion / trivial-only.
+
+    Raises ValueError for a NaN joint."""
     trig = joint_trig(*j.as_tuple())
-    return _degeneracy(trig, det_factor(*trig))
+    return _degeneracy(j, trig, det_factor(*trig))
 
 
 def _fold_half(a: float) -> float:
@@ -181,11 +186,12 @@ def solve_dk(j: JointTriplet) -> DkResult:
     order: solution k has working-mode signature sign(q2) * P_k, with P
     the mechanism's SIGN_TABLE.  Degenerate joints (within STRUCTURE_TOL)
     give the self-motion or trivial-only branch instead.  The trivial
-    orientations are attached in every case.
+    orientations are attached in every case.  A NaN joint raises
+    ValueError.
     """
     trig = joint_trig(*j.as_tuple())
     q1, q2 = joint_factors(*trig)
-    deg = _degeneracy(trig, q2)
+    deg = _degeneracy(j, trig, q2)
     if deg.kind == "self_motion":
         return DkResult(
             trivial=trivial_orientations(),

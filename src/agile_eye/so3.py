@@ -28,8 +28,12 @@ ORTHONORMAL_TOL = 1e-10
 
 
 def wrap_angle(x: float) -> float:
-    """Wrap an angle to (-pi, pi], keeping the +pi endpoint."""
-    y = math.remainder(x, TWO_PI)
+    """Wrap an angle to (-pi, pi], keeping the +pi endpoint.  NaN stays
+    NaN; an infinite angle raises ValueError."""
+    try:
+        y = math.remainder(x, TWO_PI)
+    except ValueError:  # math domain error, from an infinite x
+        raise ValueError(f"cannot wrap angle {x!r}") from None
     return math.pi if y == -math.pi else y
 
 

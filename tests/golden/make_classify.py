@@ -66,6 +66,7 @@ def cases():
     j = JointTriplet(-0.3, -0.7, 0.1)
     out["regular"] = _args(j.as_tuple(), euler_to_rotation(solve_dk(j).solutions[0]))
     out["self_motion_3_csv"] = _args(*_self_motion(3, -2.2), fmt="csv")
+    out["lockup_csv"] = _args((0.3, -1.2, 2.0), triv[0], fmt="csv")
     return out
 
 

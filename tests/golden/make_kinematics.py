@@ -58,6 +58,10 @@ def cases():
     out["dk_near_degenerate"] = _dk((t1, t2, t3 + 2e-9 / amp))
     out["dk_generic_csv"] = _dk((1.1, 0.25, -2.9), fmt="csv")
     out["dk_degrees"] = ["--degrees", "dk", "--", "20", "-35", "150"]
+    # degenerate joints as CSV: the header line only
+    out["dk_self_motion_csv"] = _dk((0.5, 0.0, half), fmt="csv")
+    out["dk_trivial_only_csv"] = _dk((t1, t2, t3), fmt="csv")
+    out["dk_degrees_csv"] = ["--degrees", "--format", "csv", "dk", "--", "20", "-35", "150"]
 
     out["ik_generic"] = ["ik", "--euler", "0.5", "-0.3", "1.1"]
     # a self-motion orientation: its singular leg is arbitrary
@@ -67,6 +71,12 @@ def cases():
     out["ik_trivial_filled"] = ["ik", "--fill-arbitrary", *_matrix(trivial_orientations()[2])]
     out["ik_degrees"] = ["--degrees", "ik", "--euler", "30", "-20", "60"]
     out["ik_generic_csv"] = ["--format", "csv", "ik", "--euler", "-2.0", "0.9", "0.4"]
+    # no solution rows while a leg is arbitrary; filled rows have no signature
+    out["ik_arbitrary_leg_csv"] = ["--format", "csv", "ik", *_matrix(sm)]
+    out["ik_arbitrary_leg_filled_csv"] = [
+        "--format", "csv", "ik", "--fill-arbitrary", *_matrix(sm),
+    ]
+    out["ik_degrees_csv"] = ["--degrees", "--format", "csv", "ik", "--euler", "30", "-20", "60"]
 
     # signed zeros in `a` ("-0") at the home configuration
     out["jacobian_home"] = ["jacobian", "--joints", "0", "0", "0", "--euler", "0", "0", "0"]

@@ -42,6 +42,9 @@ def cases():
             "sweep", "--grid-n", "64", "--records-out", RECORDS,
         ],
         "n128_no_records": ["sweep", "--grid-n", "128", "--no-records"],
+        "n16_no_records_csv": ["--format", "csv", "sweep", "--grid-n", "16", "--no-records"],
+        # below the smallest grid: usage error, exit 2
+        "n7_usage_error": ["sweep", "--grid-n", "7"],
     }
 
 

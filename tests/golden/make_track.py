@@ -61,6 +61,9 @@ def cases():
     entry = ((0.4, 0.3, math.pi / 2), (0.4, -0.3, math.pi / 2))
     out["self_motion_entry"] = _case(entry, _start(entry[0], 1))
     out["rejected_start"] = _case([FIG_JOINTS] * 2, ["1.2", "0.4", "0.9"])
+    # CSV with the crossing and the mode-constant line on stderr
+    out["sign_change_csv"] = _case(crossing, _start(crossing[0], 1), fmt="csv")
+    out["rejected_start_csv"] = _case([FIG_JOINTS] * 2, ["1.2", "0.4", "0.9"], fmt="csv")
     return out
 
 

@@ -175,6 +175,21 @@ def test_solve_dk_trivial_only_branch():
     assert dk.solutions is None
 
 
+@pytest.mark.parametrize(
+    "joints",
+    [(math.nan, 0.0, 0.0), (0.3, math.nan, -1.2), (math.nan, 0.0, math.pi / 2)],
+    ids=["nan_first", "nan_second", "nan_beside_pair_1"],
+)
+def test_nan_joints_rejected(joints):
+    # every threshold fails towards "generic" on NaN, and (nan, 0, pi/2)
+    # meets condition pair 1 on its finite joints
+    j = JointTriplet(*joints)
+    with pytest.raises(ValueError, match="not finite"):
+        solve_dk(j)
+    with pytest.raises(ValueError, match="not finite"):
+        classify_joint_degeneracy(j)
+
+
 def test_residual_closure_finite(rng):
     for _ in range(300):
         j = generic_joints(rng)

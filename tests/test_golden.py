@@ -3,24 +3,28 @@
 `agile classify` (tests/golden/classify.json): one exact self-motion per
 family, 1e-8 tolerance-band configurations, a lockup, an infinitesimal
 motion at a trivial orientation, condition-pair joints at a trivial
-orientation, a regular pose, and one CSV document.
+orientation, a regular pose, and CSV documents for a self-motion and a
+lockup.
 
 `agile track` (tests/golden/track.json): a constant path, a closed
 in-domain loop from each of the four assembly modes, the same loop as
 CSV, a determinant sign change, a self-motion entry, and a rejected
-start.
+start; the sign change and the rejected start also as CSV.
 
 `agile dk`, `ik`, `jacobian` and `self-motion`
 (tests/golden/kinematics.json): generic joints, each condition pair,
 trivial-only joints, an orientation with an arbitrary leg with and
 without --fill-arbitrary, the home and a trivial Jacobian (whose `a`
 prints signed zeros), self-motion curves by id and by label, with
---degrees and as CSV.
+--degrees and as CSV.  CSV cases cover generic `dk` and `ik`, their
+--degrees forms, degenerate `dk` joints and an unfilled arbitrary leg
+(header only), and a filled one (empty signature cells).
 
 `agile sweep` (tests/golden/sweep.json): records at n = 8 to a file and
 to stdout (summary on stderr), a tolerance wide enough for thick walls
 (component id -1), n = 40 and a CSV n = 64 run whose records are kept as
-sha256 and length, and an n = 128 summary without records.
+sha256 and length, an n = 128 summary without records, the same as CSV
+at n = 16, and n = 7 (usage error).
 
 Rebuild a corpus from the repository root with
 

@@ -1,5 +1,5 @@
 """Package layout: modules share formulas only through public names, and
-each tolerance has one home.
+each tolerance has one home, and the CLI has one output path.
 
 A leading-underscore name is private to its module; a module that
 imports one from another package module is using a copy of a formula
@@ -10,6 +10,10 @@ The exact structural identities share `mechanism.STRUCTURE_TOL`; the
 other module-level tolerances are the matching distance of `modes` and
 the two of the SO(3) layer.  Only `assembly_mode_id` takes a `tol`
 argument (a rotation distance).
+
+Every `agile` command hands its document and CSV rows to `cli._emit`,
+the only place that calls `_json` and reads `output_format`, apart from
+`track`'s stderr `mode constant` line in CSV mode.
 """
 
 import ast
@@ -64,6 +68,21 @@ def _tolerances(path: Path):
     return found
 
 
+def _output_decisions(path: Path):
+    """(enclosing top-level function, name) of every use of `_json` and
+    every `.output_format` read, in source order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "_json":
+                found.append((node.lineno, owner, "_json"))
+            elif isinstance(node, ast.Attribute) and node.attr == "output_format":
+                found.append((node.lineno, owner, "output_format"))
+    return [entry[1:] for entry in sorted(found)]
+
+
 def test_package_modules_found():
     assert {"mechanism.py", "dk.py", "sweep.py"} <= {p.name for p in MODULES}
 
@@ -101,3 +120,32 @@ def test_checker_flags_tolerances(tmp_path):
         "    return x\n"
     )
     assert _tolerances(probe) == [(1, "FOLD_TOL"), (2, "B_TOL"), (3, "f(tol)"), (5, "lambda(tol)")]
+
+
+def test_cli_has_one_output_path():
+    assert _output_decisions(PACKAGE / "cli.py") == [
+        ("_emit", "output_format"),
+        ("_emit", "_json"),
+        ("track", "output_format"),
+    ]
+
+
+def test_checker_flags_output_decisions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _emit(cfg, doc):\n"
+        "    return _json(doc) if cfg.output_format == 'json' else ''\n"
+        "def dk(ctx):\n"
+        "    fmt = ctx.obj['cfg'].output_format\n"
+        "    def inner(doc):\n"
+        "        return _json(doc)\n"
+        "    return inner\n"
+        "writer = _json\n"
+    )
+    assert _output_decisions(probe) == [
+        ("_emit", "_json"),
+        ("_emit", "output_format"),
+        ("dk", "output_format"),
+        ("dk", "_json"),
+        ("<module>", "_json"),
+    ]

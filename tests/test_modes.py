@@ -29,7 +29,7 @@ from agile_eye import (
 )
 from agile_eye.mechanism import SIGN_TABLE, b_diagonal
 from agile_eye.modes import MATCH_TOL
-from conftest import circ_diff
+from conftest import circ_diff, random_joints
 from test_dk import FIG_SOLUTIONS, generic_joints
 
 FIG_JOINTS = JointTriplet(-0.3, -0.7, 0.1)
@@ -209,6 +209,11 @@ def test_track_requires_valid_start():
 def test_track_rejects_nan_start():
     with pytest.raises(StartNotASolution, match="nan rad"):
         track_path([FIG_JOINTS], euler_to_rotation((math.nan, 0.4, 0.9)))
+
+
+def test_track_rejects_nan_first_waypoint():
+    with pytest.raises(ValueError, match="not finite"):
+        track_path([JointTriplet(math.nan, 0.0, 0.0)], np.eye(3))
 
 
 def test_track_loop_closes_and_keeps_mode():
@@ -442,6 +447,44 @@ def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
             for k, (r, e) in enumerate(zip(result.orientations, result.eulers)):
                 assert e == solve_dk(path[k]).solutions[mode]
                 assert np.array_equal(r, euler_to_rotation(e))
+
+
+def _crossing_walk(rng, waypoints, step):
+    # a random walk whose last waypoint has the other sign of q2, so the
+    # track must stop at a crossing somewhere
+    path = [generic_joints(rng)]
+    while len(path) < waypoints - 1:
+        here = np.array(path[-1].as_tuple())
+        path.append(JointTriplet(*(here + rng.uniform(-step, step, 3))))
+    positive = det_a_closed_form(path[0]) > 0.0
+    while True:
+        end = random_joints(rng)
+        if (det_a_closed_form(end) > 0.0) != positive:
+            return path + [end]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 10),
+    st.floats(0.05, 0.6),
+    st.booleans(),
+)
+def test_track_numeric_signature_is_constant(seed, waypoints, step, crossing):
+    # The numeric signs of diag(B) at every reached step equal the start's
+    # direct signature, which is what `agile track` prints for each step.
+    rng = np.random.default_rng(seed)
+    if crossing:
+        path = _crossing_walk(rng, waypoints, step)
+    else:
+        path = _in_domain_paths(rng, 1, waypoints=waypoints, step=step)[0]
+    for mode in range(1, 5):
+        start = euler_to_rotation(solve_dk(path[0]).solutions[mode - 1])
+        result = track_path(path, start)
+        assert result.crossed == crossing
+        expected = direct_signature(path[0], mode)
+        for j, r in zip(path, result.orientations):
+            assert working_mode_signature(j, r) == expected
 
 
 def test_track_low_singular_tol_reports_trivial_only_waypoint():

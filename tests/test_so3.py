@@ -38,6 +38,18 @@ def test_wrap_angle_edges():
     assert abs(wrap_angle(-0.3) + 0.3) < 1e-15
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_wrap_angle_infinite_names_value(x):
+    with pytest.raises(ValueError, match=f"cannot wrap angle {x!r}"):
+        wrap_angle(x)
+    with pytest.raises(ValueError, match="cannot wrap angle"):
+        EulerZyx(0.0, x, 0.0)
+
+
+def test_wrap_angle_nan_is_nan():
+    assert math.isnan(wrap_angle(math.nan))
+
+
 def test_euler_identity():
     np.testing.assert_allclose(euler_to_rotation((0, 0, 0)), np.eye(3), atol=1e-15)
 
