@@ -124,7 +124,20 @@ def _angles_out(values, degrees: bool):
     return [conv(v) for v in values]
 
 
-def _angles_in(values, degrees: bool):
+class NonFiniteInput(click.UsageError):
+    """A NaN or infinite number on the command line (or in a path file)."""
+
+
+def _require_finite(name: str, values) -> None:
+    """NonFiniteInput naming the first non-finite value given for `name`."""
+    for v in values:
+        if not math.isfinite(v):
+            raise NonFiniteInput(f"{name}: non-finite value {v!r}")
+
+
+def _angles_in(name: str, values, degrees: bool):
+    """The finite angles given for `name`, in radians, ready to wrap."""
+    _require_finite(name, values)
     conv = math.radians if degrees else float
     return tuple(conv(v) for v in values)
 
@@ -133,19 +146,13 @@ def _matrix_rows(r: np.ndarray):
     return [[float(x) for x in row] for row in r]
 
 
-def _require_finite(name: str, values) -> None:
-    """Usage error naming the first non-finite value given for `name`."""
-    for v in values or ():
-        if not math.isfinite(v):
-            raise click.UsageError(f"{name}: non-finite value {v!r}")
-
-
 def _parse_orientation(euler, matrix, degrees: bool, prefix: str = "") -> np.ndarray:
     """Rotation from the --{prefix}euler or --{prefix}matrix values."""
     if (euler is None or len(euler) == 0) == (matrix is None or len(matrix) == 0):
         raise click.UsageError(f"provide exactly one of --{prefix}euler or --{prefix}matrix")
     if euler:
-        return euler_to_rotation(_angles_in(euler, degrees))
+        return euler_to_rotation(_angles_in(f"--{prefix}euler", euler, degrees))
+    _require_finite(f"--{prefix}matrix", matrix)
     try:
         return validate_rotation(np.array(matrix, dtype=float).reshape(3, 3))
     except MalformedRotation as exc:
@@ -197,8 +204,6 @@ def main(ctx, tol_residual, tol_singular, output_format, degrees):
 def ik(ctx, euler, matrix, fill_arbitrary):
     """Inverse kinematics: up to 8 joint solutions for an orientation."""
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
-    _require_finite("--euler", euler)
-    _require_finite("--matrix", matrix)
     r = _parse_orientation(euler, matrix, degrees)
     result = solve_ik(r, fill_arbitrary=fill_arbitrary)
     # B_ii = +hypot(num_i, den_i) at the atan2 root, - at its antipode (0 if filled)
@@ -236,8 +241,7 @@ def dk(ctx, joints):
     """Direct kinematics for one joint triplet (radians; use -- before
     negative values)."""
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
-    _require_finite("JOINTS", joints)
-    j = JointTriplet(*_angles_in(joints, degrees))
+    j = JointTriplet(*_angles_in("JOINTS", joints, degrees))
     result = solve_dk(j)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -273,9 +277,7 @@ def dk(ctx, joints):
 def jacobian(ctx, joints, euler, matrix):
     """Numeric Jacobians A and diag(B) plus determinant cross-checks."""
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
-    for name, values in (("--joints", joints), ("--euler", euler), ("--matrix", matrix)):
-        _require_finite(name, values)
-    j = JointTriplet(*_angles_in(joints, degrees))
+    j = JointTriplet(*_angles_in("--joints", joints, degrees))
     r = _parse_orientation(euler, matrix, degrees)
     pair = jacobians(j, r)
     doc = {
@@ -301,11 +303,11 @@ def jacobian(ctx, joints, euler, matrix):
 def classify(ctx, joints, euler, matrix):
     """Singularity class of an assembled configuration."""
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
-    j = JointTriplet(*_angles_in(joints, degrees))
-    r = _parse_orientation(euler, matrix, degrees)
     try:
+        j = JointTriplet(*_angles_in("--joints", joints, degrees))
+        r = _parse_orientation(euler, matrix, degrees)
         result = classify_configuration(j, r, cfg)
-    except NotAssembled as exc:
+    except (NonFiniteInput, NotAssembled) as exc:
         click.echo(f"not assembled: {exc}", err=True)
         sys.exit(EXIT_NOT_ASSEMBLED)
     doc = {
@@ -332,9 +334,8 @@ def classify(ctx, joints, euler, matrix):
 def self_motion(ctx, family, parameter):
     """Orientation on one of the six self-motion curves."""
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
-    _require_finite("--parameter", [parameter])
     label = family.strip().lower()
-    t = _angles_in([parameter], degrees)[0]
+    (t,) = _angles_in("--parameter", [parameter], degrees)
     try:
         r = self_motion_family(int(label) if label.isdigit() else label, t)
     except UnknownFamily as exc:
@@ -354,7 +355,7 @@ def self_motion(ctx, family, parameter):
     _emit(cfg, doc, header, [[x for row in doc["matrix"] for x in row]])
 
 
-def _read_path_file(path_file: str) -> list[JointTriplet]:
+def _read_path_file(path_file: str, degrees: bool) -> list[JointTriplet]:
     with open(path_file, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -375,9 +376,8 @@ def _read_path_file(path_file: str) -> list[JointTriplet]:
                 values = [float(c) for c in row]
             except ValueError as exc:
                 raise click.UsageError(f"{path_file}:{lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise click.UsageError(f"{path_file}:{lineno}: non-finite joint angle")
-            waypoints.append(JointTriplet(*values))
+            name = f"{path_file}:{lineno}: non-finite joint angle"
+            waypoints.append(JointTriplet(*_angles_in(name, values, degrees)))
     if not waypoints:
         raise click.UsageError(f"{path_file}: no waypoints")
     return waypoints
@@ -392,13 +392,7 @@ def track(ctx, path_file, start_euler, start_matrix):
     """Track the assembly mode along a joint path (CSV with header
     theta1,theta2,theta3)."""
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
-    waypoints = _read_path_file(path_file)
-    if degrees:
-        waypoints = [
-            JointTriplet(*_angles_in(w.as_tuple(), True)) for w in waypoints
-        ]
-    _require_finite("--start-euler", start_euler)
-    _require_finite("--start-matrix", start_matrix)
+    waypoints = _read_path_file(path_file, degrees)
     start = _parse_orientation(start_euler, start_matrix, degrees, prefix="start-")
     try:
         result = track_path(waypoints, start, cfg)

@@ -39,7 +39,7 @@ from .mechanism import (
     joint_factors,
     joint_trig,
 )
-from .so3 import HALF_PI, EulerZyx, euler_to_rotation, wrap_angle
+from .so3 import HALF_PI, EulerZyx, euler_to_rotation, rotation_distance, wrap_angle
 
 _TRIVIAL = (
     np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
@@ -121,6 +121,19 @@ class DkResult:
 def trivial_orientations() -> tuple[np.ndarray, ...]:
     """The four orientations that solve the constraints for any joints."""
     return tuple(m.copy() for m in _TRIVIAL)
+
+
+def nearest_trivial(r: np.ndarray) -> tuple[int, float]:
+    """Id (1..4) of the trivial orientation nearest to r, and its distance.
+
+    Each T_k is a signed permutation, so trace(T_k^T r) is a signed sum of
+    r01, r12 and r20; the geodesic distance falls as that trace grows, so
+    the nearest T_k has the largest.  Ties go to the lowest id.
+    """
+    r01, r12, r20 = float(r[0, 1]), float(r[1, 2]), float(r[2, 0])
+    traces = (r12 - r01 - r20, r01 - r12 - r20, r20 - r01 - r12, r01 + r12 + r20)
+    k = max(range(4), key=traces.__getitem__)
+    return k + 1, rotation_distance(r, _TRIVIAL[k])
 
 
 def _psi_coeffs(trig, theta: float) -> tuple[float, float, float, float]:

@@ -25,8 +25,8 @@ from .config import DEFAULT_CONFIG, ToolConfig
 from .dk import (
     PAIR_FAMILIES,
     classify_joint_degeneracy,
+    nearest_trivial,
     self_motion_family,
-    trivial_orientations,
 )
 from .exceptions import DenominatorDegenerate, NotAssembled
 from .mechanism import (
@@ -156,15 +156,6 @@ def _best_family(r: np.ndarray, family_ids) -> tuple[int, float]:
     return best_fid, best_d
 
 
-def _nearest_trivial(r: np.ndarray) -> tuple[int, float]:
-    best_id, best_d = 0, math.inf
-    for k, m in enumerate(trivial_orientations(), 1):
-        d = rotation_distance(r, m)
-        if d < best_d:
-            best_id, best_d = k, d
-    return best_id, best_d
-
-
 def classify_configuration(
     j: JointTriplet, r: np.ndarray, cfg: ToolConfig = DEFAULT_CONFIG
 ) -> SingularityClass:
@@ -185,21 +176,16 @@ def classify_configuration(
         fid, dist = _best_family(r, PAIR_FAMILIES[pair])
         if dist < cfg.singular_tol:
             return SingularityClass(kind="self_motion", family_id=fid)
+    trivial_id, trivial_dist = nearest_trivial(r)
+    if trivial_dist >= cfg.singular_tol:
+        det = det3(jacobians(j, r).a)
+        if abs(det) > cfg.singular_tol and not any(singular_legs(r)):
+            return SingularityClass(kind="regular")
+        # Tolerance-band fallback: attribute to the nearest singular structure.
+        fid, fdist = _best_family(r, range(1, 7))
+        if fdist <= trivial_dist:
+            return SingularityClass(kind="self_motion", family_id=fid)
+    # A trivial orientation is nearest: the det factor tells lockup from infinitesimal.
     q2 = det_factor(*joint_trig(*j.as_tuple()))
-    trivial_id, trivial_dist = _nearest_trivial(r)
-    if trivial_dist < cfg.singular_tol:
-        if abs(q2) > STRUCTURE_TOL:
-            return SingularityClass(kind="lockup", trivial_id=trivial_id)
-        return SingularityClass(
-            kind="infinitesimal_at_trivial", trivial_id=trivial_id
-        )
-    det = det3(jacobians(j, r).a)
-    if abs(det) > cfg.singular_tol and not any(singular_legs(r)):
-        return SingularityClass(kind="regular")
-    # Tolerance-band fallback: attribute to the nearest singular structure.
-    fid, fdist = _best_family(r, range(1, 7))
-    if fdist <= trivial_dist:
-        return SingularityClass(kind="self_motion", family_id=fid)
-    if abs(q2) > STRUCTURE_TOL:
-        return SingularityClass(kind="lockup", trivial_id=trivial_id)
-    return SingularityClass(kind="infinitesimal_at_trivial", trivial_id=trivial_id)
+    kind = "lockup" if abs(q2) > STRUCTURE_TOL else "infinitesimal_at_trivial"
+    return SingularityClass(kind=kind, trivial_id=trivial_id)

@@ -151,6 +151,20 @@ def test_classify_non_finite_exit_code(runner, args):
     assert "not assembled" in result.output
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["--joints", "--euler", "--matrix"])
+def test_classify_non_finite_input_is_not_assembled(runner, option, value):
+    # README: classify reports any non-finite input as not assembled (exit 3)
+    given = {"--joints": ["0", "0", "0"], "--euler": ["0", "0", "0"], "--matrix": R_TO1_FLAT}
+    args = ["classify"]
+    for name in ("--joints", "--matrix" if option == "--matrix" else "--euler"):
+        values = given[name]
+        args += [name, value, *values[1:]] if name == option else [name, *values]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert f"not assembled: {option}: non-finite value {value}" in result.output
+
+
 def test_classify_self_motion_config(runner):
     result = invoke(
         runner,
@@ -261,6 +275,32 @@ def test_track_non_finite_row_exit_code(runner, tmp_path, row):
     )
     assert result.exit_code == 2
     assert f"{path}:3: non-finite joint angle" in result.output
+
+
+def test_track_degrees_path_rows_match_radians(runner, tmp_path):
+    # path rows are converted to radians before JointTriplet wraps them
+    from agile_eye import JointTriplet, solve_dk
+
+    rows = [(10.0, 20.0, 30.0), (11.0, 21.0, 31.0)]
+    start = solve_dk(JointTriplet(*map(math.radians, rows[0]))).solutions[0]
+
+    def track(flags, rows, start):
+        path = tmp_path / "path.csv"
+        lines = [",".join(map(repr, row)) for row in rows]
+        path.write_text("\n".join(["theta1,theta2,theta3", *lines]) + "\n")
+        args = [*flags, "track", str(path), "--start-euler", *map(repr, start)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        return json.loads(result.output)["steps"]
+
+    in_radians = track([], [tuple(map(math.radians, row)) for row in rows], start.as_tuple())
+    in_degrees = track(["--degrees"], rows, map(math.degrees, start.as_tuple()))
+    assert len(in_degrees) == len(in_radians) == 2
+    for deg, rad in zip(in_degrees, in_radians):
+        assert (deg["mode_id"], deg["signature"]) == (rad["mode_id"], rad["signature"])
+        for key in ("joints", "euler"):
+            expected = [math.degrees(a) for a in rad[key]]
+            np.testing.assert_allclose(deg[key], expected, rtol=0, atol=1e-12)
 
 
 def test_sweep_summary_and_records(runner, tmp_path):

@@ -27,6 +27,7 @@ from agile_eye import (
     trivial_orientations,
     validate_rotation,
 )
+from agile_eye.dk import nearest_trivial
 from conftest import circ_diff, euler_matches, random_joints
 
 FIG_SOLUTIONS = (
@@ -66,6 +67,31 @@ def test_trivial_orientations_exact():
     np.testing.assert_array_equal(tos[3], R_TO4)
     for m in tos:
         validate_rotation(m)
+
+
+def _nearest_trivial_by_search(r):
+    # the four-distance loop nearest_trivial replaced, kept as its oracle
+    best_id, best_d = 0, math.inf
+    for k, m in enumerate(trivial_orientations(), 1):
+        d = rotation_distance(r, m)
+        if d < best_d:
+            best_id, best_d = k, d
+    return best_id, best_d
+
+
+def test_nearest_trivial_matches_search(rng):
+    # uniform rotations from normal quaternions, then 1e-12..1e-3 rad off each T_k
+    rotations = [
+        axis_angle_rotation(q[1:], 2.0 * math.atan2(np.linalg.norm(q[1:]), q[0]))
+        for q in rng.normal(size=(20_000, 4))
+    ]
+    for t in trivial_orientations():
+        for angle in np.logspace(-12, -3, 40):
+            rotations.append(t @ axis_angle_rotation(rng.normal(size=3), angle))
+            rotations.append(axis_angle_rotation(rng.normal(size=3), angle) @ t)
+        rotations.append(t)
+    for r in rotations:
+        assert nearest_trivial(r) == _nearest_trivial_by_search(r)
 
 
 def test_classify_self_motion_pairs():

@@ -13,7 +13,11 @@ argument (a rotation distance).
 
 Every `agile` command hands its document and CSV rows to `cli._emit`,
 the only place that calls `_json` and reads `output_format`, apart from
-`track`'s stderr `mode constant` line in CSV mode.
+`track`'s stderr `mode constant` line in CSV mode.  Every angle and
+orientation read from the command line or a path file goes through
+`cli._angles_in` or `cli._parse_orientation`, the only places that check
+finiteness and convert degrees, so no angle is wrapped before it is in
+radians.
 """
 
 import ast
@@ -83,6 +87,36 @@ def _output_decisions(path: Path):
     return [entry[1:] for entry in sorted(found)]
 
 
+def _from_angles_in(call: ast.Call) -> bool:
+    """Whether a call's only argument is `*_angles_in(...)`."""
+    if call.keywords or len(call.args) != 1 or not isinstance(call.args[0], ast.Starred):
+        return False
+    inner = call.args[0].value
+    return isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "_angles_in"
+
+
+def _input_decisions(path: Path):
+    """(enclosing top-level function, name) of every use of
+    `_require_finite` and of `radians`, and of every `JointTriplet(...)`
+    not built from `*_angles_in(...)`, in source order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "_require_finite":
+                found.append((node.lineno, owner, "_require_finite"))
+            elif getattr(node, "attr", getattr(node, "id", None)) == "radians":
+                found.append((node.lineno, owner, "radians"))
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "JointTriplet"
+                and not _from_angles_in(node)
+            ):
+                found.append((node.lineno, owner, "JointTriplet"))
+    return [entry[1:] for entry in sorted(found)]
+
+
 def test_package_modules_found():
     assert {"mechanism.py", "dk.py", "sweep.py"} <= {p.name for p in MODULES}
 
@@ -148,4 +182,40 @@ def test_checker_flags_output_decisions(tmp_path):
         ("dk", "output_format"),
         ("dk", "_json"),
         ("<module>", "_json"),
+    ]
+
+
+def test_cli_has_one_input_path():
+    assert _input_decisions(PACKAGE / "cli.py") == [
+        ("_angles_in", "_require_finite"),
+        ("_angles_in", "radians"),
+        ("_parse_orientation", "_require_finite"),
+    ]
+
+
+def test_checker_flags_input_decisions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\n"
+        "def _angles_in(name, values, degrees):\n"
+        "    _require_finite(name, values)\n"
+        "    return tuple(map(math.radians, values))\n"
+        "def dk(joints):\n"
+        "    _require_finite('JOINTS', joints)\n"
+        "    return JointTriplet(*_angles_in('JOINTS', joints, False))\n"
+        "def track(rows, check=_require_finite):\n"
+        "    return [JointTriplet(*row) for row in rows], JointTriplet(0, 0, 0)\n"
+        "def jacobian(joints):\n"
+        "    return JointTriplet(*_angles_in('--joints', joints, True), t=0)\n"
+        "to_radians = math.radians\n"
+    )
+    assert _input_decisions(probe) == [
+        ("_angles_in", "_require_finite"),
+        ("_angles_in", "radians"),
+        ("dk", "_require_finite"),
+        ("track", "_require_finite"),
+        ("track", "JointTriplet"),
+        ("track", "JointTriplet"),
+        ("jacobian", "JointTriplet"),
+        ("<module>", "radians"),
     ]
