@@ -33,13 +33,13 @@ from .mechanism import (
     SIGN_TABLE,
     STRUCTURE_TOL,
     JointTriplet,
-    b_diagonal,
     condition_pairs,
     det_factor,
     joint_factors,
     joint_trig,
+    leg_b,
 )
-from .so3 import HALF_PI, EulerZyx, euler_to_rotation, rotation_distance, wrap_angle
+from .so3 import HALF_PI, EulerZyx, rotation_distance, wrap_angle
 
 _TRIVIAL = (
     np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
@@ -99,14 +99,14 @@ class JointDegeneracy:
 class DkResult:
     """Full direct-kinematics outcome for one joint triplet.
 
-    The four trivial orientations are always present.  `branch` is
+    The four trivial orientations are always present: `trivial` computes
+    fresh copies on access (`trivial_orientations`).  `branch` is
     "finite" (four Euler solutions in half-turn order: (phi, theta, psi),
     (phi, theta, psi+pi), (phi, theta+pi, -psi), (phi, theta+pi, -psi+pi)),
     "self_motion" (a condition pair holds; `families` lists the two
     assembling curves) or "trivial_only".
     """
 
-    trivial: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     branch: str
     solutions: tuple[EulerZyx, EulerZyx, EulerZyx, EulerZyx] | None = None
     pair: int | None = None
@@ -116,6 +116,10 @@ class DkResult:
     @property
     def is_finite(self) -> bool:
         return self.branch == "finite"
+
+    @property
+    def trivial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return trivial_orientations()
 
 
 def trivial_orientations() -> tuple[np.ndarray, ...]:
@@ -136,10 +140,9 @@ def nearest_trivial(r: np.ndarray) -> tuple[int, float]:
     return k + 1, rotation_distance(r, _TRIVIAL[k])
 
 
-def _psi_coeffs(trig, theta: float) -> tuple[float, float, float, float]:
-    # (p1, p2, p3, p4) of the two psi equations at theta
+def _psi_coeffs(trig, ct: float, st: float) -> tuple[float, float, float, float]:
+    # (p1, p2, p3, p4) of the two psi equations at cos(theta), sin(theta)
     s1, c1, s2, c2, s3, c3 = trig
-    ct, st = math.cos(theta), math.sin(theta)
     return s1 * c3, s1 * st * s3 - ct * c1, c2 * st * c3 - ct * s2, c2 * s3
 
 
@@ -147,7 +150,8 @@ def cascade_intermediates(j: JointTriplet, theta: float) -> CascadeIntermediates
     """Evaluate all cascade coefficients at the given theta."""
     trig = joint_trig(*j.as_tuple())
     q1, q2 = joint_factors(*trig)
-    return CascadeIntermediates(*_psi_coeffs(trig, theta), q1=q1, q2=q2)
+    p = _psi_coeffs(trig, math.cos(theta), math.sin(theta))
+    return CascadeIntermediates(*p, q1=q1, q2=q2)
 
 
 def _degeneracy(j: JointTriplet, trig, q2: float) -> JointDegeneracy:
@@ -207,18 +211,18 @@ def solve_dk(j: JointTriplet) -> DkResult:
     deg = _degeneracy(j, trig, q2)
     if deg.kind == "self_motion":
         return DkResult(
-            trivial=trivial_orientations(),
             branch="self_motion",
             pair=deg.pair,
             families=PAIR_FAMILIES[deg.pair],
             constrained=_PAIR_DESCRIPTIONS[deg.pair],
         )
     if deg.kind == "trivial_only":
-        return DkResult(trivial=trivial_orientations(), branch="trivial_only")
+        return DkResult(branch="trivial_only")
 
     phi = j.theta3
     theta = _fold_half(math.atan2(-q1, q2))
-    p1, p2, p3, p4 = _psi_coeffs(trig, theta)
+    ct, st = math.cos(theta), math.sin(theta)
+    p1, p2, p3, p4 = _psi_coeffs(trig, ct, st)
     # Either psi equation may degenerate alone; use the better-conditioned one.
     if max(abs(p1), abs(p2)) < max(abs(p3), abs(p4)):
         p1, p2 = p3, p4
@@ -229,12 +233,24 @@ def solve_dk(j: JointTriplet) -> DkResult:
         EulerZyx(phi, theta + math.pi, -psi),
         EulerZyx(phi, theta + math.pi, -psi + math.pi),
     )
-    first = b_diagonal(j, euler_to_rotation(raw[0]))
-    order = _ORDERS.get(tuple((b > 0.0) == (q2 > 0.0) for b in first), (0, 1, 2, 3))
-    solutions = tuple(raw[i] for i in order)
-    return DkResult(
-        trivial=trivial_orientations(), branch="finite", solutions=solutions
+    # Leg table (r21, r11), (r02, r22), (r10, r00) of raw[0], written as
+    # euler_to_rotation writes those entries (its angles are already
+    # wrapped, and cos/sin(phi) = c3, s3), so diag(B) and the order are
+    # bit-identical to b_diagonal(j, euler_to_rotation(raw[0])).
+    s3, c3 = trig[4], trig[5]
+    cp, sp = math.cos(psi), math.sin(psi)
+    b1, b2, b3 = leg_b(
+        trig,
+        (
+            (ct * sp, s3 * st * sp + c3 * cp),
+            (c3 * st * cp + s3 * sp, ct * cp),
+            (s3 * ct, c3 * ct),
+        ),
     )
+    pos = q2 > 0.0
+    rel = ((b1 > 0.0) == pos, (b2 > 0.0) == pos, (b3 > 0.0) == pos)
+    order = _ORDERS.get(rel, (0, 1, 2, 3))
+    return DkResult(branch="finite", solutions=tuple(raw[i] for i in order))
 
 
 def self_motion_family(family_id, parameter: float) -> np.ndarray:

@@ -11,13 +11,15 @@ The leg table: leg i reads two entries (num_i, den_i) of R, the
 components of -v_i across u_i: (r21, r11), (r02, r22) and (r10, r00)
 (`leg_table`).  With s_i, c_i the sine and cosine of theta_i,
 
-    w_i . v_i = s_i den_i - c_i num_i     (constraint_residuals)
+    w_i . v_i = s_i den_i - c_i num_i     (leg_residuals)
     theta_i   = atan2(num_i, den_i)       (inverse kinematics, or + pi)
-    B_ii      = s_i num_i + c_i den_i     (b_diagonal; (w_i x v_i) . u_i)
+    B_ii      = s_i num_i + c_i den_i     (leg_b; (w_i x v_i) . u_i)
 
 The joint-space factors q1, q2 and the three condition pairs use only
 arithmetic, abs, < and & on the sines and cosines of `joint_trig`, so the
-same functions take Python floats and broadcasting numpy arrays.
+same functions take Python floats and broadcasting numpy arrays.  The
+helpers that take `trig` let a caller compute the joint trig once per
+call; `constraint_residuals` and `b_diagonal` wrap them for (j, r).
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ def condition_pairs(s1, c1, s2, c2, s3, c3):
     )
 
 
-def _w(j: JointTriplet):
-    s1, c1, s2, c2, s3, c3 = joint_trig(*j.as_tuple())
+def _w(trig):
+    s1, c1, s2, c2, s3, c3 = trig
     return (0.0, -s1, c1), (c2, 0.0, -s2), (-s3, c3, 0.0)
 
 
@@ -126,14 +128,15 @@ def platform_axes_base(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def intermediate_axes(j: JointTriplet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intermediate joint axes w_i as functions of the active angles."""
-    return tuple(np.array(w) for w in _w(j))
+    return tuple(np.array(w) for w in _w(joint_trig(*j.as_tuple())))
 
 
-def jacobian_rows(j: JointTriplet, r: np.ndarray):
-    """Rows w_i x v_i of the Jacobian A, as float triples."""
+def jacobian_rows(trig, r: np.ndarray):
+    """Rows w_i x v_i of the Jacobian A, as float triples, from the
+    joint trig (`joint_trig`) and the orientation."""
     return [
         (wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx)
-        for (wx, wy, wz), (vx, vy, vz) in zip(_w(j), _v(r))
+        for (wx, wy, wz), (vx, vy, vz) in zip(_w(trig), _v(r))
     ]
 
 
@@ -143,20 +146,31 @@ def leg_table(r: np.ndarray):
     return (r21, r11), (r02, r22), (r10, r00)
 
 
-def constraint_residuals(j: JointTriplet, r: np.ndarray) -> np.ndarray:
-    """Raw dot products w_i . v_i = s_i den_i - c_i num_i; all zero when
-    assembled.  Signs are kept so downstream mode logic can reuse them."""
-    s1, c1, s2, c2, s3, c3 = joint_trig(*j.as_tuple())
-    (n1, d1), (n2, d2), (n3, d3) = leg_table(r)
-    return np.array([s1 * d1 - c1 * n1, s2 * d2 - c2 * n2, s3 * d3 - c3 * n3])
+def leg_residuals(trig, table) -> tuple[float, float, float]:
+    """w_i . v_i = s_i den_i - c_i num_i from the joint trig and the leg
+    table; all zero when assembled."""
+    s1, c1, s2, c2, s3, c3 = trig
+    (n1, d1), (n2, d2), (n3, d3) = table
+    return s1 * d1 - c1 * n1, s2 * d2 - c2 * n2, s3 * d3 - c3 * n3
+
+
+def leg_b(trig, table) -> tuple[float, float, float]:
+    """B_ii = s_i num_i + c_i den_i from the joint trig and the leg table."""
+    s1, c1, s2, c2, s3, c3 = trig
+    (n1, d1), (n2, d2), (n3, d3) = table
+    return s1 * n1 + c1 * d1, s2 * n2 + c2 * d2, s3 * n3 + c3 * d3
+
+
+def constraint_residuals(j: JointTriplet, r: np.ndarray) -> tuple[float, float, float]:
+    """Raw dot products w_i . v_i; all zero when assembled.  Signs are
+    kept so downstream mode logic can reuse them."""
+    return leg_residuals(joint_trig(*j.as_tuple()), leg_table(r))
 
 
 def b_diagonal(j: JointTriplet, r: np.ndarray) -> tuple[float, float, float]:
-    """diag(B), B_ii = s_i num_i + c_i den_i; its sign tells which of the
-    two leg-i branches the configuration uses."""
-    s1, c1, s2, c2, s3, c3 = joint_trig(*j.as_tuple())
-    (n1, d1), (n2, d2), (n3, d3) = leg_table(r)
-    return s1 * n1 + c1 * d1, s2 * n2 + c2 * d2, s3 * n3 + c3 * d3
+    """diag(B); the sign of B_ii tells which of the two leg-i branches the
+    configuration uses."""
+    return leg_b(joint_trig(*j.as_tuple()), leg_table(r))
 
 
 def leg_axes(leg: int, j: JointTriplet, r: np.ndarray) -> LegAxes:

@@ -7,6 +7,16 @@ generic joints has signature sign(q2) * P_k (P the mechanism's SIGN_TABLE,
 q2 the joint-space determinant factor), so only the four signatures of
 sign product sign(q2) are reachable, each naming its solution by lookup.
 
+The four direct solutions are half-turns of the first about the platform
+axes: R_k = R_1 H_k with H_k = I, diag(1, -1, -1), diag(-1, 1, -1) and
+diag(-1, -1, 1), in solve_dk's canonical order.  The cascade's raw
+solutions are R H_k (psi + pi is a half-turn about x; theta + pi with -psi
+one about y), the H_k form a group, and the canonical order is a
+translation in it.  So r^T R_k is M = r^T R_1 with its columns
+sign-flipped by H_k: one matrix product matches an orientation against
+all four solutions (`nearest_solution`), and any two solutions are pi
+apart.
+
 The wrist is non-cuspidal: a joint path can change assembly mode only
 where it meets the determinant surface q2 = sin t1 sin t2 sin t3 +
 cos t1 cos t2 cos t3 = 0.  Inside one sign domain of q2 no B_ii vanishes,
@@ -40,10 +50,13 @@ from .mechanism import (
     det_factor,
     joint_trig,
 )
-from .so3 import EulerZyx, euler_to_rotation, rotation_distance, wrap_angle
+from .so3 import EulerZyx, euler_to_rotation, rotation_angle, wrap_angle
 
 # Orientation-to-solution matching tolerance (rotation distance, radians).
 MATCH_TOL = 1e-6
+
+# Column signs of the half-turns H_k: direct solution k is R_1 H_k.
+_HALF_TURNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
 @dataclass(frozen=True)
@@ -155,17 +168,34 @@ def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
     )
 
 
+def nearest_solution(dk: DkResult, r: np.ndarray) -> tuple[int, float]:
+    """Index (1..4) of the finite direct solution of `dk` nearest to r, and
+    its rotation distance.
+
+    With M = r^T R_1, r^T R_k = M H_k; the distance falls as trace(M H_k)
+    grows, so the nearest solution has the largest (ties go to the lowest
+    index) and its distance is the angle of M H_k.  NaN in r gives a NaN
+    distance.
+    """
+    m = (r.T @ euler_to_rotation(dk.solutions[0])).tolist()
+    m00, m11, m22 = m[0][0], m[1][1], m[2][2]
+    traces = [h0 * m00 + h1 * m11 + h2 * m22 for h0, h1, h2 in _HALF_TURNS]
+    k = max(range(4), key=traces.__getitem__)
+    h = _HALF_TURNS[k]
+    return k + 1, rotation_angle([[x * s for x, s in zip(row, h)] for row in m])
+
+
 def assembly_mode_id(
     j: JointTriplet, r: np.ndarray, tol: float = MATCH_TOL
 ) -> int:
-    """Index (1..4) of the canonical direct solution matching r."""
-    dk = _finite_dk(j)
-    for idx, sol in enumerate(dk.solutions, 1):
-        if rotation_distance(r, euler_to_rotation(sol)) < tol:
-            return idx
-    raise NoMatchingSolution(
-        "orientation matches no nontrivial direct solution of these joints"
-    )
+    """Index (1..4) of the canonical direct solution within `tol` of r
+    (NaN fails)."""
+    idx, dist = nearest_solution(_finite_dk(j), r)
+    if not dist <= tol:
+        raise NoMatchingSolution(
+            "orientation matches no nontrivial direct solution of these joints"
+        )
+    return idx
 
 
 def _segment_crossing(a: JointTriplet, b: JointTriplet, singular_tol: float) -> str | None:
@@ -232,16 +262,15 @@ def track_path(
         raise StartNotASolution(
             f"first waypoint has branch {dk0.branch!r}, not finite solutions"
         )
-    mats = [euler_to_rotation(s) for s in dk0.solutions]
-    dists = [rotation_distance(start, m) for m in mats]
-    best = min(range(4), key=dists.__getitem__)
-    if not dists[best] <= MATCH_TOL:  # NaN fails too
+    mode, dist = nearest_solution(dk0, start)
+    if not dist <= MATCH_TOL:  # NaN fails too
         raise StartNotASolution(
-            f"start orientation is {dists[best]:.3e} rad from the nearest "
+            f"start orientation is {dist:.3e} rad from the nearest "
             f"direct solution (tol {MATCH_TOL:g})"
         )
-    orientations = [mats[best]]
+    best = mode - 1
     eulers = [dk0.solutions[best]]
+    orientations = [euler_to_rotation(eulers[0])]
 
     for seg in range(len(waypoints) - 1):
         b = waypoints[seg + 1]

@@ -22,22 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .dk import (
-    PAIR_FAMILIES,
-    classify_joint_degeneracy,
-    nearest_trivial,
-    self_motion_family,
-)
+from .dk import PAIR_FAMILIES, nearest_trivial, self_motion_family
 from .exceptions import DenominatorDegenerate, NotAssembled
 from .mechanism import (
     SIGN_TABLE,
     STRUCTURE_TOL,
     JointTriplet,
-    b_diagonal,
-    constraint_residuals,
+    condition_pairs,
     det_factor,
     jacobian_rows,
     joint_trig,
+    leg_b,
+    leg_residuals,
+    leg_table,
     singular_legs,
 )
 from .so3 import rotation_distance, wrap_angle
@@ -70,17 +67,21 @@ def jacobians(j: JointTriplet, r: np.ndarray) -> JacobianPair:
     Because u_i is the i-th base frame axis, B_ii is the i-th component
     of row i of A.
     """
+    trig = joint_trig(*j.as_tuple())
     return JacobianPair(
-        a=np.array(jacobian_rows(j, r)), b_diag=np.array(b_diagonal(j, r))
+        a=np.array(jacobian_rows(trig, r)),
+        b_diag=np.array(leg_b(trig, leg_table(r))),
     )
 
 
-def det3(m: np.ndarray) -> float:
-    """Determinant of a 3x3 matrix, expanded directly."""
+def det3(m) -> float:
+    """Determinant of a 3x3 matrix (an array or three float rows),
+    expanded directly."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
     return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
     )
 
 
@@ -165,20 +166,21 @@ def classify_configuration(
     Raises NotAssembled when some constraint residual exceeds the
     residual tolerance.
     """
-    residuals = constraint_residuals(j, r)
-    worst = float(np.max(np.abs(residuals)))
-    if not worst <= cfg.residual_tol:  # NaN residuals fail too
+    trig = joint_trig(*j.as_tuple())
+    residuals = leg_residuals(trig, leg_table(r))
+    if not all(abs(x) <= cfg.residual_tol for x in residuals):  # NaN fails too
+        worst = float(np.max(np.abs(residuals)))
         raise NotAssembled(
             f"constraint residuals reach {worst:.3e} (> {cfg.residual_tol:g})"
         )
-    pair = classify_joint_degeneracy(j).pair
-    if pair is not None:
-        fid, dist = _best_family(r, PAIR_FAMILIES[pair])
+    pairs = condition_pairs(*trig)
+    if True in pairs:
+        fid, dist = _best_family(r, PAIR_FAMILIES[pairs.index(True) + 1])
         if dist < cfg.singular_tol:
             return SingularityClass(kind="self_motion", family_id=fid)
     trivial_id, trivial_dist = nearest_trivial(r)
     if trivial_dist >= cfg.singular_tol:
-        det = det3(jacobians(j, r).a)
+        det = det3(jacobian_rows(trig, r))
         if abs(det) > cfg.singular_tol and not any(singular_legs(r)):
             return SingularityClass(kind="regular")
         # Tolerance-band fallback: attribute to the nearest singular structure.
@@ -186,6 +188,6 @@ def classify_configuration(
         if fdist <= trivial_dist:
             return SingularityClass(kind="self_motion", family_id=fid)
     # A trivial orientation is nearest: the det factor tells lockup from infinitesimal.
-    q2 = det_factor(*joint_trig(*j.as_tuple()))
+    q2 = det_factor(*trig)
     kind = "lockup" if abs(q2) > STRUCTURE_TOL else "infinitesimal_at_trivial"
     return SingularityClass(kind=kind, trivial_id=trivial_id)

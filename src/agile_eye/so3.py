@@ -30,6 +30,8 @@ ORTHONORMAL_TOL = 1e-10
 def wrap_angle(x: float) -> float:
     """Wrap an angle to (-pi, pi], keeping the +pi endpoint.  NaN stays
     NaN; an infinite angle raises ValueError."""
+    if -math.pi < x <= math.pi:  # math.remainder returns these unchanged
+        return x
     try:
         y = math.remainder(x, TWO_PI)
     except ValueError:  # math domain error, from an infinite x
@@ -156,17 +158,23 @@ def canonicalize_euler(e: EulerZyx) -> EulerZyx:
     return EulerZyx(e.phi + math.pi, theta, e.psi + math.pi)
 
 
-def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Geodesic angle between two rotations, in [0, pi].
+def rotation_angle(m) -> float:
+    """Angle of a rotation given by its rows (float triples), in [0, pi].
 
-    With M = a^T b rotating by the angle, |vee(M - M^T)| = 2 sin(angle)
-    and trace(M) - 1 = 2 cos(angle); their atan2 keeps full precision
-    over the whole range.  NaN entries give NaN.
+    |vee(M - M^T)| = 2 sin(angle) and trace(M) - 1 = 2 cos(angle); their
+    atan2 keeps full precision over the whole range.  NaN entries give
+    NaN.
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (a.T @ b).tolist()
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
     return math.atan2(
         math.hypot(m21 - m12, m02 - m20, m10 - m01), m00 + m11 + m22 - 1.0
     )
+
+
+def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Geodesic angle between two rotations, in [0, pi]: the angle of
+    a^T b."""
+    return rotation_angle((a.T @ b).tolist())
 
 
 def axis_angle_rotation(axis, angle: float) -> np.ndarray:

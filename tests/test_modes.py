@@ -164,6 +164,75 @@ def test_assembly_mode_ids():
         assembly_mode_id(JointTriplet(0, 0, 0), trivial_orientations()[0])
 
 
+# Half-turns about the platform axes: direct solution k is R_1 H_k.
+HALF_TURNS = [np.diag(h) for h in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+
+
+def _near_surface_joints(t1, t2, q2):
+    # joints with det factor q2, or None where the (t1, t2) slice is flat
+    a, b = math.sin(t1) * math.sin(t2), math.cos(t1) * math.cos(t2)
+    m = math.hypot(a, b)
+    if m < 0.1:
+        return None
+    return JointTriplet(t1, t2, math.atan2(a, b) + math.acos(q2 / m))
+
+
+def _assert_half_turn_order(j):
+    dk = solve_dk(j)
+    assume(dk.is_finite)
+    r1 = euler_to_rotation(dk.solutions[0])
+    for sol, h in zip(dk.solutions, HALF_TURNS):
+        assert np.max(np.abs(euler_to_rotation(sol) - r1 @ h)) <= 2e-15
+
+
+angles = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(angles, angles, angles)
+def test_direct_solutions_are_half_turns_of_the_first(t1, t2, t3):
+    _assert_half_turn_order(JointTriplet(t1, t2, t3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    angles,
+    angles,
+    st.floats(min_value=math.log10(2e-9), max_value=-6.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_half_turn_order_near_determinant_surface(t1, t2, log_q2, sign):
+    j = _near_surface_joints(t1, t2, sign * 10.0**log_q2)
+    assume(j is not None)
+    _assert_half_turn_order(j)
+
+
+def _assembly_mode_id_by_search(j, r, tol=MATCH_TOL):
+    # the four-matrix search the half-turn matcher replaced
+    for idx, sol in enumerate(solve_dk(j).solutions, 1):
+        if rotation_distance(r, euler_to_rotation(sol)) < tol:
+            return idx
+    return None
+
+
+def test_assembly_mode_id_matches_search(rng):
+    # direct solutions rotated by up to 2 MATCH_TOL (so about half match),
+    # exact solutions, and unrelated orientations
+    for case in range(20_000):
+        j = generic_joints(rng)
+        if case % 4 == 3:
+            r = euler_to_rotation(rng.uniform(-math.pi, math.pi, 3))
+        else:
+            sol = solve_dk(j).solutions[rng.integers(4)]
+            angle = 0.0 if case % 4 == 2 else rng.uniform(0.0, 2.0 * MATCH_TOL)
+            r = euler_to_rotation(sol) @ axis_angle_rotation(rng.normal(size=3), angle)
+        try:
+            got = assembly_mode_id(j, r)
+        except NoMatchingSolution:
+            got = None
+        assert got == _assembly_mode_id_by_search(j, r)
+
+
 def test_assembly_mode_id_near_determinant_surface(rng):
     # Direct solutions rotated by MATCH_TOL / 2 at 3e-9 <= |q2| <= 1e-6:
     # there |B_ii| is below the perturbation, so the numeric signature of

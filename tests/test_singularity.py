@@ -22,7 +22,16 @@ from agile_eye import (
     solve_ik,
     trivial_orientations,
 )
-from agile_eye.mechanism import b_diagonal
+from agile_eye.config import DEFAULT_CONFIG
+from agile_eye.dk import PAIR_FAMILIES, nearest_trivial
+from agile_eye.mechanism import (
+    STRUCTURE_TOL,
+    b_diagonal,
+    constraint_residuals,
+    jacobian_rows,
+    joint_trig,
+    singular_legs,
+)
 from agile_eye.singularity import det3
 from conftest import circ_diff, random_joints, random_orientation
 from test_dk import generic_joints, trivial_only_joints
@@ -366,3 +375,136 @@ def test_type2_implies_type1(rng):
         except DenominatorDegenerate:
             continue
         assert np.max(np.abs(b)) < 1e-6
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
+def test_det3_of_float_rows_is_det3_of_array(rng):
+    configs = [(random_joints(rng), random_orientation(rng)) for _ in range(2000)]
+    for _ in range(500):
+        r = random_orientation(rng)
+        configs += [(j, r) for j in solve_ik(r).enumerated]
+    configs += [(random_joints(rng), t) for t in trivial_orientations()]
+    for j, r in configs:
+        rows = jacobian_rows(joint_trig(*j.as_tuple()), r)
+        assert _same_bits(det3(rows), det3(jacobians(j, r).a))
+
+
+def _classify_before(j, r, cfg=DEFAULT_CONFIG):
+    # classify_configuration as it was before the single-trig float path,
+    # returning (kind, family_id, trivial_id)
+    def best_family(family_ids):
+        best_fid, best_d = 0, math.inf
+        for fid in family_ids:
+            _, d = family_distance(r, fid)
+            if d < best_d:
+                best_fid, best_d = fid, d
+        return best_fid, best_d
+
+    worst = float(np.max(np.abs(constraint_residuals(j, r))))
+    if not worst <= cfg.residual_tol:
+        raise NotAssembled(
+            f"constraint residuals reach {worst:.3e} (> {cfg.residual_tol:g})"
+        )
+    pair = classify_joint_degeneracy(j).pair
+    if pair is not None:
+        fid, dist = best_family(PAIR_FAMILIES[pair])
+        if dist < cfg.singular_tol:
+            return "self_motion", fid, None
+    trivial_id, trivial_dist = nearest_trivial(r)
+    if trivial_dist >= cfg.singular_tol:
+        det = det3(jacobians(j, r).a)
+        if abs(det) > cfg.singular_tol and not any(singular_legs(r)):
+            return "regular", None, None
+        fid, fdist = best_family(range(1, 7))
+        if fdist <= trivial_dist:
+            return "self_motion", fid, None
+    q2 = det_a_closed_form(j)
+    kind = "lockup" if abs(q2) > STRUCTURE_TOL else "infinitesimal_at_trivial"
+    return kind, None, trivial_id
+
+
+def _classified(j, r):
+    out = classify_configuration(j, r)
+    return out.kind, out.family_id, out.trivial_id
+
+
+def _singular_corpus(rng, per_kind):
+    # exact self-motions, 1e-8 bands, lockups and infinitesimal motions
+    # at trivial orientations, built as in bench/DESIGN.md, and
+    # condition-pair joints at trivial orientations
+    exact, band = [], []
+    while len(exact) < per_kind:
+        fid = int(rng.integers(1, 7))
+        r = self_motion_family(fid, rng.uniform(-math.pi, math.pi))
+        others = [family_distance(r, g)[1] for g in range(1, 7) if g != fid]
+        if min(others) < 0.1 or nearest_trivial(r)[1] < 0.1:
+            continue
+        sols = solve_ik(r, fill_arbitrary=True).enumerated
+        j = sols[rng.integers(len(sols))]
+        pair = (fid + 1) // 2
+        if classify_joint_degeneracy(j).pair != pair:
+            continue
+        exact.append((j, r))
+        moved = list(j.as_tuple())
+        k = {1: (1, 2), 2: (2, 0), 3: (0, 1)}[pair][rng.integers(2)]
+        moved[k] += rng.choice([-1.0, 1.0]) * 1e-8 * rng.uniform(0.5, 2.0)
+        band.append((JointTriplet(*moved), r))
+    trivial = trivial_orientations()
+    lockup, infinitesimal = [], []
+    while len(lockup) < per_kind:
+        j = generic_joints(rng)
+        if abs(det_a_closed_form(j)) >= 0.05:
+            lockup.append((j, trivial[rng.integers(4)]))
+    while len(infinitesimal) < per_kind:
+        j = trivial_only_joints(*rng.uniform(-math.pi, math.pi, 2))
+        trig = joint_trig(*j.as_tuple())
+        if min(abs(x) for x in trig) >= 0.05:
+            infinitesimal.append((j, trivial[rng.integers(4)]))
+    # condition-pair joints at trivial orientations, which lie on the curves
+    pair_at_trivial = []
+    for _ in range(per_kind):
+        free = rng.uniform(-math.pi, math.pi)
+        zero_sin = rng.choice([0.0, math.pi])
+        zero_cos = rng.choice([-0.5, 0.5]) * math.pi
+        j = [
+            (free, zero_sin, zero_cos),
+            (zero_cos, free, zero_sin),
+            (zero_sin, zero_cos, free),
+        ][rng.integers(3)]
+        pair_at_trivial.append((JointTriplet(*j), trivial[rng.integers(4)]))
+    return exact + band + lockup + infinitesimal + pair_at_trivial
+
+
+def test_classify_matches_previous_body(rng):
+    configs = []
+    for _ in range(2500):
+        r = random_orientation(rng)
+        configs += [(j, r) for j in solve_ik(r).enumerated]
+    assert len(configs) == 20_000
+    configs += _singular_corpus(rng, 250)
+    kinds = set()
+    for j, r in configs:
+        expected = _classify_before(j, r)
+        assert _classified(j, r) == expected
+        kinds.add(expected[0])
+    assert kinds == {"regular", "self_motion", "lockup", "infinitesimal_at_trivial"}
+
+
+@pytest.mark.parametrize("leg", [0, 1, 2])
+def test_classify_nan_joint_not_assembled(leg):
+    joints = [0.0, 0.0, 0.0]
+    joints[leg] = math.nan
+    for r in (np.eye(3),) + trivial_orientations():
+        with pytest.raises(NotAssembled, match="reach nan"):
+            classify_configuration(JointTriplet(*joints), r)
+
+
+@pytest.mark.parametrize("entry", [(2, 1), (1, 1), (0, 2), (2, 2), (1, 0), (0, 0)])
+def test_classify_nan_leg_table_entry_not_assembled(entry):
+    r = np.eye(3)
+    r[entry] = math.nan
+    with pytest.raises(NotAssembled, match="reach nan"):
+        classify_configuration(JointTriplet(0.0, 0.0, 0.0), r)

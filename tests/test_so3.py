@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agile_eye import (
     EulerZyx,
@@ -48,6 +50,41 @@ def test_wrap_angle_infinite_names_value(x):
 
 def test_wrap_angle_nan_is_nan():
     assert math.isnan(wrap_angle(math.nan))
+
+
+def _wrap_by_remainder(x: float) -> float:
+    # the general form; wrap_angle returns angles in (-pi, pi] unchanged
+    y = math.remainder(x, 2.0 * math.pi)
+    return math.pi if y == -math.pi else y
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        math.pi,
+        -math.pi,
+        math.nextafter(math.pi, 0.0),
+        math.nextafter(-math.pi, 0.0),
+        math.nextafter(math.pi, math.inf),
+        math.nextafter(-math.pi, -math.inf),
+        0.0,
+        -0.0,
+        2.0 * math.pi,
+        -2.0 * math.pi,
+        math.nan,
+    ],
+)
+def test_wrap_angle_fast_path_is_remainder_form(x):
+    assert _same_bits(wrap_angle(x), _wrap_by_remainder(x))
+
+
+@given(st.floats(allow_infinity=False))
+def test_wrap_angle_matches_remainder_form(x):
+    assert _same_bits(wrap_angle(x), _wrap_by_remainder(x))
 
 
 def test_euler_identity():
