@@ -19,7 +19,9 @@ The joint-space factors q1, q2 and the three condition pairs use only
 arithmetic, abs, < and & on the sines and cosines of `joint_trig`, so the
 same functions take Python floats and broadcasting numpy arrays.  The
 helpers that take `trig` let a caller compute the joint trig once per
-call; `constraint_residuals` and `b_diagonal` wrap them for (j, r).
+call, and `leg_table` and `jacobian_rows` take the orientation as an
+array or as its rows (`r.tolist()`), so a caller converts it once;
+`constraint_residuals` and `b_diagonal` wrap them for (j, r).
 """
 
 from __future__ import annotations
@@ -116,8 +118,13 @@ def _w(trig):
     return (0.0, -s1, c1), (c2, 0.0, -s2), (-s3, c3, 0.0)
 
 
-def _v(r: np.ndarray):
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+def _rows(r):
+    # a 3x3 array, or its rows as float triples
+    return r.tolist() if isinstance(r, np.ndarray) else r
+
+
+def _v(r):
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _rows(r)
     return (-r01, -r11, -r21), (-r02, -r12, -r22), (-r00, -r10, -r20)
 
 
@@ -131,18 +138,20 @@ def intermediate_axes(j: JointTriplet) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return tuple(np.array(w) for w in _w(joint_trig(*j.as_tuple())))
 
 
-def jacobian_rows(trig, r: np.ndarray):
+def jacobian_rows(trig, r):
     """Rows w_i x v_i of the Jacobian A, as float triples, from the
-    joint trig (`joint_trig`) and the orientation."""
+    joint trig (`joint_trig`) and the orientation (an array or its
+    rows)."""
     return [
         (wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx)
         for (wx, wy, wz), (vx, vy, vz) in zip(_w(trig), _v(r))
     ]
 
 
-def leg_table(r: np.ndarray):
-    """(num_i, den_i) of legs 1..3: (r21, r11), (r02, r22), (r10, r00)."""
-    (r00, _, r02), (r10, r11, _), (_, r21, r22) = r.tolist()
+def leg_table(r):
+    """(num_i, den_i) of legs 1..3: (r21, r11), (r02, r22), (r10, r00),
+    from the orientation (an array or its rows)."""
+    (r00, _, r02), (r10, r11, _), (_, r21, r22) = _rows(r)
     return (r21, r11), (r02, r22), (r10, r00)
 
 

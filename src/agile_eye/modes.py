@@ -6,6 +6,17 @@ leg's angle by pi flips the corresponding B_ii.  Direct solution k of
 generic joints has signature sign(q2) * P_k (P the mechanism's SIGN_TABLE,
 q2 the joint-space determinant factor), so only the four signatures of
 sign product sign(q2) are reachable, each naming its solution by lookup.
+At an inverse solution sign(q2) is the sign product pi(sigma) of the
+working mode sigma (the `singularity` module docstring proves it), so
+each working mode has a constant assembly mode, SIGN_TABLE.index(pi(sigma)
+sigma) + 1: +++ and --- are in mode 1, --+ and ++- in 2, +-- and -++ in
+3, -+- and +-+ in 4.  `assembly_mode_id` reads the mode from that table,
+with no direct-kinematics solve, wherever a Newton-Kantorovich
+certificate proves it equal to the nearest-solution match within tol
+(`_certified_mode`): an assembled orientation lies within the certified
+radius of r, and every |B_ii| exceeds the radius, so that orientation is
+the direct solution with the numeric signs of diag(B).  Every other
+input is matched against all four direct solutions.
 
 The four direct solutions are half-turns of the first about the platform
 axes: R_k = R_1 H_k with H_k = I, diag(1, -1, -1), diag(-1, 1, -1) and
@@ -29,6 +40,7 @@ solution with the start's index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +59,13 @@ from .mechanism import (
     STRUCTURE_TOL,
     JointTriplet,
     b_diagonal,
+    condition_pairs,
     det_factor,
+    jacobian_rows,
     joint_trig,
+    leg_b,
+    leg_residuals,
+    leg_table,
 )
 from .so3 import EulerZyx, euler_to_rotation, rotation_angle, wrap_angle
 
@@ -57,6 +74,11 @@ MATCH_TOL = 1e-6
 
 # Column signs of the half-turns H_k: direct solution k is R_1 H_k.
 _HALF_TURNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+# Rounding allowance of `_certified_mode`: a bound on the rounding error of
+# each entry it computes, and on the residuals of solve_dk's solutions.
+_ROUNDING = 1e-14
+_SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -185,11 +207,117 @@ def nearest_solution(dk: DkResult, r: np.ndarray) -> tuple[int, float]:
     return k + 1, rotation_angle([[x * s for x, s in zip(row, h)] for row in m])
 
 
+def _certified_mode(j: JointTriplet, r: np.ndarray) -> tuple[int, float] | None:
+    """(k, rad): nearest_solution(solve_dk(j), r) gives index k at a
+    distance of at most rad, and k is SIGN_TABLE.index(sign(q2) sigma) + 1
+    for the signs sigma of the numeric diag(B); None wherever that is not
+    proven.
+
+    Let e = _ROUNDING, rho the numeric residuals, A the numeric Jacobian
+    (rows w_i x v_i), b its diagonal of B, and delta = ||r r^T - I||_F + e.
+    Write r = R0 (I + S), R0 orthogonal and S symmetric (polar form).  The
+    singular values s of r have |s - 1| <= |s^2 - 1|, so ||S||_2 <= delta
+    and each v_i = r v'_i is within delta of R0 v'_i.
+
+    1. Lipschitz constant.  F(omega) = residuals(exp(omega^) R0) has
+       entries w_i . exp(omega^) R0 v'_i with unit vectors on both sides.
+       By Duhamel's formula the second derivative of exp(omega^ + s a^)
+       in s is twice an integral, over a simplex of area 1/2, of products
+       of rotations with two factors a^, so it is at most |a|^2 in norm:
+       each gradient of F_i is 1-Lipschitz and F' is L-Lipschitz with
+       L = sqrt(3), on all of R^3.
+    2. Newton-Kantorovich.  F'(0) = -A(R0), whose rows are within delta
+       of A's (rounding included), so ||A(R0) - A||_F <= sqrt(3) delta.
+       With ||A^-1||_F = ||adj A||_F / |det A| and N = ||adj A||_F + e,
+       the Neumann series gives ||A(R0)^-1|| <= beta = N / (|det A| - e
+       - sqrt(3) N delta) when that denominator is positive.  F(0) is
+       within delta of rho in each entry, so ||F'(0)^-1 F(0)|| <= eta =
+       beta (||rho|| + sqrt(3) delta).  If h = beta L eta <= 1/2, F has a
+       zero omega* with |omega*| <= t* = 2 eta / (1 + sqrt(1 - 2 h)) <=
+       2 eta: R* = exp(omega*^) R0 is orthogonal, satisfies every
+       constraint and lies t* or less from R0.
+    3. The zero is direct solution k.  B_ii = v_i . (u_i x w_i) moves by
+       at most the move of v_i, so |B_ii(R*) - b_i| <= delta + t* < rad
+       (below); with |b_i| > rad, R* has the signs sigma and is not
+       trivial (diag(B) = 0 there).  A proper nontrivial zero has
+       signature sign(q2) P_k, of sign product +1; if R0 is improper, -R*
+       is one, with signature -sigma, so sign(q2) sigma is outside the
+       table and None is returned.  Otherwise R* is direct solution k.
+    4. nearest_solution finds it.  The other solutions are half-turns
+       of R*, at pi - t* or more, so with rad < 1/4 (which makes
+       delta < 1/12) trace(r^T R_k) is the largest.  The (|skew|, trace
+       - 1) point of r^T R_k is that of R0^T R_k, on the circle of radius
+       2 at the angle d, moved by at most delta sqrt(4 d^2 + 9) (S is
+       symmetric; |tr(S Q)| <= 3 ||S||_2), which turns it by less than
+       3 delta.  So the distance it reports is at most rad = t* +
+       3 delta + e (1 + 2 beta).
+
+    The last term is the float slack: solve_dk's solutions have residuals
+    below e, so by step 2 applied there each is within 2 beta e of the
+    exact one; that covers the distance's rounding and keeps solve_dk's
+    own diag(B), of magnitude |B_ii(R*)| > 2 delta + e (1 + 2 beta), on
+    the signs that give its canonical order.  Every comparison fails on
+    NaN, so a NaN or infinite entry in r gives None; so do joints that are
+    not generic (or NaN), which solve_dk rejects.
+    """
+    trig = joint_trig(*j.as_tuple())
+    q2 = det_factor(*trig)
+    if not abs(q2) > STRUCTURE_TOL or True in condition_pairs(*trig):
+        return None
+    rows = r.tolist()
+    table = leg_table(rows)
+    rho = leg_residuals(trig, table)
+    b1, b2, b3 = leg_b(trig, table)
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = jacobian_rows(trig, rows)
+    # the columns of adj A are the cross products of the rows
+    u1, u2, u3 = y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3
+    v1, v2, v3 = y3 * z1 - z3 * y1, z3 * x1 - x3 * z1, x3 * y1 - y3 * x1
+    w1, w2, w3 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+    det = x1 * u1 + y1 * u2 + z1 * u3
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    g01 = r00 * r10 + r01 * r11 + r02 * r12
+    g02 = r00 * r20 + r01 * r21 + r02 * r22
+    g12 = r10 * r20 + r11 * r21 + r12 * r22
+    delta = _ROUNDING + math.hypot(
+        r00 * r00 + r01 * r01 + r02 * r02 - 1.0,
+        r10 * r10 + r11 * r11 + r12 * r12 - 1.0,
+        r20 * r20 + r21 * r21 + r22 * r22 - 1.0,
+        g01, g01, g02, g02, g12, g12,
+    )
+    n = _ROUNDING + math.hypot(u1, u2, u3, v1, v2, v3, w1, w2, w3)
+    den = abs(det) - _ROUNDING - _SQRT3 * n * delta
+    if not den > 0.0:
+        return None
+    beta = n / den
+    eta = beta * (math.hypot(*rho) + _SQRT3 * delta)
+    h = _SQRT3 * beta * eta
+    if not h <= 0.5:
+        return None
+    rad = (
+        2.0 * eta / (1.0 + math.sqrt(1.0 - 2.0 * h))
+        + 3.0 * delta
+        + _ROUNDING * (1.0 + 2.0 * beta)
+    )
+    if not (rad < 0.25 and abs(b1) > rad and abs(b2) > rad and abs(b3) > rad):
+        return None
+    s = 1 if q2 > 0.0 else -1
+    rel = (s if b1 > 0.0 else -s, s if b2 > 0.0 else -s, s if b3 > 0.0 else -s)
+    return (SIGN_TABLE.index(rel) + 1, rad) if rel in SIGN_TABLE else None
+
+
 def assembly_mode_id(
     j: JointTriplet, r: np.ndarray, tol: float = MATCH_TOL
 ) -> int:
     """Index (1..4) of the canonical direct solution within `tol` of r
-    (NaN fails)."""
+    (NaN fails).
+
+    Where `_certified_mode` proves the answer within tol it is read from
+    the sign table, with no direct-kinematics solve; every other input is
+    matched against solve_dk's four solutions (`nearest_solution`).
+    """
+    certified = _certified_mode(j, r)
+    if certified is not None and certified[1] <= tol:  # NaN fails too
+        return certified[0]
     idx, dist = nearest_solution(_finite_dk(j), r)
     if not dist <= tol:
         raise NoMatchingSolution(

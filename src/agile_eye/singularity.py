@@ -12,6 +12,31 @@ and on the trivial orientations to its negative.  The three singular
 families: self-motions (six one-parameter orientation curves), lockups
 (trivial orientation, det factor nonzero), and infinitesimal motions at a
 trivial orientation (det factor zero without a condition pair).
+
+The sign of det(A) at an inverse solution.  Let D(R) = r00 r11 r22 +
+r02 r10 r21.  At an inverse-kinematic solution leg i has theta_i =
+atan2(num_i, den_i) or that plus pi, so (sin, cos)(theta_i) =
+sigma_i (num_i, den_i) / h_i with h_i = hypot(num_i, den_i), and
+B_ii = sigma_i h_i: sigma is the working-mode signature.  The leg table
+pairs (r21, r11), (r02, r22) and (r10, r00), so
+
+    q2 = s1 s2 s3 + c1 c2 c3 = pi(sigma) D / (h1 h2 h3),
+
+pi(sigma) = sigma_1 sigma_2 sigma_3.  In ZYX Euler angles (phi, theta,
+psi) both D and
+
+    cos^2 theta [(cos phi cos psi + sin theta sin phi sin psi)^2
+                 + cos^2 theta sin^2 phi sin^2 psi]
+
+expand to cos^2 theta (cos^2 phi cos^2 psi + 2 sin theta sin phi cos phi
+sin psi cos psi + sin^2 phi sin^2 psi), so D >= 0.  Wherever D > 0,
+sign(q2) = pi(sigma); as direct solution k has signature sign(q2) P_k,
+working mode sigma is in assembly mode k = SIGN_TABLE.index(pi(sigma)
+sigma) + 1.  D = 0 exactly when cos theta = 0 (curves 3a and 3b, which hold the
+trivial orientations) or sin phi sin psi = cos phi cos psi = 0 (curves
+1a, 1b, 2a and 2b): every self-motion curve has a zero in both products
+of D (r00 = r02 = 0 on 1a and 1b, r02 = r22 = 0 on 2a and 2b, r00 = r21 =
+0 on 3a and 3b), and D is zero nowhere else.
 """
 
 from __future__ import annotations
@@ -164,7 +189,7 @@ def classify_configuration(
     families or Regular.
 
     Raises NotAssembled when some constraint residual exceeds the
-    residual tolerance.
+    residual tolerance, or when an entry of r is not finite.
     """
     trig = joint_trig(*j.as_tuple())
     residuals = leg_residuals(trig, leg_table(r))
@@ -179,6 +204,10 @@ def classify_configuration(
         if dist < cfg.singular_tol:
             return SingularityClass(kind="self_motion", family_id=fid)
     trivial_id, trivial_dist = nearest_trivial(r)
+    if math.isnan(trivial_dist):
+        # r01, r12 or r20 is not finite: outside the leg table, so the
+        # residual gate let it through
+        raise NotAssembled(f"distance to the nearest trivial orientation is {trivial_dist}")
     if trivial_dist >= cfg.singular_tol:
         det = det3(jacobian_rows(trig, r))
         if abs(det) > cfg.singular_tol and not any(singular_legs(r)):

@@ -22,14 +22,18 @@ from agile_eye import (
     euler_to_rotation,
     rotation_distance,
     solve_dk,
+    solve_ik,
     track_path,
     trivial_orientations,
     working_mode_signature,
     wrap_angle,
 )
-from agile_eye.mechanism import SIGN_TABLE, b_diagonal
+from agile_eye import modes
+from agile_eye.mechanism import SIGN_TABLE, b_diagonal, constraint_residuals
 from agile_eye.modes import MATCH_TOL
-from conftest import circ_diff, random_joints
+from agile_eye.singularity import jacobians
+from agile_eye.so3 import ORTHONORMAL_TOL
+from conftest import circ_diff, random_joints, random_orientation
 from test_dk import FIG_SOLUTIONS, generic_joints
 
 FIG_JOINTS = JointTriplet(-0.3, -0.7, 0.1)
@@ -255,6 +259,188 @@ def test_assembly_mode_id_near_determinant_surface(rng):
             wrong += rel != SIGN_TABLE[k - 1]
             cases += 1
     assert wrong > cases // 4
+
+
+def _mode_or_none(j, r, tol=MATCH_TOL):
+    try:
+        return assembly_mode_id(j, r, tol)
+    except NoMatchingSolution:
+        return None
+
+
+def _assert_matches_search(j, r, tol=MATCH_TOL):
+    # assembly_mode_id accepts a distance equal to tol and the search does
+    # not; its distance formula rounds differently, so a case within 1e-15
+    # of tol is left out
+    dist = min(rotation_distance(r, euler_to_rotation(s)) for s in solve_dk(j).solutions)
+    assume(not abs(dist - tol) <= 1e-15)
+    assert _mode_or_none(j, r, tol) == _assembly_mode_id_by_search(j, r, tol)
+
+
+def _finite_solutions(t1, t2, t3):
+    j = JointTriplet(t1, t2, t3)
+    dk = solve_dk(j)
+    assume(dk.is_finite)
+    return j, dk.solutions
+
+
+axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+modes_0_3 = st.integers(0, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(angles, angles, angles, modes_0_3)
+def test_assembly_mode_id_exact_solutions_match_search(t1, t2, t3, k):
+    j, sols = _finite_solutions(t1, t2, t3)
+    r = euler_to_rotation(sols[k])
+    assert _mode_or_none(j, r) == _assembly_mode_id_by_search(j, r) == k + 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    angles,
+    angles,
+    angles,
+    st.floats(min_value=math.log10(2e-9), max_value=-1.0),
+    st.sampled_from([-1.0, 1.0, None]),
+)
+def test_direct_solution_residuals_within_rounding_allowance(t1, t2, t3, log_q2, sign):
+    # the certificate's float slack takes solve_dk's residuals below 1e-14,
+    # on uniform joints (sign None) and near the determinant surface
+    j = JointTriplet(t1, t2, t3) if sign is None else _near_surface_joints(t1, t2, sign * 10.0**log_q2)
+    assume(j is not None)
+    j, sols = _finite_solutions(*j.as_tuple())
+    for sol in sols:
+        assert max(abs(x) for x in constraint_residuals(j, euler_to_rotation(sol))) < 1e-14
+
+
+@settings(max_examples=400, deadline=None)
+@given(angles, angles, angles, modes_0_3, axes, st.floats(0.0, 2.0 * MATCH_TOL))
+def test_assembly_mode_id_rotated_solutions_match_search(t1, t2, t3, k, axis, angle):
+    j, sols = _finite_solutions(t1, t2, t3)
+    r = euler_to_rotation(sols[k]) @ axis_angle_rotation(axis, angle)
+    _assert_matches_search(j, r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    angles,
+    angles,
+    st.floats(min_value=math.log10(3e-9), max_value=-6.0),
+    st.sampled_from([-1.0, 1.0]),
+    modes_0_3,
+    axes,
+    st.floats(0.0, 2.0 * MATCH_TOL),
+)
+def test_assembly_mode_id_near_determinant_surface_matches_search(
+    t1, t2, log_q2, sign, k, axis, angle
+):
+    j = _near_surface_joints(t1, t2, sign * 10.0**log_q2)
+    assume(j is not None)
+    j, sols = _finite_solutions(*j.as_tuple())
+    r = euler_to_rotation(sols[k]) @ axis_angle_rotation(axis, angle)
+    _assert_matches_search(j, r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(angles, angles, angles, modes_0_3, axes, st.floats(-9.0, -3.0))
+def test_assembly_mode_id_near_trivial_orientation_matches_search(
+    t1, t2, t3, k, axis, log_angle
+):
+    # every residual vanishes at a trivial orientation too, but diag(B)
+    # does: only the |B_ii| margin tells it from a direct solution
+    j, _ = _finite_solutions(t1, t2, t3)
+    r = trivial_orientations()[k] @ axis_angle_rotation(axis, 10.0**log_angle)
+    _assert_matches_search(j, r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    angles,
+    angles,
+    angles,
+    modes_0_3,
+    axes,
+    st.floats(0.0, 2.0 * MATCH_TOL),
+    st.floats(-ORTHONORMAL_TOL, ORTHONORMAL_TOL),
+)
+def test_assembly_mode_id_scaled_off_so3_matches_search(
+    t1, t2, t3, k, axis, angle, scale
+):
+    j, sols = _finite_solutions(t1, t2, t3)
+    r = (1.0 + scale) * euler_to_rotation(sols[k]) @ axis_angle_rotation(axis, angle)
+    _assert_matches_search(j, r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    angles,
+    angles,
+    angles,
+    modes_0_3,
+    st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    st.sampled_from([0.5, 0.9, 1.1, 2.0]),
+)
+def test_assembly_mode_id_off_so3_with_zero_residuals_matches_search(
+    t1, t2, t3, k, s, factor
+):
+    # r = R_k (I + S + hat(omega)) with S symmetric, its entries at most
+    # ORTHONORMAL_TOL / 4, and omega chosen so that the residuals, which
+    # are linear in r, stay those of R_k.  The rotation nearest r is R_k
+    # turned by about |omega|, which only the orthonormality defect of r
+    # shows; tol straddles the distance to R_k.
+    j, sols = _finite_solutions(t1, t2, t3)
+    rk = euler_to_rotation(sols[k])
+    sym = 0.25 * ORTHONORMAL_TOL * np.array(
+        [[s[0], s[3], s[4]], [s[3], s[1], s[5]], [s[4], s[5], s[2]]]
+    )
+    # residuals of R_k hat(omega) are -A (R_k omega)
+    wx, wy, wz = rk.T @ np.linalg.solve(jacobians(j, rk).a, constraint_residuals(j, rk @ sym))
+    r = rk @ (np.eye(3) + sym + np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]]))
+    dist = rotation_distance(r, rk)
+    assume(dist > 1e-12)
+    tol = factor * dist
+    _assert_matches_search(j, r, tol)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [(a, b) for a in range(3) for b in range(3)])
+def test_assembly_mode_id_non_finite_orientation(entry, value):
+    r = euler_to_rotation(solve_dk(FIG_JOINTS).solutions[0])
+    r[entry] = value
+    with pytest.raises(NoMatchingSolution):
+        assembly_mode_id(FIG_JOINTS, r)
+
+
+def test_assembly_mode_id_nan_tol():
+    r = euler_to_rotation(solve_dk(FIG_JOINTS).solutions[0])
+    assert assembly_mode_id(FIG_JOINTS, r) == 1
+    with pytest.raises(NoMatchingSolution):
+        assembly_mode_id(FIG_JOINTS, r, math.nan)
+
+
+def test_assembly_mode_id_regular_poses_need_no_direct_solve(rng, monkeypatch):
+    # At IK solutions with |q2| and every |B_ii| at least 1e-3, working
+    # mode sigma is in assembly mode SIGN_TABLE.index(pi(sigma) sigma) + 1,
+    # and the certificate proves it with no direct-kinematics solve.
+    cases = []
+    while len(cases) < 2000:
+        r = random_orientation(rng)
+        for j in solve_ik(r).enumerated:
+            b = b_diagonal(j, r)
+            if abs(det_a_closed_form(j)) < 1e-3 or min(abs(x) for x in b) < 1e-3:
+                continue
+            sig = tuple(1 if x > 0 else -1 for x in b)
+            k = SIGN_TABLE.index(tuple(math.prod(sig) * x for x in sig)) + 1
+            assert _assembly_mode_id_by_search(j, r) == k
+            cases.append((j, r, k))
+
+    def no_solve(j):
+        raise AssertionError("solve_dk called")
+
+    monkeypatch.setattr(modes, "solve_dk", no_solve)
+    for j, r, k in cases:
+        assert assembly_mode_id(j, r) == k
 
 
 def test_track_constant_path():

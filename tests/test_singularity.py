@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from agile_eye.mechanism import (
     constraint_residuals,
     jacobian_rows,
     joint_trig,
+    leg_table,
     singular_legs,
 )
 from agile_eye.singularity import det3
@@ -508,3 +510,49 @@ def test_classify_nan_leg_table_entry_not_assembled(entry):
     r[entry] = math.nan
     with pytest.raises(NotAssembled, match="reach nan"):
         classify_configuration(JointTriplet(0.0, 0.0, 0.0), r)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [(0, 1), (1, 2), (2, 0)])
+def test_classify_non_finite_entry_outside_leg_table_not_assembled(entry, value):
+    # r01, r12 and r20 are read by no residual; the trivial-orientation
+    # distance they make NaN must not fall through to a lockup
+    r = np.eye(3)
+    r[entry] = value
+    with pytest.raises(NotAssembled, match="nearest trivial orientation is nan"):
+        classify_configuration(JointTriplet(0.0, 0.0, 0.0), r)
+
+
+def _orientation_factor(r):
+    # D(R) = r00 r11 r22 + r02 r10 r21
+    return r[0, 0] * r[1, 1] * r[2, 2] + r[0, 2] * r[1, 0] * r[2, 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotations())
+def test_det_factor_at_ik_solutions_is_signed_orientation_factor(r):
+    # q2 = pi(sigma) D / (h1 h2 h3) at IK solution sigma (product order)
+    ik = solve_ik(r)
+    assume(not ik.any_arbitrary)
+    h1, h2, h3 = (math.hypot(num, den) for num, den in leg_table(r))
+    d = _orientation_factor(r)
+    for j, sig in zip(ik.enumerated, itertools.product((1, -1), repeat=3)):
+        q2 = det_a_closed_form(j)
+        assert abs(q2 - math.prod(sig) * d / (h1 * h2 * h3)) <= 4e-15 / (h1 * h2 * h3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(angles, angles, angles)
+def test_orientation_factor_euler_form(phi, theta, psi):
+    cf, sf = math.cos(phi), math.sin(phi)
+    ct, st_ = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(psi), math.sin(psi)
+    form = ct * ct * ((cf * cp + st_ * sf * sp) ** 2 + ct * ct * sf * sf * sp * sp)
+    assert form >= 0.0
+    assert abs(_orientation_factor(euler_to_rotation((phi, theta, psi))) - form) <= 2e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.floats(-math.pi, math.pi))
+def test_orientation_factor_vanishes_on_self_motion_curves(fid, t):
+    assert _orientation_factor(self_motion_family(fid, t)) == 0.0
