@@ -154,7 +154,14 @@ def cascade_intermediates(j: JointTriplet, theta: float) -> CascadeIntermediates
     return CascadeIntermediates(*p, q1=q1, q2=q2)
 
 
-def _degeneracy(j: JointTriplet, trig, q2: float) -> JointDegeneracy:
+# JointDegeneracy is frozen, so the two classes without a pair are shared.
+_GENERIC = JointDegeneracy(kind="generic")
+_TRIVIAL_ONLY = JointDegeneracy(kind="trivial_only")
+
+
+def joint_degeneracy(j: JointTriplet, trig, q2: float) -> JointDegeneracy:
+    """classify_joint_degeneracy(j) from j's joint trig (`joint_trig`) and
+    determinant factor q2, for a caller that has both."""
     if math.isnan(q2):
         # every threshold below would fail towards "generic"
         raise ValueError(f"joints {j.as_tuple()} are not finite")
@@ -162,8 +169,8 @@ def _degeneracy(j: JointTriplet, trig, q2: float) -> JointDegeneracy:
     if True in pairs:
         return JointDegeneracy(kind="self_motion", pair=pairs.index(True) + 1)
     if abs(q2) <= STRUCTURE_TOL:
-        return JointDegeneracy(kind="trivial_only")
-    return JointDegeneracy(kind="generic")
+        return _TRIVIAL_ONLY
+    return _GENERIC
 
 
 def classify_joint_degeneracy(j: JointTriplet) -> JointDegeneracy:
@@ -171,7 +178,7 @@ def classify_joint_degeneracy(j: JointTriplet) -> JointDegeneracy:
 
     Raises ValueError for a NaN joint."""
     trig = joint_trig(*j.as_tuple())
-    return _degeneracy(j, trig, det_factor(*trig))
+    return joint_degeneracy(j, trig, det_factor(*trig))
 
 
 def _fold_half(a: float) -> float:
@@ -196,30 +203,14 @@ _ORDERS = {
 }
 
 
-def solve_dk(j: JointTriplet) -> DkResult:
-    """Solve the direct kinematics for one joint triplet.
+def finite_solutions(phi: float, trig, q1: float, q2: float):
+    """The four nontrivial direct solutions, as raw (phi, theta, psi)
+    floats in canonical order, of joints with third angle phi, joint trig
+    `trig` (`joint_trig`) and joint factors (q1, q2) (`joint_factors`).
 
-    Generic joints give four nontrivial Euler solutions in canonical
-    order: solution k has working-mode signature sign(q2) * P_k, with P
-    the mechanism's SIGN_TABLE.  Degenerate joints (within STRUCTURE_TOL)
-    give the self-motion or trivial-only branch instead.  The trivial
-    orientations are attached in every case.  A NaN joint raises
-    ValueError.
+    The angles are not wrapped (EulerZyx wraps them).  The joints must be
+    generic (`joint_degeneracy`); solve_dk is this plus that check.
     """
-    trig = joint_trig(*j.as_tuple())
-    q1, q2 = joint_factors(*trig)
-    deg = _degeneracy(j, trig, q2)
-    if deg.kind == "self_motion":
-        return DkResult(
-            branch="self_motion",
-            pair=deg.pair,
-            families=PAIR_FAMILIES[deg.pair],
-            constrained=_PAIR_DESCRIPTIONS[deg.pair],
-        )
-    if deg.kind == "trivial_only":
-        return DkResult(branch="trivial_only")
-
-    phi = j.theta3
     theta = _fold_half(math.atan2(-q1, q2))
     ct, st = math.cos(theta), math.sin(theta)
     p1, p2, p3, p4 = _psi_coeffs(trig, ct, st)
@@ -228,10 +219,10 @@ def solve_dk(j: JointTriplet) -> DkResult:
         p1, p2 = p3, p4
     psi = _fold_half(math.atan2(-p1, p2))
     raw = (
-        EulerZyx(phi, theta, psi),
-        EulerZyx(phi, theta, psi + math.pi),
-        EulerZyx(phi, theta + math.pi, -psi),
-        EulerZyx(phi, theta + math.pi, -psi + math.pi),
+        (phi, theta, psi),
+        (phi, theta, psi + math.pi),
+        (phi, theta + math.pi, -psi),
+        (phi, theta + math.pi, -psi + math.pi),
     )
     # Leg table (r21, r11), (r02, r22), (r10, r00) of raw[0], written as
     # euler_to_rotation writes those entries (its angles are already
@@ -250,7 +241,33 @@ def solve_dk(j: JointTriplet) -> DkResult:
     pos = q2 > 0.0
     rel = ((b1 > 0.0) == pos, (b2 > 0.0) == pos, (b3 > 0.0) == pos)
     order = _ORDERS.get(rel, (0, 1, 2, 3))
-    return DkResult(branch="finite", solutions=tuple(raw[i] for i in order))
+    return tuple(raw[i] for i in order)
+
+
+def solve_dk(j: JointTriplet) -> DkResult:
+    """Solve the direct kinematics for one joint triplet.
+
+    Generic joints give four nontrivial Euler solutions in canonical
+    order (`finite_solutions`): solution k has working-mode signature
+    sign(q2) * P_k, with P the mechanism's SIGN_TABLE.  Degenerate joints
+    (within STRUCTURE_TOL) give the self-motion or trivial-only branch
+    instead.  The trivial orientations are attached in every case.  A NaN
+    joint raises ValueError.
+    """
+    trig = joint_trig(*j.as_tuple())
+    q1, q2 = joint_factors(*trig)
+    deg = joint_degeneracy(j, trig, q2)
+    if deg.kind == "self_motion":
+        return DkResult(
+            branch="self_motion",
+            pair=deg.pair,
+            families=PAIR_FAMILIES[deg.pair],
+            constrained=_PAIR_DESCRIPTIONS[deg.pair],
+        )
+    if deg.kind == "trivial_only":
+        return DkResult(branch="trivial_only")
+    solutions = finite_solutions(j.theta3, trig, q1, q2)
+    return DkResult(branch="finite", solutions=tuple(EulerZyx(*e) for e in solutions))
 
 
 def self_motion_family(family_id, parameter: float) -> np.ndarray:

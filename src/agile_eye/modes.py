@@ -35,7 +35,10 @@ so every direct solution keeps its signature, and the canonical solution
 order ties each index 1..4 to a signature.  Tracking is therefore two
 steps per segment: certify by Lipschitz and curvature bounds that |q2|
 stays above the singular tolerance, then take the end waypoint's direct
-solution with the start's index.
+solution with the start's index.  Past the first waypoint (a full
+solve_dk) each reached waypoint costs one joint trig, one float solve
+(`dk.finite_solutions`), one Euler triple and one matrix; its q2 ends
+one segment's certificate and starts the next.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .dk import DkResult, solve_dk
+from .dk import DkResult, finite_solutions, joint_degeneracy, solve_dk
 from .exceptions import (
     DegenerateJoints,
     NoMatchingSolution,
@@ -62,6 +65,7 @@ from .mechanism import (
     condition_pairs,
     det_factor,
     jacobian_rows,
+    joint_factors,
     joint_trig,
     leg_b,
     leg_residuals,
@@ -326,8 +330,11 @@ def assembly_mode_id(
     return idx
 
 
-def _segment_crossing(a: JointTriplet, b: JointTriplet, singular_tol: float) -> str | None:
-    """Why the shortest-arc segment a -> b is not certified clear, or None.
+def _segment_crossing(
+    a: JointTriplet, b: JointTriplet, qa: float, qb: float, singular_tol: float
+) -> str | None:
+    """Why the shortest-arc segment a -> b, with determinant factors qa and
+    qb at its ends, is not certified clear, or None.
 
     Every first and second partial of q2 has magnitude <= 1, so along
     a + f * d (d the wrapped joint differences) |dq2/df| <= L and
@@ -342,7 +349,7 @@ def _segment_crossing(a: JointTriplet, b: JointTriplet, singular_tol: float) -> 
     base = a.as_tuple()
     d = [wrap_angle(y - x) for x, y in zip(base, b.as_tuple())]
     lip = sum(abs(x) for x in d)
-    stack = [(0.0, 1.0, det_factor(*joint_trig(*base)), det_factor(*joint_trig(*b.as_tuple())))]
+    stack = [(0.0, 1.0, qa, qb)]
     while stack:
         f0, f1, v0, v1 = stack.pop()
         if not (abs(v0) > singular_tol and abs(v1) > singular_tol):
@@ -372,14 +379,16 @@ def track_path(
     MATCH_TOL (else StartNotASolution); its index is the tracked mode.
     Each segment is first certified to keep |q2| > cfg.singular_tol (see
     _segment_crossing); the waypoint's orientation is then the direct
-    solution with the start's index.  Inside one sign domain of q2 every
-    B_ii is nonzero, so each solution keeps its working-mode signature and
-    the canonical order pins the index to that signature.  A
-    SingularityCrossing is reported on the first segment that is not
-    certified ("determinant sign change" or "determinant factor within
-    tolerance"), or whose end waypoint has no finite direct solutions
-    ("direct solve became ...").  Condition pairs and trivial-only joints
-    have |q2| < 2 STRUCTURE_TOL, inside the default singular_tol.
+    solution with the start's index, taken from the float core
+    `finite_solutions` (the same solutions solve_dk returns).  Inside one
+    sign domain of q2 every B_ii is nonzero, so each solution keeps its
+    working-mode signature and the canonical order pins the index to that
+    signature.  A SingularityCrossing is reported on the first segment
+    that is not certified ("determinant sign change" or "determinant
+    factor within tolerance"), or whose end waypoint has no finite direct
+    solutions ("direct solve became ...", by `joint_degeneracy`).
+    Condition pairs and trivial-only joints have |q2| < 2 STRUCTURE_TOL,
+    inside the default singular_tol.
     """
     waypoints = [p if isinstance(p, JointTriplet) else JointTriplet(*p) for p in path]
     if not waypoints:
@@ -400,16 +409,20 @@ def track_path(
     eulers = [dk0.solutions[best]]
     orientations = [euler_to_rotation(eulers[0])]
 
-    for seg in range(len(waypoints) - 1):
-        b = waypoints[seg + 1]
-        reason = _segment_crossing(waypoints[seg], b, cfg.singular_tol)
+    a = waypoints[0]
+    qa = det_factor(*joint_trig(*a.as_tuple()))
+    for seg, b in enumerate(waypoints[1:]):
+        trig = joint_trig(*b.as_tuple())
+        q1, qb = joint_factors(*trig)
+        reason = _segment_crossing(a, b, qa, qb, cfg.singular_tol)
         if reason is None:
-            dk = solve_dk(b)
-            if not dk.is_finite:
-                reason = f"direct solve became {dk.branch}"
+            kind = joint_degeneracy(b, trig, qb).kind
+            if kind != "generic":
+                reason = f"direct solve became {kind}"
         if reason is not None:
             crossing = SingularityCrossing(seg, reason)
             return TrackResult(tuple(orientations), tuple(eulers), best + 1, crossing)
-        eulers.append(dk.solutions[best])
+        eulers.append(EulerZyx(*finite_solutions(b.theta3, trig, q1, qb)[best]))
         orientations.append(euler_to_rotation(eulers[-1]))
+        a, qa = b, qb
     return TrackResult(tuple(orientations), tuple(eulers), best + 1)

@@ -162,13 +162,14 @@ def rotation_angle(m) -> float:
     """Angle of a rotation given by its rows (float triples), in [0, pi].
 
     |vee(M - M^T)| = 2 sin(angle) and trace(M) - 1 = 2 cos(angle); their
-    atan2 keeps full precision over the whole range.  NaN entries give
-    NaN.
+    atan2 keeps full precision over the whole range.  NaN or infinite
+    entries give NaN (atan2 of two infinities would give a multiple of
+    pi/4), and so do entries whose sums overflow.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
-    return math.atan2(
-        math.hypot(m21 - m12, m02 - m20, m10 - m01), m00 + m11 + m22 - 1.0
-    )
+    s = math.hypot(m21 - m12, m02 - m20, m10 - m01)
+    c = m00 + m11 + m22 - 1.0
+    return math.atan2(s, c) if math.isfinite(s + c) else math.nan
 
 
 def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -29,8 +29,14 @@ from agile_eye import (
     wrap_angle,
 )
 from agile_eye import modes
-from agile_eye.mechanism import SIGN_TABLE, b_diagonal, constraint_residuals
-from agile_eye.modes import MATCH_TOL
+from agile_eye.mechanism import (
+    SIGN_TABLE,
+    b_diagonal,
+    constraint_residuals,
+    det_factor,
+    joint_trig,
+)
+from agile_eye.modes import MATCH_TOL, SingularityCrossing, TrackResult, nearest_solution
 from agile_eye.singularity import jacobians
 from agile_eye.so3 import ORTHONORMAL_TOL
 from conftest import circ_diff, random_joints, random_orientation
@@ -406,10 +412,18 @@ def test_assembly_mode_id_off_so3_with_zero_residuals_matches_search(
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("entry", [(a, b) for a in range(3) for b in range(3)])
 def test_assembly_mode_id_non_finite_orientation(entry, value):
-    r = euler_to_rotation(solve_dk(FIG_JOINTS).solutions[0])
+    # every distance is NaN, never atan2(inf, inf) = pi/4, so even a loose
+    # tol matches nothing
+    dk = solve_dk(FIG_JOINTS)
+    r = euler_to_rotation(dk.solutions[0])
     r[entry] = value
-    with pytest.raises(NoMatchingSolution):
-        assembly_mode_id(FIG_JOINTS, r)
+    assert math.isnan(rotation_distance(r, np.eye(3)))
+    assert math.isnan(rotation_distance(np.eye(3), r))
+    assert math.isnan(rotation_distance(r, euler_to_rotation(dk.solutions[0])))
+    assert math.isnan(nearest_solution(dk, r)[1])
+    for tol in (MATCH_TOL, 1.0):
+        with pytest.raises(NoMatchingSolution):
+            assembly_mode_id(FIG_JOINTS, r, tol)
 
 
 def test_assembly_mode_id_nan_tol():
@@ -673,15 +687,20 @@ def test_track_index_matches_nearest_continuation(rng):
 
 
 def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
+    # The spy sits on the float core that solve_dk and track_path share, so
+    # it sees the direct solve of every waypoint, path[0]'s included.
+    import agile_eye.dk as dk
     import agile_eye.modes as modes
 
     solves = []
+    core = dk.finite_solutions
 
-    def counting(j):
-        solves.append(j)
-        return solve_dk(j)
+    def counting(phi, trig, q1, q2):
+        solves.append(trig)
+        return core(phi, trig, q1, q2)
 
-    monkeypatch.setattr(modes, "solve_dk", counting)
+    monkeypatch.setattr(dk, "finite_solutions", counting)
+    monkeypatch.setattr(modes, "finite_solutions", counting)
     paths = _in_domain_paths(rng, 25)
     # and a path that ends at a sign change after two clean segments
     paths.append(
@@ -698,7 +717,7 @@ def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
             solves.clear()
             result = track_path(path, start)
             # one direct solve per reached waypoint, none between them
-            assert solves == path[: len(result.eulers)]
+            assert solves == [joint_trig(*j.as_tuple()) for j in path[: len(result.eulers)]]
             for k, (r, e) in enumerate(zip(result.orientations, result.eulers)):
                 assert e == solve_dk(path[k]).solutions[mode]
                 assert np.array_equal(r, euler_to_rotation(e))
@@ -758,6 +777,144 @@ def test_track_low_singular_tol_reports_trivial_only_waypoint():
     assert result.crossing.segment == 0
     assert result.crossing.reason == "direct solve became trivial_only"
     assert len(result.orientations) == 1
+
+
+def test_track_low_singular_tol_reports_self_motion_waypoint():
+    # the end waypoint is on condition pair 1 (|sin t2|, |cos t3| = 1e-10 <
+    # STRUCTURE_TOL), where q2 = 1e-10 (sin t1 + cos t1): above singular_tol
+    # = 1e-12, so the segment is certified, but the direct solve degenerates
+    t1 = 0.3
+    b = JointTriplet(t1, 1e-10, math.pi / 2 - 1e-10)
+    assert solve_dk(b).branch == "self_motion"
+    assert det_a_closed_form(b) == pytest.approx(1e-10 * (math.sin(t1) + math.cos(t1)), rel=1e-3)
+    g = _q2_grad(*b.as_tuple())
+    a = JointTriplet(*(np.array(b.as_tuple()) + 0.2 * g / np.linalg.norm(g)))
+    assert np.all(_scan_q2(a, b)[:-1] > 1e-10)
+    start = euler_to_rotation(solve_dk(a).solutions[0])
+    result = track_path([a, b], start, ToolConfig(singular_tol=1e-12))
+    assert result.crossing.segment == 0
+    assert result.crossing.reason == "direct solve became self_motion"
+    assert len(result.orientations) == 1
+
+
+def _reference_segment_crossing(a, b, singular_tol):
+    # The tracker's segment certificate as it was when every waypoint took a
+    # full solve_dk: both endpoint values of q2 are computed here.
+    base = a.as_tuple()
+    d = [wrap_angle(y - x) for x, y in zip(base, b.as_tuple())]
+    lip = sum(abs(x) for x in d)
+    stack = [(0.0, 1.0, det_factor(*joint_trig(*base)), det_factor(*joint_trig(*b.as_tuple())))]
+    while stack:
+        f0, f1, v0, v1 = stack.pop()
+        if not (abs(v0) > singular_tol and abs(v1) > singular_tol):
+            return "determinant factor within tolerance"
+        if (v0 > 0.0) != (v1 > 0.0):
+            return "determinant sign change"
+        lh = lip * (f1 - f0)
+        lipschitz = (abs(v0) + abs(v1) - lh) / 2.0
+        curvature = min(abs(v0), abs(v1)) - lh * lh / 8.0
+        if max(lipschitz, curvature) > singular_tol:
+            continue
+        fm = 0.5 * (f0 + f1)
+        if not (lh > singular_tol and f0 < fm < f1):
+            return "determinant factor within tolerance"
+        vm = det_factor(*joint_trig(*(x + fm * dx for x, dx in zip(base, d))))
+        stack.append((fm, f1, vm, v1))
+        stack.append((f0, fm, v0, vm))
+    return None
+
+
+def _reference_track_path(path, start, cfg=ToolConfig()):
+    # The tracker as it was when every waypoint took a full solve_dk.
+    waypoints = [p if isinstance(p, JointTriplet) else JointTriplet(*p) for p in path]
+    if not waypoints:
+        raise ValueError("path must contain at least one waypoint")
+
+    dk0 = solve_dk(waypoints[0])
+    if not dk0.is_finite:
+        raise StartNotASolution(
+            f"first waypoint has branch {dk0.branch!r}, not finite solutions"
+        )
+    mode, dist = nearest_solution(dk0, start)
+    if not dist <= MATCH_TOL:  # NaN fails too
+        raise StartNotASolution(
+            f"start orientation is {dist:.3e} rad from the nearest "
+            f"direct solution (tol {MATCH_TOL:g})"
+        )
+    best = mode - 1
+    eulers = [dk0.solutions[best]]
+    orientations = [euler_to_rotation(eulers[0])]
+
+    for seg in range(len(waypoints) - 1):
+        b = waypoints[seg + 1]
+        reason = _reference_segment_crossing(waypoints[seg], b, cfg.singular_tol)
+        if reason is None:
+            dk = solve_dk(b)
+            if not dk.is_finite:
+                reason = f"direct solve became {dk.branch}"
+        if reason is not None:
+            crossing = SingularityCrossing(seg, reason)
+            return TrackResult(tuple(orientations), tuple(eulers), best + 1, crossing)
+        eulers.append(dk.solutions[best])
+        orientations.append(euler_to_rotation(eulers[-1]))
+    return TrackResult(tuple(orientations), tuple(eulers), best + 1)
+
+
+@st.composite
+def tracked_paths(draw):
+    # in-domain walks, walks that end across q2 = 0, free walks, segments
+    # that graze the surface q2 = 0 after a step away from it, and
+    # two-waypoint paths that end within 1e-9 of the surface (on a
+    # condition pair or beside a trivial-only point)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    waypoints = draw(st.integers(2, 10))
+    step = draw(st.floats(0.05, 0.6))
+    kind = draw(st.sampled_from(["in_domain", "crossing", "walk", "graze", "surface"]))
+    if kind == "in_domain":
+        return _in_domain_paths(rng, 1, waypoints=waypoints, step=step)[0]
+    if kind == "crossing":
+        return _crossing_walk(rng, waypoints, step)
+    if kind == "walk":
+        path = [generic_joints(rng)]
+        while len(path) < waypoints:
+            here = np.array(path[-1].as_tuple())
+            path.append(JointTriplet(*(here + rng.uniform(-step, step, 3))))
+        return path
+    if kind == "graze":
+        # start the segment just before its closest approach to the surface
+        a, b = draw(segments())
+        d = np.array([wrap_angle(y - x) for x, y in zip(a.as_tuple(), b.as_tuple())])
+        m = np.array(a.as_tuple()) + draw(st.floats(0.35, 0.5)) * d
+        g = _q2_grad(*m)
+        side = 1.0 if _q2(*m) > 0.0 else -1.0
+        return [JointTriplet(*(m + 0.3 * side * g / np.linalg.norm(g))), JointTriplet(*m), b]
+    t1, t2 = rng.uniform(-math.pi, math.pi, 2)
+    eps = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-11.0, -9.0))
+    if draw(st.booleans()):
+        b = JointTriplet(t1, eps, math.pi / 2 - draw(st.floats(-1e-9, 1e-9)))
+    else:
+        amp = math.hypot(math.sin(t1) * math.sin(t2), math.cos(t1) * math.cos(t2))
+        phase = math.atan2(math.cos(t1) * math.cos(t2), math.sin(t1) * math.sin(t2))
+        b = JointTriplet(t1, t2, math.asin(eps / amp) - phase)
+    g = _q2_grad(*b.as_tuple())
+    side = 1.0 if det_a_closed_form(b) > 0.0 else -1.0
+    return [JointTriplet(*(np.array(b.as_tuple()) + 0.2 * side * g / np.linalg.norm(g))), b]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tracked_paths())
+def test_track_matches_full_solve_reference(path):
+    assume(solve_dk(path[0]).is_finite)
+    for mode in range(4):
+        start = euler_to_rotation(solve_dk(path[0]).solutions[mode])
+        for cfg in (ToolConfig(), ToolConfig(singular_tol=1e-12)):
+            got = track_path(path, start, cfg)
+            want = _reference_track_path(path, start, cfg)
+            assert got.eulers == want.eulers
+            assert len(got.orientations) == len(want.orientations)
+            assert all(np.array_equal(x, y) for x, y in zip(got.orientations, want.orientations))
+            assert got.mode_id == want.mode_id == mode + 1
+            assert got.crossing == want.crossing
 
 
 def test_track_segment_along_surface_is_certified_briefly(monkeypatch):
