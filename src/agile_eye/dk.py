@@ -39,7 +39,7 @@ from .mechanism import (
     joint_trig,
     leg_b,
 )
-from .so3 import HALF_PI, EulerZyx, rotation_distance, wrap_angle
+from .so3 import HALF_PI, EulerZyx, rotation_angle, wrap_angle
 
 _TRIVIAL = (
     np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
@@ -47,6 +47,8 @@ _TRIVIAL = (
     np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]),
     np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
 )
+# The nonzero entry of each column of T_k: T[2, 0], T[0, 1], T[1, 2].
+_TRIVIAL_SIGNS = tuple((float(t[2, 0]), float(t[0, 1]), float(t[1, 2])) for t in _TRIVIAL)
 
 FAMILY_LABELS = ("1a", "1b", "2a", "2b", "3a", "3b")
 
@@ -132,12 +134,21 @@ def nearest_trivial(r: np.ndarray) -> tuple[int, float]:
 
     Each T_k is a signed permutation, so trace(T_k^T r) is a signed sum of
     r01, r12 and r20; the geodesic distance falls as that trace grows, so
-    the nearest T_k has the largest.  Ties go to the lowest id.
+    the nearest T_k has the largest.  Ties go to the lowest id.  Column j
+    of T_k is +-e_(j-1 mod 3), so column j of r^T T_k is a signed row
+    j-1 of r: built from r's entries directly, it equals the matrix
+    product bit for bit.
     """
-    r01, r12, r20 = float(r[0, 1]), float(r[1, 2]), float(r[2, 0])
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
     traces = (r12 - r01 - r20, r01 - r12 - r20, r20 - r01 - r12, r01 + r12 + r20)
     k = max(range(4), key=traces.__getitem__)
-    return k + 1, rotation_distance(r, _TRIVIAL[k])
+    s0, s1, s2 = _TRIVIAL_SIGNS[k]
+    m = (
+        (s0 * r20, s1 * r00, s2 * r10),
+        (s0 * r21, s1 * r01, s2 * r11),
+        (s0 * r22, s1 * r02, s2 * r12),
+    )
+    return k + 1, rotation_angle(m)
 
 
 def _psi_coeffs(trig, ct: float, st: float) -> tuple[float, float, float, float]:

@@ -172,10 +172,14 @@ def rotation_angle(m) -> float:
     return math.atan2(s, c) if math.isfinite(s + c) else math.nan
 
 
+# An infinite entry makes the product NaN (inf * 0) and sets numpy's
+# invalid flag; rotation_angle returns NaN for it, so no warning is due.
+@np.errstate(invalid="ignore")
 def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Geodesic angle between two rotations, in [0, pi]: the angle of
-    a^T b."""
-    return rotation_angle((a.T @ b).tolist())
+    a^T b.  NaN if either has a NaN or infinite entry."""
+    # np.dot makes the same BLAS call as a.T @ b, with less overhead
+    return rotation_angle(np.dot(a.T, b).tolist())
 
 
 def axis_angle_rotation(axis, angle: float) -> np.ndarray:

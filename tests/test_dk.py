@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ def test_nearest_trivial_matches_search(rng):
         rotations.append(t)
     for r in rotations:
         assert nearest_trivial(r) == _nearest_trivial_by_search(r)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nearest_trivial_non_finite_distance_is_nan(value):
+    for i in range(9):
+        r = np.eye(3)
+        r.flat[i] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, d = nearest_trivial(r)
+        assert math.isnan(d)
 
 
 def test_classify_self_motion_pairs():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,3 +235,19 @@ def test_rotation_distance_nan_is_nan():
     r = euler_to_rotation((0.4, 0.2, -1.0))
     assert math.isnan(rotation_distance(r, np.full((3, 3), math.nan)))
     assert math.isnan(rotation_distance(r * math.nan, r))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rotation_distance_non_finite_entry_is_nan_without_warning(value):
+    r = euler_to_rotation((0.4, 0.2, -1.0))
+    for i in range(9):
+        bad = r.copy()
+        bad.flat[i] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(rotation_distance(r, bad))
+            assert math.isnan(rotation_distance(bad, r))
+            assert math.isnan(rotation_distance(bad, bad))
+    # the numpy error state is left as it was
+    with pytest.warns(RuntimeWarning):
+        np.array([math.inf]) * 0.0

@@ -16,8 +16,9 @@ from agile_eye import (
     joint_grid,
     run_sweep,
 )
-from agile_eye.cli import _fmt, main
+from agile_eye.cli import _fmt, _record_slabs, main
 from agile_eye.mechanism import STRUCTURE_TOL
+from agile_eye.sweep import SweepResult
 
 
 def test_joint_grid_interval():
@@ -234,7 +235,25 @@ def test_sweep_bitwise_equal_to_meshgrid_reference(n, singular_tol):
     assert result.summary == summary
 
 
-@pytest.mark.parametrize("n,tol_args", [(8, []), (12, ["--tol-singular", "0.2"])])
+def _record_line(rec):
+    return (
+        f"{_fmt(rec.theta1)},{_fmt(rec.theta2)},{_fmt(rec.theta3)},"
+        f"{_fmt(rec.det_a)},{rec.degeneracy},{rec.component_id}"
+    )
+
+
+@pytest.mark.parametrize(
+    "n,tol_args",
+    [
+        (8, []),
+        (12, ["--tol-singular", "0.2"]),
+        (9, []),
+        (13, []),
+        (33, []),
+        (40, []),
+        (13, ["--tol-singular", "0.5"]),
+    ],
+)
 def test_cli_records_match_iter_records(n, tol_args, tmp_path):
     out = tmp_path / "records.csv"
     res = CliRunner().invoke(
@@ -250,8 +269,36 @@ def test_cli_records_match_iter_records(n, tol_args, tmp_path):
     assert lines[-1] == ""
     assert len(lines) == len(records) + 2
     for line, rec in zip(lines[1:], records):
-        assert line == (
-            f"{_fmt(rec.theta1)},{_fmt(rec.theta2)},{_fmt(rec.theta3)},"
-            f"{_fmt(rec.det_a)},{rec.degeneracy},{rec.component_id}"
-        )
-    assert any(rec.component_id == -1 for rec in records)
+        assert line == _record_line(rec)
+    # Grids with n divisible by 4 hold the exact zeros of q2 (joint values
+    # 0 and pi/2); the odd ones keep clear of the default tolerance.
+    walls = n % 4 == 0 or bool(tol_args)
+    assert any(rec.component_id == -1 for rec in records) == walls
+
+
+def test_record_slabs_signed_values():
+    # -0.0 and 0.0 must not share a string, nor may -x and x, within one
+    # slab or across slabs; the magnitude table also meets the extremes.
+    tiny = 5e-324  # smallest subnormal
+    big = sys.float_info.max
+    det = np.array(
+        [
+            [[0.0, -0.0, 0.0], [1.5, -1.5, 1.5], [tiny, -tiny, 2.0**-1070]],
+            [[-0.0, 0.0, -0.0], [-1.5, 2.5, -2.5], [big, -big, 1e-300]],
+            [[-tiny, -big, 1.5], [math.inf, -math.inf, math.nan], [-math.nan, -0.0, 0.1]],
+        ]
+    )
+    degeneracy = np.arange(27, dtype=np.uint8).reshape(3, 3, 3) % 3
+    component = (np.arange(27, dtype=np.int64).reshape(3, 3, 3) % 5) - 1
+    result = SweepResult(
+        grid=np.array([-1.0, 0.25, math.pi]),
+        det_a=det,
+        degeneracy=degeneracy,
+        component_id=component,
+        summary={},
+    )
+    text = "".join(_record_slabs(result))
+    expected = "".join(_record_line(rec) + "\n" for rec in iter_records(result))
+    assert text == expected
+    assert ",-0,generic," in text and ",0,generic," in text
+    assert ",-1.5," in text and ",1.5," in text
