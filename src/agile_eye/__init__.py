@@ -6,10 +6,8 @@ working/assembly mode correspondence, and joint-space sweeps."""
 from .config import DEFAULT_CONFIG, ToolConfig, load_config
 from .dk import (
     FAMILY_LABELS,
-    CascadeIntermediates,
     DkResult,
     JointDegeneracy,
-    cascade_intermediates,
     classify_joint_degeneracy,
     self_motion_family,
     solve_dk,
@@ -27,18 +25,8 @@ from .exceptions import (
     StartNotASolution,
     UnknownFamily,
 )
-from .ik import IkSolutionSet, LegIkOutcome, leg_ik, solve_ik
-from .mechanism import (
-    JointTriplet,
-    LegAxes,
-    base_axes,
-    constraint_residuals,
-    intermediate_axes,
-    leg_axes,
-    platform_axes_base,
-    platform_axes_home,
-    singular_legs,
-)
+from .ik import IkSolutionSet, LegIkOutcome, solve_ik
+from .mechanism import JointTriplet, constraint_residuals, singular_legs
 from .modes import (
     SingularityCrossing,
     TrackResult,
@@ -58,36 +46,23 @@ from .singularity import (
     family_distance,
     jacobians,
 )
-from .so3 import (
-    EulerFamily,
-    EulerZyx,
-    axis_angle_rotation,
-    canonicalize_euler,
-    euler_to_rotation,
-    rotation_distance,
-    rotation_to_euler,
-    validate_rotation,
-    wrap_angle,
-)
+from .so3 import EulerZyx, euler_to_rotation, rotation_distance, validate_rotation, wrap_angle
 from .sweep import SweepRecord, SweepResult, iter_records, joint_grid, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgileEyeError",
-    "CascadeIntermediates",
     "DEFAULT_CONFIG",
     "DegenerateJoints",
     "DenominatorDegenerate",
     "DkResult",
-    "EulerFamily",
     "EulerZyx",
     "FAMILY_LABELS",
     "IkSolutionSet",
     "JacobianPair",
     "JointDegeneracy",
     "JointTriplet",
-    "LegAxes",
     "LegIkOutcome",
     "MalformedRotation",
     "NoMatchingSolution",
@@ -105,11 +80,7 @@ __all__ = [
     "WorkingModeSignature",
     "assembly_mode_for",
     "assembly_mode_id",
-    "axis_angle_rotation",
     "b_diag_closed_form",
-    "base_axes",
-    "canonicalize_euler",
-    "cascade_intermediates",
     "classify_configuration",
     "classify_joint_degeneracy",
     "constraint_residuals",
@@ -117,17 +88,11 @@ __all__ = [
     "direct_signature",
     "euler_to_rotation",
     "family_distance",
-    "intermediate_axes",
     "iter_records",
     "jacobians",
     "joint_grid",
-    "leg_axes",
-    "leg_ik",
     "load_config",
-    "platform_axes_base",
-    "platform_axes_home",
     "rotation_distance",
-    "rotation_to_euler",
     "run_sweep",
     "self_motion_family",
     "singular_legs",

@@ -39,8 +39,8 @@ class ToolConfig:
 DEFAULT_CONFIG = ToolConfig()
 
 
-def parse_config_text(text: str, base: ToolConfig = DEFAULT_CONFIG) -> ToolConfig:
-    """Parse `key = value` lines (# comments allowed) over a base config."""
+def parse_config_text(text: str) -> ToolConfig:
+    """Parse `key = value` lines (# comments allowed) over the defaults."""
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -57,13 +57,12 @@ def parse_config_text(text: str, base: ToolConfig = DEFAULT_CONFIG) -> ToolConfi
             overrides[key] = value
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    return replace(base, **overrides).validate()
+    return replace(DEFAULT_CONFIG, **overrides).validate()
 
 
-def load_config(path: str | os.PathLike | None = None) -> ToolConfig:
-    """Config from an explicit path, else from $AGILE_CONFIG, else defaults."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
+def load_config() -> ToolConfig:
+    """Config from the file named by $AGILE_CONFIG, else defaults."""
+    path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return DEFAULT_CONFIG
     return parse_config_text(Path(path).read_text())

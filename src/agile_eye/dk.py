@@ -37,7 +37,6 @@ from .mechanism import (
     det_factor,
     joint_factors,
     joint_trig,
-    leg_b,
 )
 from .so3 import HALF_PI, EulerZyx, rotation_angle, wrap_angle
 
@@ -64,23 +63,6 @@ _PAIR_DESCRIPTIONS = {
     3: "theta = +pi/2 with phi - psi free, or theta = -pi/2 with "
     "phi + psi free (leg 3 singular)",
 }
-
-
-@dataclass(frozen=True)
-class CascadeIntermediates:
-    """Coefficients of the cascade at a candidate theta.
-
-    c1 * cos(theta) + c2 * sin(theta) = 0 determines theta from the joints
-    alone (q1 = c1, q2 = c2 here); then p1 * cos(psi) + p2 * sin(psi) = 0
-    and p3 * cos(psi) + p4 * sin(psi) = 0 determine psi.
-    """
-
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-    q1: float
-    q2: float
 
 
 @dataclass(frozen=True)
@@ -151,20 +133,6 @@ def nearest_trivial(r: np.ndarray) -> tuple[int, float]:
     return k + 1, rotation_angle(m)
 
 
-def _psi_coeffs(trig, ct: float, st: float) -> tuple[float, float, float, float]:
-    # (p1, p2, p3, p4) of the two psi equations at cos(theta), sin(theta)
-    s1, c1, s2, c2, s3, c3 = trig
-    return s1 * c3, s1 * st * s3 - ct * c1, c2 * st * c3 - ct * s2, c2 * s3
-
-
-def cascade_intermediates(j: JointTriplet, theta: float) -> CascadeIntermediates:
-    """Evaluate all cascade coefficients at the given theta."""
-    trig = joint_trig(*j.as_tuple())
-    q1, q2 = joint_factors(*trig)
-    p = _psi_coeffs(trig, math.cos(theta), math.sin(theta))
-    return CascadeIntermediates(*p, q1=q1, q2=q2)
-
-
 # JointDegeneracy is frozen, so the two classes without a pair are shared.
 _GENERIC = JointDegeneracy(kind="generic")
 _TRIVIAL_ONLY = JointDegeneracy(kind="trivial_only")
@@ -202,15 +170,15 @@ def _fold_half(a: float) -> float:
     return a
 
 
-# Canonical order, keyed by which signs of diag(B) at the cascade's first
-# solution agree with sign(q2) (pattern rel): cascade solution i has pattern
-# rel * P_i, so solution k is cascade solution P.index(rel * P_k).  Other
-# keys are unreachable; cascade order is kept if roundoff lands there.
+# Canonical order, keyed by (B11 > 0, q2 > 0) at the cascade's first
+# solution, whose signature is sign(q2) P_m with P_m,3 = sign(q2)
+# (finite_solutions): cascade solution i has signature sign(q2) P_m P_i,
+# so solution k is cascade solution P.index(P_m P_k).
 _ORDERS = {
-    tuple(r > 0 for r in rel): tuple(
-        SIGN_TABLE.index(tuple(r * p for r, p in zip(rel, pk))) for pk in SIGN_TABLE
+    (m1 * m3 > 0, m3 > 0): tuple(
+        SIGN_TABLE.index((m1 * p1, m2 * p2, m3 * p3)) for p1, p2, p3 in SIGN_TABLE
     )
-    for rel in SIGN_TABLE
+    for m1, m2, m3 in SIGN_TABLE
 }
 
 
@@ -221,10 +189,23 @@ def finite_solutions(phi: float, trig, q1: float, q2: float):
 
     The angles are not wrapped (EulerZyx wraps them).  The joints must be
     generic (`joint_degeneracy`); solve_dk is this plus that check.
+
+    theta solves q1 cos(theta) + q2 sin(theta) = 0, then psi solves
+    p1 cos(psi) + p2 sin(psi) = 0 or p3 cos(psi) + p4 sin(psi) = 0.
+
+    One sign fixes the order.  theta is folded to (-pi/2, pi/2], and the
+    float nearest pi/2 lies below pi/2, so cos(theta) > 0.  Leg 3 reads
+    (r10, r00) = cos(theta) (s3, c3) on the cascade's first solution, so
+    there B33 = s3 (s3 cos(theta)) + c3 (c3 cos(theta)) > 0: both terms
+    are >= 0 and one is about cos(theta) / 2 or more.  That solution's
+    signature sign(q2) P_m thus has P_m,3 = sign(q2), which leaves two
+    rows of P, and sign(B11) picks one (`_ORDERS`).
     """
     theta = _fold_half(math.atan2(-q1, q2))
     ct, st = math.cos(theta), math.sin(theta)
-    p1, p2, p3, p4 = _psi_coeffs(trig, ct, st)
+    s1, c1, s2, c2, s3, c3 = trig
+    p1, p2 = s1 * c3, s1 * st * s3 - ct * c1
+    p3, p4 = c2 * st * c3 - ct * s2, c2 * s3
     # Either psi equation may degenerate alone; use the better-conditioned one.
     if max(abs(p1), abs(p2)) < max(abs(p3), abs(p4)):
         p1, p2 = p3, p4
@@ -235,23 +216,13 @@ def finite_solutions(phi: float, trig, q1: float, q2: float):
         (phi, theta + math.pi, -psi),
         (phi, theta + math.pi, -psi + math.pi),
     )
-    # Leg table (r21, r11), (r02, r22), (r10, r00) of raw[0], written as
-    # euler_to_rotation writes those entries (its angles are already
-    # wrapped, and cos/sin(phi) = c3, s3), so diag(B) and the order are
-    # bit-identical to b_diagonal(j, euler_to_rotation(raw[0])).
-    s3, c3 = trig[4], trig[5]
+    # B11 = s1 r21 + c1 r11 of raw[0], with (r21, r11) written as
+    # euler_to_rotation writes them (its angles are already wrapped, and
+    # cos/sin(phi) = c3, s3), so it is bit-identical to
+    # b_diagonal(j, euler_to_rotation(raw[0]))[0].
     cp, sp = math.cos(psi), math.sin(psi)
-    b1, b2, b3 = leg_b(
-        trig,
-        (
-            (ct * sp, s3 * st * sp + c3 * cp),
-            (c3 * st * cp + s3 * sp, ct * cp),
-            (s3 * ct, c3 * ct),
-        ),
-    )
-    pos = q2 > 0.0
-    rel = ((b1 > 0.0) == pos, (b2 > 0.0) == pos, (b3 > 0.0) == pos)
-    order = _ORDERS.get(rel, (0, 1, 2, 3))
+    b1 = s1 * (ct * sp) + c1 * (s3 * st * sp + c3 * cp)
+    order = _ORDERS[b1 > 0.0, q2 > 0.0]
     return tuple(raw[i] for i in order)
 
 

@@ -26,15 +26,6 @@ class LegIkOutcome:
     arbitrary: bool
     angles: tuple[float, float] | None = None
 
-    @classmethod
-    def two(cls, angle: float) -> "LegIkOutcome":
-        a = wrap_angle(angle)
-        return cls(arbitrary=False, angles=(a, wrap_angle(a + math.pi)))
-
-    @classmethod
-    def arbitrary_leg(cls) -> "LegIkOutcome":
-        return cls(arbitrary=True)
-
 
 @dataclass(frozen=True)
 class IkSolutionSet:
@@ -57,15 +48,9 @@ class IkSolutionSet:
 def _leg_outcome(num: float, den: float) -> LegIkOutcome:
     # theta = atan2(num, den) and its antipode, from the leg table
     if max(abs(num), abs(den)) < STRUCTURE_TOL:
-        return LegIkOutcome.arbitrary_leg()
-    return LegIkOutcome.two(math.atan2(num, den))
-
-
-def leg_ik(leg: int, r: np.ndarray) -> LegIkOutcome:
-    """Solve one leg: two antipodal angles, or Arbitrary when singular."""
-    if leg not in (1, 2, 3):
-        raise ValueError(f"leg index must be 1..3, got {leg}")
-    return _leg_outcome(*leg_table(r)[leg - 1])
+        return LegIkOutcome(arbitrary=True)
+    a = wrap_angle(math.atan2(num, den))
+    return LegIkOutcome(arbitrary=False, angles=(a, wrap_angle(a + math.pi)))
 
 
 def solve_ik(r: np.ndarray, fill_arbitrary: bool = False) -> IkSolutionSet:

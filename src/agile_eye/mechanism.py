@@ -1,5 +1,5 @@
-"""Geometry of the orthogonal 3-RRR wrist: joint axes, constraints, and
-the joint-space factors of the direct kinematics.
+"""Geometry of the orthogonal 3-RRR wrist: constraints, the leg table,
+and the joint-space factors of the direct kinematics.
 
 Legs are indexed 1..3.  Leg i runs from a base revolute joint with fixed
 axis u_i through an intermediate joint with axis w_i(theta_i) to a
@@ -37,8 +37,6 @@ from .so3 import wrap_angle
 # folded or extended legs and vanishing B denominators.
 STRUCTURE_TOL = 1e-9
 
-_BASE_AXES = tuple(np.eye(3))
-
 # P: at direct solution k (1..4), B_ii = P_k,i q2 / (d_j d_l) with the leg
 # denominators of b_diag_closed_form, so its signature is sign(q2) P_k.
 # The rows flip legs (1, 2), (2, 3), (1, 3) and form a group under product.
@@ -60,25 +58,6 @@ class JointTriplet:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta1, self.theta2, self.theta3)
-
-
-@dataclass(frozen=True)
-class LegAxes:
-    """The three joint axes of one leg, all in the base frame."""
-
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-
-def base_axes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base joint axes: the x, y, z axes of the base frame."""
-    return tuple(a.copy() for a in _BASE_AXES)
-
-
-def platform_axes_home() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Platform joint axes in the mobile frame."""
-    return platform_axes_base(np.eye(3))
 
 
 def joint_trig(t1: float, t2: float, t3: float):
@@ -128,16 +107,6 @@ def _v(r):
     return (-r01, -r11, -r21), (-r02, -r12, -r22), (-r00, -r10, -r20)
 
 
-def platform_axes_base(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Platform joint axes in the base frame: v_i = R v'_i."""
-    return tuple(np.array(v) for v in _v(r))
-
-
-def intermediate_axes(j: JointTriplet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Intermediate joint axes w_i as functions of the active angles."""
-    return tuple(np.array(w) for w in _w(joint_trig(*j.as_tuple())))
-
-
 def jacobian_rows(trig, r):
     """Rows w_i x v_i of the Jacobian A, as float triples, from the
     joint trig (`joint_trig`) and the orientation (an array or its
@@ -180,18 +149,6 @@ def b_diagonal(j: JointTriplet, r: np.ndarray) -> tuple[float, float, float]:
     """diag(B); the sign of B_ii tells which of the two leg-i branches the
     configuration uses."""
     return leg_b(joint_trig(*j.as_tuple()), leg_table(r))
-
-
-def leg_axes(leg: int, j: JointTriplet, r: np.ndarray) -> LegAxes:
-    """All three axes of one leg (1..3) in the base frame."""
-    if leg not in (1, 2, 3):
-        raise ValueError(f"leg index must be 1..3, got {leg}")
-    i = leg - 1
-    return LegAxes(
-        u=_BASE_AXES[i].copy(),
-        v=platform_axes_base(r)[i],
-        w=intermediate_axes(j)[i],
-    )
 
 
 def singular_legs(r: np.ndarray) -> tuple[bool, bool, bool]:

@@ -106,12 +106,6 @@ class WorkingModeSignature:
     def product(self) -> int:
         return self.s1 * self.s2 * self.s3
 
-    @classmethod
-    def from_label(cls, label: str) -> "WorkingModeSignature":
-        if len(label) != 3 or any(ch not in "+-" for ch in label):
-            raise ValueError(f"signature label must be three of '+'/'-', got {label!r}")
-        return cls(*(1 if ch == "+" else -1 for ch in label))
-
 
 @dataclass(frozen=True)
 class SingularityCrossing:

@@ -153,6 +153,9 @@ def b_diag_closed_form(j: JointTriplet, mode: int) -> np.ndarray:
     return np.array([p1 * q2 / (d1 * d2), p2 * q2 / (d3 * d2), p3 * q2 / (d3 * d1)])
 
 
+# An infinite entry of r meets the curve's zeros (inf * 0) and sets numpy's
+# invalid flag; the distance is NaN for it, so no warning is due.
+@np.errstate(invalid="ignore")
 def family_distance(r: np.ndarray, family_id: int) -> tuple[float, float]:
     """Min rotation distance from r to a self-motion curve.
 

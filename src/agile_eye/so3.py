@@ -3,8 +3,7 @@
 Orientations are parameterized as R = Rz(phi) @ Ry(theta) @ Rx(psi) (the
 ZYX Euler convention).  Angles live in the half-open interval (-pi, pi],
 with +pi retained.  Rotation matrices are plain 3x3 float64 numpy arrays;
-the dedicated types here are the Euler triplet and its decomposition
-result, which has to distinguish the gimbal-locked case.
+the Euler triplet is the one dedicated type.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ from .exceptions import MalformedRotation
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
-
-# |cos(theta)| below this means theta = +/-pi/2: the ZYX factorization is
-# not unique there (representation singularity).
-SINGULAR_COS_TOL = 1e-9
 
 # Entrywise tolerance on R^T R = I and det(R) = 1.
 ORTHONORMAL_TOL = 1e-10
@@ -54,30 +49,6 @@ class EulerZyx:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi, self.theta, self.psi)
-
-
-@dataclass(frozen=True)
-class EulerFamily:
-    """Result of factoring a rotation into ZYX Euler angles.
-
-    Off the representation singularity the factorization is unique and
-    ``euler`` holds it.  At theta = +/-pi/2 only one angle combination is
-    determined: phi - psi when theta = +pi/2, phi + psi when theta = -pi/2.
-    That combination is stored in ``angle_combo`` (normalized to (-pi, pi]).
-    """
-
-    singular: bool
-    euler: EulerZyx | None = None
-    theta: float | None = None
-    angle_combo: float | None = None
-
-    @classmethod
-    def unique(cls, euler: EulerZyx) -> "EulerFamily":
-        return cls(singular=False, euler=euler)
-
-    @classmethod
-    def representation_singular(cls, theta: float, combo: float) -> "EulerFamily":
-        return cls(singular=True, theta=theta, angle_combo=wrap_angle(combo))
 
 
 def euler_to_rotation(e) -> np.ndarray:
@@ -120,44 +91,6 @@ def validate_rotation(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def rotation_to_euler(r: np.ndarray) -> EulerFamily:
-    """Factor a rotation into ZYX Euler angles.
-
-    Returns the unique triplet with theta in (-pi/2, pi/2) when the matrix
-    is away from the representation singularity.  When cos(theta) is zero
-    within SINGULAR_COS_TOL, returns the singular branch carrying theta =
-    +/-pi/2 and the constrained combination phi -/+ psi.
-    """
-    r = validate_rotation(r)
-    st = -float(r[2, 0])
-    ct = math.hypot(float(r[2, 1]), float(r[2, 2]))
-    if ct < SINGULAR_COS_TOL:
-        theta = HALF_PI if st > 0.0 else -HALF_PI
-        combo = math.atan2(-float(r[0, 1]), float(r[1, 1]))
-        return EulerFamily.representation_singular(theta, combo)
-    theta = math.atan2(st, ct)
-    phi = math.atan2(float(r[1, 0]), float(r[0, 0]))
-    psi = math.atan2(float(r[2, 1]), float(r[2, 2]))
-    return EulerFamily.unique(EulerZyx(phi, theta, psi))
-
-
-def canonicalize_euler(e: EulerZyx) -> EulerZyx:
-    """Return the canonical representative of an Euler triplet.
-
-    The triplets (phi, theta, psi) and (phi + pi, pi - theta, psi + pi)
-    describe the same orientation; the canonical pick has theta in
-    (-pi/2, pi/2].  Triplets on the representation singularity are
-    returned unchanged (already normalized), which keeps the map
-    idempotent there.
-    """
-    if abs(math.cos(e.theta)) < SINGULAR_COS_TOL:
-        return e
-    if -HALF_PI < e.theta <= HALF_PI:
-        return e
-    theta = math.pi - e.theta if e.theta > 0.0 else -math.pi - e.theta
-    return EulerZyx(e.phi + math.pi, theta, e.psi + math.pi)
-
-
 def rotation_angle(m) -> float:
     """Angle of a rotation given by its rows (float triples), in [0, pi].
 
@@ -181,20 +114,3 @@ def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
     # np.dot makes the same BLAS call as a.T @ b, with less overhead
     return rotation_angle(np.dot(a.T, b).tolist())
 
-
-def axis_angle_rotation(axis, angle: float) -> np.ndarray:
-    """Rotation by `angle` about `axis` (need not be unit length)."""
-    ax = np.asarray(axis, dtype=float)
-    n = float(np.linalg.norm(ax))
-    if n == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    x, y, z = ax / n
-    c, s = math.cos(angle), math.sin(angle)
-    k = 1.0 - c
-    return np.array(
-        [
-            [c + x * x * k, x * y * k - z * s, x * z * k + y * s],
-            [y * x * k + z * s, c + y * y * k, y * z * k - x * s],
-            [z * x * k - y * s, z * y * k + x * s, c + z * z * k],
-        ]
-    )

@@ -13,14 +13,10 @@ from agile_eye import (
     EulerZyx,
     JointTriplet,
     UnknownFamily,
-    axis_angle_rotation,
-    canonicalize_euler,
-    cascade_intermediates,
     classify_joint_degeneracy,
     constraint_residuals,
     euler_to_rotation,
     jacobians,
-    platform_axes_home,
     rotation_distance,
     self_motion_family,
     solve_dk,
@@ -29,7 +25,15 @@ from agile_eye import (
     validate_rotation,
 )
 from agile_eye.dk import nearest_trivial
-from conftest import circ_diff, euler_matches, random_joints
+from agile_eye.mechanism import joint_factors, joint_trig
+from conftest import (
+    HALF_PI,
+    PLATFORM_HOME,
+    axis_angle_rotation,
+    circ_diff,
+    euler_matches,
+    random_joints,
+)
 
 FIG_SOLUTIONS = (
     (0.100, -0.672, -0.383),
@@ -42,6 +46,10 @@ R_TO1 = [[0, -1, 0], [0, 0, 1], [-1, 0, 0]]
 R_TO2 = [[0, 1, 0], [0, 0, -1], [-1, 0, 0]]
 R_TO3 = [[0, -1, 0], [0, 0, -1], [1, 0, 0]]
 R_TO4 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+
+
+def q1_q2(j: JointTriplet) -> tuple[float, float]:
+    return joint_factors(*joint_trig(*j.as_tuple()))
 
 
 def generic_joints(rng) -> JointTriplet:
@@ -121,34 +129,20 @@ def test_classify_generic_and_trivial_only():
     deg = classify_joint_degeneracy(j)
     assert deg.kind == "trivial_only"
     # verify the construction actually zeroes the coefficient
-    inter = cascade_intermediates(j, 0.0)
-    assert abs(inter.q2) < 1e-15
+    assert abs(q1_q2(j)[1]) < 1e-15
 
 
-def test_cascade_intermediates_expansions(rng):
+def test_joint_factors_expansions(rng):
     for _ in range(2000):
         j = random_joints(rng)
-        theta = rng.uniform(-math.pi, math.pi)
         t1, t2, t3 = j.as_tuple()
-        inter = cascade_intermediates(j, theta)
-        assert inter.p1 == pytest.approx(math.sin(t1) * math.cos(t3), abs=1e-15)
-        assert inter.p2 == pytest.approx(
-            math.sin(t1) * math.sin(theta) * math.sin(t3)
-            - math.cos(theta) * math.cos(t1),
-            abs=1e-15,
-        )
-        assert inter.p3 == pytest.approx(
-            math.cos(t2) * math.sin(theta) * math.cos(t3)
-            - math.cos(theta) * math.sin(t2),
-            abs=1e-15,
-        )
-        assert inter.p4 == pytest.approx(math.cos(t2) * math.sin(t3), abs=1e-15)
-        assert inter.q1 == pytest.approx(
+        q1, q2 = q1_q2(j)
+        assert q1 == pytest.approx(
             math.sin(t1) * math.cos(t2) * math.cos(t3) * math.sin(t3)
             - math.cos(t1) * math.sin(t2),
             abs=1e-15,
         )
-        assert inter.q2 == pytest.approx(
+        assert q2 == pytest.approx(
             math.sin(t1) * math.sin(t2) * math.sin(t3)
             + math.cos(t1) * math.cos(t2) * math.cos(t3),
             abs=1e-15,
@@ -174,10 +168,10 @@ def test_solve_dk_theta_roots_match_scan_oracle(rng):
     for _ in range(50):
         j = generic_joints(rng)
         dk = solve_dk(j)
-        inter = cascade_intermediates(j, 0.0)
+        q1, q2 = q1_q2(j)
 
         def g(theta):
-            return inter.q1 * math.cos(theta) + inter.q2 * math.sin(theta)
+            return q1 * math.cos(theta) + q2 * math.sin(theta)
 
         ts = np.linspace(-math.pi, math.pi, 20001)
         roots = []
@@ -257,7 +251,6 @@ def test_residual_closure_self_motion(rng):
 
 def test_half_turn_structure(rng):
     # any two finite solutions differ by a half turn about a platform axis
-    axes = platform_axes_home()
     for _ in range(200):
         j = generic_joints(rng)
         mats = [euler_to_rotation(s) for s in solve_dk(j).solutions]
@@ -267,7 +260,7 @@ def test_half_turn_structure(rng):
                     rotation_distance(
                         mats[b], mats[a] @ axis_angle_rotation(axis, math.pi)
                     )
-                    for axis in axes
+                    for axis in PLATFORM_HOME
                 )
                 assert d < 1e-9
 
@@ -286,18 +279,13 @@ def test_ik_dk_closure(rng):
 
 def test_redundant_phi_branch_collapses(rng):
     # the companion triplet from the phi = theta3 +/- pi branch represents
-    # the same orientations; canonical forms coincide
+    # the same orientations
     for _ in range(300):
         j = generic_joints(rng)
         for sol in solve_dk(j).solutions:
-            companion = EulerZyx(
-                sol.phi + math.pi, -sol.theta + math.pi, sol.psi + math.pi
-            )
-            a = canonicalize_euler(sol)
-            b = canonicalize_euler(companion)
-            assert all(
-                circ_diff(x, y) < 1e-12 for x, y in zip(a.as_tuple(), b.as_tuple())
-            )
+            companion = (sol.phi + math.pi, -sol.theta + math.pi, sol.psi + math.pi)
+            a, b = euler_to_rotation(sol), euler_to_rotation(companion)
+            assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_self_motion_family_matrices():
@@ -396,7 +384,7 @@ ORACLE_PATTERNS = (
 def oracle_order(j: JointTriplet, solutions) -> tuple[EulerZyx, ...]:
     """The four direct solutions in the order the Euler-expanded diag(B)
     picks."""
-    positive = cascade_intermediates(j, 0.0).q2 > 0.0
+    positive = q1_q2(j)[1] > 0.0
     patterns = [tuple((b > 0.0) == positive for b in euler_b_diag(j, s)) for s in solutions]
     assert sorted(patterns) == sorted(ORACLE_PATTERNS)
     return tuple(solutions[patterns.index(p)] for p in ORACLE_PATTERNS)
@@ -423,16 +411,22 @@ def test_solution_order_matches_euler_oracle(t1, t2, t3):
 
 
 @settings(max_examples=300, deadline=None)
-@given(angles, angles, st.floats(min_value=-8.5, max_value=-6.0), st.booleans())
+@given(angles, angles, st.floats(min_value=-9.5, max_value=-6.0), st.booleans())
 def test_solution_order_matches_euler_oracle_near_q2_zero(t1, t2, log_q2, negative):
     # q2 = s1 s2 sin(t3) + c1 c2 cos(t3) = rho sin(t3 + delta): put t3 where
-    # q2 is +-10**log_q2, 3e-9 to 1e-6
+    # q2 is +-10**log_q2, 3e-10 to 1e-6, so down to STRUCTURE_TOL = 1e-9
     a, b = math.sin(t1) * math.sin(t2), math.cos(t1) * math.cos(t2)
     rho = math.hypot(a, b)
     assume(rho > 1e-3)
     q2 = -(10.0**log_q2) if negative else 10.0**log_q2
     j = JointTriplet(t1, t2, math.asin(q2 / rho) - math.atan2(b, a))
     assume(classify_joint_degeneracy(j).kind == "generic")
-    assert abs(cascade_intermediates(j, 0.0).q2) < 2e-6
+    assert abs(q1_q2(j)[1]) < 2e-6
     sols = solve_dk(j).solutions
     assert sols == oracle_order(j, sols)
+    # the order reads sign(B11) alone because B33 > 0 on the cascade's
+    # first two solutions, the two with theta in (-pi/2, pi/2]
+    first = [s for s in sols if -HALF_PI < s.theta <= HALF_PI]
+    assert len(first) == 2
+    for s in first:
+        assert jacobians(j, euler_to_rotation(s)).b_diag[2] > 0.0

@@ -2,30 +2,27 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 
 from agile_eye import (
     JointTriplet,
     constraint_residuals,
     euler_to_rotation,
-    intermediate_axes,
-    leg_ik,
     solve_ik,
     trivial_orientations,
     working_mode_signature,
 )
-from conftest import circ_diff, random_orientation
+from conftest import circ_diff, intermediate_axes, random_orientation
 
 
 def test_leg3_identity():
-    out = leg_ik(3, np.eye(3))
+    out = solve_ik(np.eye(3)).legs[2]
     assert not out.arbitrary
     assert out.angles == (0.0, math.pi)
 
 
 def test_leg1_reported_angle():
     r = euler_to_rotation((0.100, -0.672, -0.383))
-    out = leg_ik(1, r)
+    out = solve_ik(r).legs[0]
     assert not out.arbitrary
     assert min(circ_diff(a, -0.3) for a in out.angles) < 1e-3
     # the two angles are antipodal
@@ -33,15 +30,8 @@ def test_leg1_reported_angle():
 
 
 def test_legs_arbitrary_at_trivial_orientations():
-    r_to1 = trivial_orientations()[0]
-    assert leg_ik(1, r_to1).arbitrary
     for r in trivial_orientations():
-        assert all(leg_ik(i, r).arbitrary for i in (1, 2, 3))
-
-
-def test_leg_index_validated():
-    with pytest.raises(ValueError):
-        leg_ik(4, np.eye(3))
+        assert all(leg.arbitrary and leg.angles is None for leg in solve_ik(r).legs)
 
 
 def test_solve_ik_identity():

@@ -8,8 +8,11 @@ live in `mechanism`).
 
 The exact structural identities share `mechanism.STRUCTURE_TOL`; the
 other module-level tolerances are the matching distance of `modes` and
-the two of the SO(3) layer.  Only `assembly_mode_id` takes a `tol`
-argument (a rotation distance).
+the orthonormality check of the SO(3) layer.  Only `assembly_mode_id`
+takes a `tol` argument (a rotation distance).
+
+Every name in `agile_eye.__all__` resolves on the package, once, so
+`from agile_eye import *` works.
 
 Every `agile` command hands its document and CSV rows to `cli._emit`,
 the only place that calls `_json` and reads `output_format`, apart from
@@ -30,7 +33,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 TOLERANCE_HOMES = {
     "mechanism.py": {"STRUCTURE_TOL"},
     "modes.py": {"MATCH_TOL", "assembly_mode_id(tol)"},
-    "so3.py": {"SINGULAR_COS_TOL", "ORTHONORMAL_TOL"},
+    "so3.py": {"ORTHONORMAL_TOL"},
 }
 
 
@@ -115,6 +118,14 @@ def _input_decisions(path: Path):
             ):
                 found.append((node.lineno, owner, "JointTriplet"))
     return [entry[1:] for entry in sorted(found)]
+
+
+def test_all_names_resolve_once():
+    import agile_eye
+
+    names = agile_eye.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(agile_eye, n)] == []
 
 
 def test_package_modules_found():

@@ -5,81 +5,18 @@ import pytest
 
 from agile_eye import (
     JointTriplet,
-    base_axes,
     constraint_residuals,
     euler_to_rotation,
-    intermediate_axes,
-    leg_axes,
-    platform_axes_base,
-    platform_axes_home,
     singular_legs,
     trivial_orientations,
 )
-from conftest import random_joints, random_orientation
-
-
-def test_base_axes_exact():
-    u1, u2, u3 = base_axes()
-    assert u1.tolist() == [1, 0, 0]
-    assert u2.tolist() == [0, 1, 0]
-    assert u3.tolist() == [0, 0, 1]
-
-
-def test_platform_axes_reference():
-    v1, v2, v3 = platform_axes_base(np.eye(3))
-    assert v1.tolist() == [0, -1, 0]
-    assert v2.tolist() == [0, 0, -1]
-    assert v3.tolist() == [-1, 0, 0]
-    home = platform_axes_home()
-    for a, b in zip((v1, v2, v3), home):
-        assert a.tolist() == b.tolist()
-
-
-def test_platform_axes_rotated():
-    # matrix-vector oracle at a trivial orientation
-    r_to1 = trivial_orientations()[0]
-    v3 = platform_axes_base(r_to1)[2]
-    np.testing.assert_allclose(v3, -r_to1 @ np.array([1.0, 0, 0]), atol=1e-15)
-    assert v3.tolist() == [0, 0, 1]
-
-    phi, theta, psi = 0.1, -0.672, -0.383
-    v3 = platform_axes_base(euler_to_rotation((phi, theta, psi)))[2]
-    expected = np.array(
-        [
-            -math.cos(phi) * math.cos(theta),
-            -math.sin(phi) * math.cos(theta),
-            math.sin(theta),
-        ]
-    )
-    np.testing.assert_allclose(v3, expected, atol=1e-14)
-
-
-def test_platform_axes_match_rotation_product(rng):
-    for _ in range(200):
-        r = random_orientation(rng)
-        vs = platform_axes_base(r)
-        for v, vh in zip(vs, platform_axes_home()):
-            np.testing.assert_allclose(v, r @ vh, atol=1e-14)
-
-
-def test_intermediate_axes_values():
-    w1, w2, w3 = intermediate_axes(JointTriplet(0, 0, 0))
-    assert w1.tolist() == [0, 0, 1]
-    assert w2.tolist() == [1, 0, 0]
-    assert w3.tolist() == [0, 1, 0]
-
-    w1 = intermediate_axes(JointTriplet(math.pi / 2, 0, 0))[0]
-    np.testing.assert_allclose(w1, [0, -1, 0], atol=1e-15)
-
-    w1 = intermediate_axes(JointTriplet(-0.3, -0.7, 0.1))[0]
-    np.testing.assert_allclose(w1, [0, math.sin(0.3), math.cos(0.3)], atol=1e-15)
-
-
-def test_intermediate_axes_orthogonal_to_base(rng):
-    for _ in range(200):
-        j = random_joints(rng)
-        for u, w in zip(base_axes(), intermediate_axes(j)):
-            assert abs(float(u @ w)) == 0.0
+from conftest import (
+    BASE_AXES,
+    intermediate_axes,
+    platform_axes,
+    random_joints,
+    random_orientation,
+)
 
 
 def test_residuals_reference_configuration():
@@ -107,7 +44,7 @@ def test_residuals_are_dot_products(rng):
         res = constraint_residuals(j, r)
         assert np.max(np.abs(res)) <= 1.0
         ws = intermediate_axes(j)
-        vs = platform_axes_base(r)
+        vs = platform_axes(r)
         direct = [float(w @ v) for w, v in zip(ws, vs)]
         np.testing.assert_allclose(res, direct, atol=1e-15)
 
@@ -135,17 +72,6 @@ def test_residual_trig_expansions(rng):
         assert abs(res[2] - f3) < 1e-12
 
 
-def test_leg_axes_accessor():
-    j = JointTriplet(0.2, -0.4, 0.9)
-    r = euler_to_rotation((0.3, 0.1, -0.2))
-    axes = leg_axes(2, j, r)
-    np.testing.assert_allclose(axes.u, [0, 1, 0])
-    np.testing.assert_allclose(axes.w, intermediate_axes(j)[1])
-    np.testing.assert_allclose(axes.v, platform_axes_base(r)[1])
-    with pytest.raises(ValueError):
-        leg_axes(0, j, r)
-
-
 def test_singular_legs():
     for r in trivial_orientations():
         assert singular_legs(r) == (True, True, True)
@@ -161,12 +87,12 @@ def test_leg_table_identities(rng):
     for _ in range(500):
         j, r = random_joints(rng), random_orientation(rng)
         table = leg_table(r)
-        vs = platform_axes_base(r)
+        vs = platform_axes(r)
         for i, (num, den) in enumerate(table):
             # (num, den) are the components of -v_i across u_i = e_i
             assert sorted((num, den)) == sorted(np.delete(-vs[i], i).tolist())
         b = b_diagonal(j, r)
-        for i, (u, w, v) in enumerate(zip(base_axes(), intermediate_axes(j), vs)):
+        for i, (u, w, v) in enumerate(zip(BASE_AXES, intermediate_axes(j), vs)):
             assert b[i] == pytest.approx(float(np.cross(w, v) @ u), abs=1e-15)
         # the IK angle zeroes the residual and has B_ii = +hypot(num, den)
         angles = [math.atan2(num, den) for num, den in table]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from agile_eye import (
     WorkingModeSignature,
     assembly_mode_for,
     assembly_mode_id,
-    axis_angle_rotation,
     det_a_closed_form,
     direct_signature,
     euler_to_rotation,
@@ -39,7 +39,7 @@ from agile_eye.mechanism import (
 from agile_eye.modes import MATCH_TOL, SingularityCrossing, TrackResult, nearest_solution
 from agile_eye.singularity import jacobians
 from agile_eye.so3 import ORTHONORMAL_TOL
-from conftest import circ_diff, random_joints, random_orientation
+from conftest import axis_angle_rotation, circ_diff, random_joints, random_orientation
 from test_dk import FIG_SOLUTIONS, generic_joints
 
 FIG_JOINTS = JointTriplet(-0.3, -0.7, 0.1)
@@ -48,10 +48,10 @@ FIG_JOINTS = JointTriplet(-0.3, -0.7, 0.1)
 def test_signature_label_roundtrip():
     sig = WorkingModeSignature(1, -1, 1)
     assert sig.label == "+-+"
-    assert WorkingModeSignature.from_label("+-+") == sig
     assert sig.product == -1
-    with pytest.raises(ValueError):
-        WorkingModeSignature.from_label("++")
+    for signs in itertools.product((1, -1), repeat=3):
+        label = WorkingModeSignature(*signs).label
+        assert tuple(1 if ch == "+" else -1 for ch in label) == signs
     with pytest.raises(ValueError):
         WorkingModeSignature(0, 1, 1)
 

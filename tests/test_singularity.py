@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,13 @@ from agile_eye.mechanism import (
     singular_legs,
 )
 from agile_eye.singularity import det3
-from conftest import circ_diff, random_joints, random_orientation
+from conftest import (
+    circ_diff,
+    intermediate_axes,
+    platform_axes,
+    random_joints,
+    random_orientation,
+)
 from test_dk import generic_joints, trivial_only_joints
 
 
@@ -47,13 +54,11 @@ def test_jacobians_reference_configuration():
 
 
 def test_jacobians_rows_are_cross_products(rng):
-    from agile_eye import intermediate_axes, platform_axes_base
-
     for _ in range(200):
         j, r = random_joints(rng), random_orientation(rng)
         pair = jacobians(j, r)
         ws = intermediate_axes(j)
-        vs = platform_axes_base(r)
+        vs = platform_axes(r)
         for i in range(3):
             np.testing.assert_allclose(pair.a[i], np.cross(ws[i], vs[i]), atol=1e-15)
             assert pair.b_diag[i] == pytest.approx(float(pair.a[i][i]), abs=0)
@@ -293,6 +298,18 @@ def test_family_distance_equidistant_input():
     assert -math.pi < t <= math.pi
     assert d == pytest.approx(math.pi, abs=1e-7)
     assert all(family_distance(r.copy(), 1) == (t, d) for _ in range(3))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_family_distance_non_finite_entry_is_nan_without_warning(value):
+    for fid in range(1, 7):
+        for i in range(9):
+            r = self_motion_family(fid, 0.3)
+            r.flat[i] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, d = family_distance(r, fid)
+            assert math.isnan(d)
 
 
 def test_classify_regular():

@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 from agile_eye import (
     EulerZyx,
     MalformedRotation,
-    axis_angle_rotation,
-    canonicalize_euler,
     euler_to_rotation,
     rotation_distance,
-    rotation_to_euler,
+    validate_rotation,
     wrap_angle,
 )
-from conftest import random_euler
+from conftest import axis_angle_rotation, random_euler
 
 R_TO1 = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
-R_TO3 = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 
 
 def elemental_product(phi, theta, psi):
@@ -116,77 +113,19 @@ def test_rotation_matrix_is_orthonormal(rng):
         assert abs(np.linalg.det(r) - 1.0) < 1e-10
 
 
-def test_rotation_to_euler_identity():
-    fam = rotation_to_euler(np.eye(3))
-    assert not fam.singular
-    assert fam.euler.as_tuple() == (0.0, 0.0, 0.0)
-
-
-def test_rotation_to_euler_singular_branches():
-    fam = rotation_to_euler(R_TO1)
-    assert fam.singular
-    assert fam.theta == pytest.approx(math.pi / 2)
-    assert fam.angle_combo == pytest.approx(math.pi / 2)  # phi - psi
-
-    fam = rotation_to_euler(R_TO3)
-    assert fam.singular
-    assert fam.theta == pytest.approx(-math.pi / 2)
-    assert fam.angle_combo == pytest.approx(math.pi / 2)  # phi + psi
-
-
-def test_rotation_to_euler_roundtrip_point():
-    e = EulerZyx(0.3, -0.4, 1.1)
-    fam = rotation_to_euler(euler_to_rotation(e))
-    assert not fam.singular
-    assert fam.euler.as_tuple() == pytest.approx(e.as_tuple(), abs=1e-12)
-
-
-def test_roundtrip_property(rng):
-    for _ in range(10_000):
-        e = random_euler(rng)
-        fam = rotation_to_euler(euler_to_rotation(e))
-        assert not fam.singular
-        d = rotation_distance(
-            euler_to_rotation(e), euler_to_rotation(fam.euler)
-        )
-        assert d < 1e-10
-
-
 def test_malformed_rotation_rejected():
     with pytest.raises(MalformedRotation):
-        rotation_to_euler(np.eye(3) * 1.01)
+        validate_rotation(np.eye(3) * 1.01)
     with pytest.raises(MalformedRotation):
-        rotation_to_euler(np.diag([1.0, 1.0, -1.0]))  # det -1
+        validate_rotation(np.diag([1.0, 1.0, -1.0]))  # det -1
     with pytest.raises(MalformedRotation):
-        rotation_to_euler(np.eye(4))
+        validate_rotation(np.eye(4))
     # NaN fails every threshold check
     one_nan = np.eye(3)
     one_nan[2, 1] = math.nan
     for r in (np.full((3, 3), math.nan), one_nan):
         with pytest.raises(MalformedRotation):
-            rotation_to_euler(r)
-
-
-def test_canonicalize_fixed_points():
-    assert canonicalize_euler(EulerZyx(0, 0, 0)).as_tuple() == (0.0, 0.0, 0.0)
-    got = canonicalize_euler(EulerZyx(0, math.pi, 0))
-    assert got.as_tuple() == pytest.approx((math.pi, 0.0, math.pi))
-
-
-def test_canonicalize_preserves_rotation():
-    e = EulerZyx(0.100, 2.470, 0.383)
-    got = canonicalize_euler(e)
-    assert -math.pi / 2 < got.theta <= math.pi / 2
-    d = rotation_distance(euler_to_rotation(e), euler_to_rotation(got))
-    assert d < 1e-12
-
-
-def test_canonicalize_idempotent(rng):
-    for _ in range(2000):
-        e = EulerZyx(*rng.uniform(-math.pi, math.pi, 3))
-        once = canonicalize_euler(e)
-        twice = canonicalize_euler(once)
-        assert once == twice
+            validate_rotation(r)
 
 
 def test_companion_triplet_same_rotation(rng):
@@ -209,16 +148,6 @@ def test_rotation_distance_values(rng):
     # symmetry
     a, b = euler_to_rotation(random_euler(rng)), euler_to_rotation(random_euler(rng))
     assert rotation_distance(a, b) == pytest.approx(rotation_distance(b, a))
-
-
-def test_rotation_to_euler_theta_range(rng):
-    # decomposition always picks the cos(theta) > 0 representative
-    for _ in range(500):
-        fam = rotation_to_euler(
-            euler_to_rotation(rng.uniform(-math.pi, math.pi, 3))
-        )
-        if not fam.singular:
-            assert -math.pi / 2 < fam.euler.theta < math.pi / 2
 
 
 def test_rotation_distance_accurate_near_half_turn(rng):
