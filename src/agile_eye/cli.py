@@ -507,6 +507,8 @@ def sweep(ctx, grid_n, records_out, no_records):
     to stdout, or to stderr when records already use stdout.
     """
     cfg = ctx.obj["cfg"]
+    if records_out is not None and no_records:
+        raise click.UsageError("--records-out and --no-records are mutually exclusive")
     try:
         result = run_sweep(grid_n, cfg)
     except ValueError as exc:

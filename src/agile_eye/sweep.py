@@ -8,12 +8,21 @@ component id -1.  The summary additionally reports the fraction of
 "singular" cells: walls plus any cell with a differently-signed wrapped
 neighbor, a proxy for the zero surface whose measure shrinks like
 1/grid_n.
+
+run_sweep computes up front what the summary needs: the determinant, the
+degeneracy tags, the walls, the torus labelling of each sign (whose
+roots count the components) and the singular fraction.  The per-cell
+component ids, numbered in scan order, are built from the kept labels
+the first time SweepResult.component_id is read, so a summary-only
+caller never pays for them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -38,13 +47,25 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Dense sweep output; arrays are indexed [i1, i2, i3]."""
+    """Dense sweep output; arrays are indexed [i1, i2, i3].
+
+    grid, det_a, degeneracy and summary are computed by run_sweep.
+    component_id is numbered from the labels in _labels on first access
+    and cached; the labels are dropped once it is built.
+    """
 
     grid: np.ndarray  # shape (n,): the per-axis joint values
     det_a: np.ndarray  # shape (n, n, n)
     degeneracy: np.ndarray  # shape (n, n, n), uint8 index into DEGENERACY_TAGS
-    component_id: np.ndarray  # shape (n, n, n), -1 on walls
     summary: dict
+    # [pos labels, neg labels, pos roots, neg roots] until numbered
+    _labels: list = field(default_factory=list, repr=False, compare=False)
+
+    @cached_property
+    def component_id(self) -> np.ndarray:
+        """Shape (n, n, n) int64: torus components of equal det sign,
+        numbered from 0 in scan order of their first cell, -1 on walls."""
+        return _number_components(self._labels)
 
 
 def joint_grid(grid_n: int) -> np.ndarray:
@@ -103,12 +124,40 @@ def _first_cells(labels: np.ndarray) -> np.ndarray:
     return first
 
 
+def _number_components(parts: list) -> np.ndarray:
+    """Per-cell component ids from [pos labels, neg labels, pos roots, neg
+    roots]: the torus components numbered from 0 in scan order of their
+    first cell, -1 on walls.  Empties the list and overwrites the label
+    arrays, so that each is freed as soon as it is used."""
+    pos, neg, pos_roots, neg_roots = parts
+    parts.clear()
+    # Negative labels and roots are shifted past the positive ones, so that
+    # both sides share one label array.
+    n_pos = len(pos_roots) - 1
+    neg[neg > 0] += n_pos
+    labels = pos
+    labels += neg
+    del neg
+    roots = np.concatenate([pos_roots, neg_roots[1:] + n_pos])
+    set_first = np.full(len(roots), labels.size, dtype=np.int64)
+    np.minimum.at(set_first, roots[1:], _first_cells(labels)[1:])
+    sets = np.unique(roots[1:])
+    rank = np.zeros(len(roots), dtype=np.int64)
+    rank[sets[np.argsort(set_first[sets])]] = np.arange(len(sets))
+    lut = rank[roots]
+    lut[0] = -1  # walls
+    return lut[labels]
+
+
 def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> SweepResult:
-    """Evaluate the determinant factor over the joint grid and label the
-    sign components.  Deterministic for fixed grid_n and tolerances."""
-    n = cfg.grid_n if grid_n is None else grid_n
+    """Evaluate the determinant factor over the joint grid, label the sign
+    components and summarise.  Deterministic for fixed grid_n and
+    tolerances.  The per-cell component ids are numbered on first access
+    to the result's component_id."""
+    n = operator.index(cfg.grid_n if grid_n is None else grid_n)
     if n < 8:
         raise ValueError("grid_n must be at least 8")
+    cfg.validate()
     g = joint_grid(n)
     # Every factor depends on one joint, so 1-d sines and cosines broadcast
     # along axes 0, 1, 2 into the shared joint-space formulas.
@@ -124,47 +173,35 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
     degeneracy[abs_det <= STRUCTURE_TOL] = 2
     degeneracy[pair] = 1
 
-    wall = abs_det <= cfg.singular_tol
+    tol = cfg.singular_tol
+    wall = abs_det <= tol
     del abs_det, pair
-    pos_mask = (det > 0.0) & ~wall
-    neg_mask = (det < 0.0) & ~wall
+    # tol is validated positive and finite, so these are (det > 0) & ~wall
+    # and (det < 0) & ~wall for every float, NaN included.
+    pos_mask = det > tol
+    neg_mask = det < -tol
     pos, pos_roots = _periodic_components(pos_mask)
     neg, neg_roots = _periodic_components(neg_mask)
 
-    # Number the torus components from 0 in scan order of their first cell.
-    # Negative labels and roots are shifted past the positive ones, so that
-    # both sides share one label array.
-    n_pos = len(pos_roots) - 1
-    neg[neg > 0] += n_pos
-    labels = pos + neg
-    del pos, neg
-    roots = np.concatenate([pos_roots, neg_roots[1:] + n_pos])
-    set_first = np.full(len(roots), labels.size, dtype=np.int64)
-    np.minimum.at(set_first, roots[1:], _first_cells(labels)[1:])
-    sets = np.unique(roots[1:])
-    rank = np.zeros(len(roots), dtype=np.int64)
-    rank[sets[np.argsort(set_first[sets])]] = np.arange(len(sets))
-    lut = rank[roots]
-    lut[0] = -1  # walls
-    component = lut[labels]
-    del labels
-
-    components_positive = len(np.unique(pos_roots[1:]))
-    components_negative = len(np.unique(neg_roots[1:]))
-
     # Only inequality of neighbours matters: walls 0, positive 1, negative -1.
+    # A cell is singular when it differs from either wrapped neighbour along
+    # some axis: compare the adjacent planes, then the wrap plane.
     code = pos_mask.view(np.int8) - neg_mask.view(np.int8)
+    del pos_mask, neg_mask
     singular = wall.copy()
     for axis in range(3):
-        step = code != np.roll(code, 1, axis=axis)
-        singular |= step
-        singular |= np.roll(step, -1, axis=axis)
+        lead = (slice(None),) * axis
+        for a, b in ((np.s_[1:], np.s_[:-1]), (0, -1)):
+            hi, lo = lead + (a,), lead + (b,)
+            step = code[hi] != code[lo]
+            singular[hi] |= step
+            singular[lo] |= step
 
     summary = {
         "schema_version": "1",
         "grid_n": n,
-        "components_positive": components_positive,
-        "components_negative": components_negative,
+        "components_positive": len(np.unique(pos_roots[1:])),
+        "components_negative": len(np.unique(neg_roots[1:])),
         "singular_cell_fraction": float(singular.mean()),
         "wall_cell_fraction": float(wall.mean()),
         "degeneracy_counts": {
@@ -176,8 +213,8 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
         grid=g,
         det_a=det,
         degeneracy=degeneracy,
-        component_id=component,
         summary=summary,
+        _labels=[pos, neg, pos_roots, neg_roots],
     )
 
 

@@ -326,6 +326,16 @@ def test_sweep_summary_and_records(runner, tmp_path):
     assert records.read_bytes() == records2.read_bytes()
 
 
+def test_sweep_records_out_with_no_records_is_usage_error(runner, tmp_path):
+    records = tmp_path / "records.csv"
+    result = runner.invoke(
+        main, ["sweep", "--grid-n", "8", "--records-out", str(records), "--no-records"]
+    )
+    assert result.exit_code == 2
+    assert "mutually exclusive" in result.output
+    assert not records.exists()
+
+
 def test_sweep_grid_too_small(runner):
     result = runner.invoke(main, ["sweep", "--grid-n", "4"])
     assert result.exit_code == 2

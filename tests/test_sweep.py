@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agile_eye import (
     JointTriplet,
@@ -16,6 +18,7 @@ from agile_eye import (
     joint_grid,
     run_sweep,
 )
+from agile_eye import sweep as sweep_module
 from agile_eye.cli import _fmt, _record_slabs, main
 from agile_eye.mechanism import STRUCTURE_TOL
 from agile_eye.sweep import SweepResult
@@ -235,6 +238,70 @@ def test_sweep_bitwise_equal_to_meshgrid_reference(n, singular_tol):
     assert result.summary == summary
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=8, max_value=24),
+    st.floats(min_value=math.log(1e-9), max_value=math.log(2.0)).map(math.exp),
+)
+def test_sweep_equal_to_meshgrid_reference_property(n, singular_tol):
+    cfg = ToolConfig(singular_tol=singular_tol)
+    result = run_sweep(n, cfg)
+    det, degeneracy, component, summary = _meshgrid_sweep(n, cfg)
+    # the summary is complete before the component ids are numbered
+    assert "component_id" not in vars(result)
+    assert result.summary == summary
+    np.testing.assert_array_equal(result.det_a.view(np.int64), det.view(np.int64))
+    np.testing.assert_array_equal(result.degeneracy, degeneracy)
+    first = result.component_id
+    assert result.component_id is first
+    assert first.dtype == np.int64
+    np.testing.assert_array_equal(first, component)
+    assert result._labels == []  # no label arrays kept once numbered
+
+
+def test_run_sweep_rejects_bad_grid_and_tolerance():
+    with pytest.raises(TypeError):
+        run_sweep(8.5)
+    with pytest.raises(TypeError):
+        run_sweep(16.0)
+    grid_n = run_sweep(np.int64(8)).summary["grid_n"]
+    assert grid_n == 8 and type(grid_n) is int
+    for tol in (0.0, -1e-7, math.nan, math.inf):
+        with pytest.raises(ValueError, match="singular_tol"):
+            run_sweep(8, ToolConfig(singular_tol=tol))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_no_records_never_numbers_components(fmt, monkeypatch):
+    def refuse(labels):
+        raise AssertionError("component ids numbered for a summary-only sweep")
+
+    monkeypatch.setattr(sweep_module, "_number_components", refuse)
+    res = CliRunner().invoke(
+        main, ["--format", fmt, "sweep", "--grid-n", "12", "--no-records"]
+    )
+    assert res.exit_code == 0, res.output
+    assert "components_positive" in res.output
+
+
+def test_cli_records_number_components_once(monkeypatch, tmp_path):
+    calls = []
+    number = sweep_module._number_components
+
+    def counted(labels):
+        calls.append(labels)
+        return number(labels)
+
+    monkeypatch.setattr(sweep_module, "_number_components", counted)
+    out = tmp_path / "records.csv"
+    res = CliRunner().invoke(
+        main, ["sweep", "--grid-n", "12", "--records-out", str(out)]
+    )
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1
+    assert len(out.read_text().splitlines()) == 12**3 + 1
+
+
 def _record_line(rec):
     return (
         f"{_fmt(rec.theta1)},{_fmt(rec.theta2)},{_fmt(rec.theta3)},"
@@ -294,9 +361,9 @@ def test_record_slabs_signed_values():
         grid=np.array([-1.0, 0.25, math.pi]),
         det_a=det,
         degeneracy=degeneracy,
-        component_id=component,
         summary={},
     )
+    vars(result)["component_id"] = component  # stands in for the numbering
     text = "".join(_record_slabs(result))
     expected = "".join(_record_line(rec) + "\n" for rec in iter_records(result))
     assert text == expected
