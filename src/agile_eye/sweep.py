@@ -1,20 +1,29 @@
 """Joint-space sweep: determinant-factor sign regions on the 3-torus.
 
-The grid covers (-pi, pi]^3 with grid_n points per axis.  Cells are
-flood-filled into connected components through face neighbors of equal
-determinant sign, with wraparound on every axis; cells where the
-determinant factor is within the singular tolerance act as walls and get
-component id -1.  The summary additionally reports the fraction of
-"singular" cells: walls plus any cell with a differently-signed wrapped
-neighbor, a proxy for the zero surface whose measure shrinks like
-1/grid_n.
+The grid covers (-pi, pi]^3 with grid_n points per axis.  Each cell gets
+a sign code: +1 or -1 where the determinant factor is beyond the
+singular tolerance, 0 where it is within it.  Cells of equal nonzero
+code that share a face, with wraparound on every axis, form one
+connected component; the 0 cells act as walls and get component id -1.
+The summary additionally reports the fraction of "singular" cells:
+walls plus any cell with a differently-coded wrapped neighbour, a proxy
+for the zero surface whose measure shrinks like 1/grid_n.
 
-run_sweep computes up front what the summary needs: the determinant, the
-degeneracy tags, the walls, the torus labelling of each sign (whose
-roots count the components) and the singular fraction.  The per-cell
-component ids, numbered in scan order, are built from the kept labels
-the first time SweepResult.component_id is read, so a summary-only
-caller never pays for them.
+Components are labelled by runs, not cells (run-based labelling, He,
+Chao and Suzuki, IEEE TIP 2008, with the periodic merging of Hoshen and
+Kopelman, Phys. Rev. B 14, 1976).  A run is a maximal stretch of equal
+code along an axis-3 line, and a new one starts at the start of each
+line.  Along a line q2 = rho sin(theta3 + alpha), so a line holds a few
+runs, not grid_n cells.  Runs of equal nonzero code in two lines that
+are neighbours along axis 1 or 2 (with wrap) touch when one run's start
+lies inside the other; the first and last run of a line touch across
+the theta3 wrap.  A union-find over those pairs, in numpy, leaves each
+set rooted at its first run in scan order.
+
+run_sweep keeps only the int8 sign code, evaluated a few theta1 slabs
+at a time, and returns the summary with the runs.  det_a, degeneracy
+and component_id are built the first time each is read, so a
+summary-only caller never builds an n^3 float or id array.
 """
 
 from __future__ import annotations
@@ -31,6 +40,10 @@ from .config import DEFAULT_CONFIG, ToolConfig
 from .mechanism import STRUCTURE_TOL, condition_pairs, det_factor
 
 DEGENERACY_TAGS = ("generic", "self_motion", "trivial_only")
+
+# Cells per evaluation chunk (whole theta1 slabs): 256 kB of floats, so
+# the temporaries stay in cache.
+_CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -49,23 +62,36 @@ class SweepRecord:
 class SweepResult:
     """Dense sweep output; arrays are indexed [i1, i2, i3].
 
-    grid, det_a, degeneracy and summary are computed by run_sweep.
-    component_id is numbered from the labels in _labels on first access
-    and cached; the labels are dropped once it is built.
+    grid and summary are computed by run_sweep.  det_a, degeneracy and
+    component_id are built on first access and cached.
     """
 
     grid: np.ndarray  # shape (n,): the per-axis joint values
-    det_a: np.ndarray  # shape (n, n, n)
-    degeneracy: np.ndarray  # shape (n, n, n), uint8 index into DEGENERACY_TAGS
     summary: dict
-    # [pos labels, neg labels, pos roots, neg roots] until numbered
-    _labels: list = field(default_factory=list, repr=False, compare=False)
+    # (length, root) per axis-3 run in scan order; root is the index of
+    # the first run of its component, -1 on walls
+    _runs: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def det_a(self) -> np.ndarray:
+        """Shape (n, n, n) float64: the determinant factor q2."""
+        return det_factor(*_trig(self.grid))
+
+    @cached_property
+    def degeneracy(self) -> np.ndarray:
+        """Shape (n, n, n) uint8, an index into DEGENERACY_TAGS."""
+        det = self.det_a
+        degeneracy = np.zeros(det.shape, dtype=np.uint8)
+        # |det| <= STRUCTURE_TOL by two comparisons: no n^3 float temporary
+        degeneracy[(det <= STRUCTURE_TOL) & (det >= -STRUCTURE_TOL)] = 2
+        degeneracy.reshape(-1)[_pair_cells(_trig(self.grid), len(self.grid))] = 1
+        return degeneracy
 
     @cached_property
     def component_id(self) -> np.ndarray:
         """Shape (n, n, n) int64: torus components of equal det sign,
         numbered from 0 in scan order of their first cell, -1 on walls."""
-        return _number_components(self._labels)
+        return _number_components(self._runs).reshape((len(self.grid),) * 3)
 
 
 def joint_grid(grid_n: int) -> np.ndarray:
@@ -74,147 +100,165 @@ def joint_grid(grid_n: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * k / grid_n
 
 
-def _periodic_components(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Label connected True-regions of a 3-d mask on the torus.
-
-    Returns (labels, roots): scipy's open-boundary labels (>= 1 inside the
-    mask, 0 outside) and, per label, the smallest label of its torus
-    component, found by a union-find pass over the label pairs that touch
-    across opposite faces.
-    """
-    # Imported here so that importing the package does not load scipy.
-    from scipy import ndimage
-
-    labels, nlab = ndimage.label(mask)
-    parent = list(range(nlab + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    keys = []
-    for axis in range(3):
-        lo = np.take(labels, 0, axis=axis).ravel().astype(np.int64)
-        hi = np.take(labels, -1, axis=axis).ravel()
-        both = (lo > 0) & (hi > 0)
-        keys.append(lo[both] * (nlab + 1) + hi[both])
-    # Each root is the smallest label of its set, whatever the merge order,
-    # so every distinct face pair needs one union only.
-    for key in np.unique(np.concatenate(keys)).tolist():
-        ra, rb = find(key // (nlab + 1)), find(key % (nlab + 1))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return labels, np.array([find(x) for x in range(nlab + 1)], dtype=np.int64)
+def _trig(g: np.ndarray) -> list:
+    """s1, c1, s2, c2, s3, c3 of the grid, along axes 0, 1, 2: every
+    factor depends on one joint, so these broadcast into the shared
+    joint-space formulas."""
+    s, c = np.sin(g), np.cos(g)
+    axes = (np.s_[:, None, None], np.s_[None, :, None], np.s_[None, None, :])
+    return [v[ax] for ax in axes for v in (s, c)]
 
 
-def _first_cells(labels: np.ndarray) -> np.ndarray:
-    """Flat index of the first cell in scan order of each label 1..max
-    (entry 0 unused): the first hit in the top plane of its bounding box."""
-    from scipy import ndimage
-
-    _, n2, n3 = labels.shape
-    boxes = ndimage.find_objects(labels)
-    first = np.zeros(len(boxes) + 1, dtype=np.int64)
-    for lab, box in enumerate(boxes, 1):
-        top = labels[box][0]
-        i2, i3 = divmod(int(np.argmax(top == lab)), top.shape[1])
-        first[lab] = (box[0].start * n2 + box[1].start + i2) * n3 + box[2].start + i3
-    return first
+def _pair_cells(trig: list, n: int) -> np.ndarray:
+    """Sorted flat indices of the cells where a condition pair holds.
+    Each pair mask is 2-d, free along the axis where its size is 1."""
+    cells = []
+    for mask in condition_pairs(*trig):
+        axis = mask.shape.index(1)
+        base = np.ravel_multi_index(np.nonzero(mask), (n, n, n))
+        cells.append((base[:, None] + np.arange(n) * n ** (2 - axis)).ravel())
+    return np.unique(np.concatenate(cells))
 
 
-def _number_components(parts: list) -> np.ndarray:
-    """Per-cell component ids from [pos labels, neg labels, pos roots, neg
-    roots]: the torus components numbered from 0 in scan order of their
-    first cell, -1 on walls.  Empties the list and overwrites the label
-    arrays, so that each is freed as soon as it is used."""
-    pos, neg, pos_roots, neg_roots = parts
-    parts.clear()
-    # Negative labels and roots are shifted past the positive ones, so that
-    # both sides share one label array.
-    n_pos = len(pos_roots) - 1
-    neg[neg > 0] += n_pos
-    labels = pos
-    labels += neg
-    del neg
-    roots = np.concatenate([pos_roots, neg_roots[1:] + n_pos])
-    set_first = np.full(len(roots), labels.size, dtype=np.int64)
-    np.minimum.at(set_first, roots[1:], _first_cells(labels)[1:])
-    sets = np.unique(roots[1:])
-    rank = np.zeros(len(roots), dtype=np.int64)
-    rank[sets[np.argsort(set_first[sets])]] = np.arange(len(sets))
-    lut = rank[roots]
-    lut[0] = -1  # walls
-    return lut[labels]
+def _line_starts(lines: np.ndarray) -> np.ndarray:
+    """Flat indices of the run starts in a (lines, n) code array: the
+    start of each line and wherever the code changes along it."""
+    new = np.empty(lines.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(lines[:, 1:], lines[:, :-1], out=new[:, 1:])
+    return np.flatnonzero(new)
+
+
+def _component_roots(start: np.ndarray, code: np.ndarray, n: int) -> np.ndarray:
+    """Per run, the index of the first run of its torus component, or -1
+    on wall runs.  start holds the runs' flat start cells in scan order
+    and code their sign codes."""
+    k0 = start % n
+    live = np.flatnonzero(code)
+    i1, i2 = np.divmod(start[live] // n, n)
+    up, vp = [], []
+    # The run of a neighbouring line that holds this run's start cell
+    # (each line's first run starts at k = 0, so it is in that line).
+    for other in (
+        (i1 + 1) % n * n + i2,
+        (i1 - 1) % n * n + i2,
+        i1 * n + (i2 + 1) % n,
+        i1 * n + (i2 - 1) % n,
+    ):
+        hit = np.searchsorted(start, other * n + k0[live], side="right") - 1
+        same = code[hit] == code[live]
+        up.append(live[same])
+        vp.append(hit[same])
+    # Across the theta3 wrap: a line's last run to its first.
+    first = np.flatnonzero(k0 == 0)
+    last = np.append(first[1:], len(start)) - 1
+    wrap = (last != first) & (code[first] == code[last]) & (code[first] != 0)
+    up.append(first[wrap])
+    vp.append(last[wrap])
+    u, v = np.concatenate(up), np.concatenate(vp)
+
+    # Hook each larger root under the smaller, then pointer-jump until
+    # every run points at its root; a set's root is never hooked, so it
+    # ends as its smallest run index.
+    root = np.arange(len(start))
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    root[code == 0] = -1
+    return root
+
+
+def _number_components(runs: tuple) -> np.ndarray:
+    """Flat per-cell component ids from (length, root) per run: the roots
+    ranked in scan order (the runs already are), -1 on walls."""
+    length, root = runs
+    rank = np.cumsum(root == np.arange(len(root))) - 1
+    ids = rank[root]
+    ids[root < 0] = -1
+    return np.repeat(ids, length)
 
 
 def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> SweepResult:
-    """Evaluate the determinant factor over the joint grid, label the sign
-    components and summarise.  Deterministic for fixed grid_n and
-    tolerances.  The per-cell component ids are numbered on first access
-    to the result's component_id."""
+    """Evaluate the determinant factor's sign over the joint grid, label
+    the sign components and summarise.  Deterministic for fixed grid_n
+    and tolerances.  det_a, degeneracy and component_id are built on
+    first access to the result's attribute of that name."""
     n = operator.index(cfg.grid_n if grid_n is None else grid_n)
     if n < 8:
         raise ValueError("grid_n must be at least 8")
     cfg.validate()
     g = joint_grid(n)
-    # Every factor depends on one joint, so 1-d sines and cosines broadcast
-    # along axes 0, 1, 2 into the shared joint-space formulas.
-    s, c = np.sin(g), np.cos(g)
-    axes = (np.s_[:, None, None], np.s_[None, :, None], np.s_[None, None, :])
-    trig = [v[ax] for ax in axes for v in (s, c)]
-    det = det_factor(*trig)
-
-    pair1, pair2, pair3 = condition_pairs(*trig)
-    pair = pair1 | pair2 | pair3
-    abs_det = np.abs(det)
-    degeneracy = np.zeros(det.shape, dtype=np.uint8)
-    degeneracy[abs_det <= STRUCTURE_TOL] = 2
-    degeneracy[pair] = 1
-
+    trig = _trig(g)
+    s1, c1 = trig[:2]
     tol = cfg.singular_tol
-    wall = abs_det <= tol
-    del abs_det, pair
-    # tol is validated positive and finite, so these are (det > 0) & ~wall
-    # and (det < 0) & ~wall for every float, NaN included.
-    pos_mask = det > tol
-    neg_mask = det < -tol
-    pos, pos_roots = _periodic_components(pos_mask)
-    neg, neg_roots = _periodic_components(neg_mask)
 
-    # Only inequality of neighbours matters: walls 0, positive 1, negative -1.
-    # A cell is singular when it differs from either wrapped neighbour along
-    # some axis: compare the adjacent planes, then the wrap plane.
-    code = pos_mask.view(np.int8) - neg_mask.view(np.int8)
-    del pos_mask, neg_mask
-    singular = wall.copy()
+    # Sign code: 1 above tol, -1 below -tol, 0 on walls.  tol is validated
+    # positive and finite, so 0 is exactly |det| <= tol on the grid's
+    # (finite) values.
+    code = np.empty((n, n, n), dtype=np.int8)
+    near_zero = 0  # cells with |det| <= STRUCTURE_TOL
+    starts = []
+    step = max(1, _CHUNK_CELLS // n**2)
+    for a in range(0, n, step):
+        det = det_factor(s1[a : a + step], c1[a : a + step], *trig[2:])
+        near_zero += int(np.count_nonzero(np.abs(det) <= STRUCTURE_TOL))
+        chunk = code[a : a + step]
+        np.subtract((det > tol).view(np.int8), (det < -tol).view(np.int8), out=chunk)
+        starts.append(_line_starts(chunk.reshape(-1, n)) + a * n * n)
+    start = np.concatenate(starts)
+    run_code = code.reshape(-1)[start]
+
+    # Degeneracy counts: a condition pair wins over |det| <= STRUCTURE_TOL.
+    # The pair cells are few; det_factor on their gathered sines and
+    # cosines is the same float expression, so the same bits.
+    pair = _pair_cells(trig, n)
+    s, c = s1.ravel(), c1.ravel()
+    i1, i2, i3 = np.unravel_index(pair, (n, n, n))
+    pair_det = det_factor(s[i1], c[i1], s[i2], c[i2], s[i3], c[i3])
+    trivial = near_zero - int(np.count_nonzero(np.abs(pair_det) <= STRUCTURE_TOL))
+
+    # A cell is singular when it is a wall or differs from either wrapped
+    # neighbour along some axis: compare the adjacent planes, then the
+    # wrap plane.
+    singular = code == 0
+    n_wall = int(np.count_nonzero(singular))
     for axis in range(3):
         lead = (slice(None),) * axis
         for a, b in ((np.s_[1:], np.s_[:-1]), (0, -1)):
             hi, lo = lead + (a,), lead + (b,)
-            step = code[hi] != code[lo]
-            singular[hi] |= step
-            singular[lo] |= step
+            differ = code[hi] != code[lo]
+            singular[hi] |= differ
+            singular[lo] |= differ
+    n_singular = int(np.count_nonzero(singular))
+    del code, singular
 
+    root = _component_roots(start, run_code, n)
+    is_root = root == np.arange(len(root))
+    cells = n**3
     summary = {
         "schema_version": "1",
         "grid_n": n,
-        "components_positive": len(np.unique(pos_roots[1:])),
-        "components_negative": len(np.unique(neg_roots[1:])),
-        "singular_cell_fraction": float(singular.mean()),
-        "wall_cell_fraction": float(wall.mean()),
-        "degeneracy_counts": {
-            DEGENERACY_TAGS[i]: int(np.count_nonzero(degeneracy == i))
-            for i in range(3)
-        },
+        "components_positive": int(np.count_nonzero(is_root & (run_code > 0))),
+        "components_negative": int(np.count_nonzero(is_root & (run_code < 0))),
+        "singular_cell_fraction": n_singular / cells,
+        "wall_cell_fraction": n_wall / cells,
+        "degeneracy_counts": dict(
+            zip(DEGENERACY_TAGS, (cells - len(pair) - trivial, len(pair), trivial))
+        ),
     }
     return SweepResult(
         grid=g,
-        det_a=det,
-        degeneracy=degeneracy,
         summary=summary,
-        _labels=[pos, neg, pos_roots, neg_roots],
+        _runs=(np.diff(start, append=cells), root),
     )
 
 

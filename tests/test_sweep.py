@@ -121,24 +121,33 @@ def test_sweep_deterministic():
     assert a.summary == b.summary
 
 
-def test_package_import_does_not_load_scipy():
-    # scipy.ndimage is needed only by run_sweep's labelling
+def test_package_import_does_not_load_scipy(tmp_path):
+    # scipy is a test dependency only: neither the import nor a sweep,
+    # with or without records, may load it.
     import agile_eye
 
     src = os.path.dirname(os.path.dirname(agile_eye.__file__))
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, agile_eye, agile_eye.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    sweep = "from agile_eye.cli import main; main({}, standalone_mode=False); "
+    records = str(tmp_path / "records.csv")
+    for run in (
+        "import agile_eye, agile_eye.cli; ",
+        sweep.format(["sweep", "--grid-n", "8", "--records-out", records]),
+        sweep.format(["sweep", "--grid-n", "8", "--no-records"]),
+    ):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; " + run + "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", run
+    assert len(open(records).read().splitlines()) == 8**3 + 1
 
 
 def _meshgrid_components(mask):
@@ -169,6 +178,24 @@ def _meshgrid_components(mask):
     return roots[labels]
 
 
+def _reference_ids(code):
+    """Component ids of an int8 sign code: each sign labelled by scipy
+    with the periodic union-find, numbered from 0 in scan order of each
+    component's first cell, -1 on the 0 cells."""
+    pos = _meshgrid_components(code > 0)
+    neg = _meshgrid_components(code < 0)
+    n_pos_raw = int(pos.max())
+    combined = np.where(pos > 0, pos, 0) + np.where(neg > 0, neg + n_pos_raw, 0)
+    flat = combined.ravel()
+    labels, first = np.unique(flat[flat > 0], return_index=True)
+    order = labels[np.argsort(first)]
+    remap = np.zeros(int(combined.max()) + 1, dtype=np.int64)
+    remap[order] = np.arange(len(order))
+    component = np.full(code.shape, -1, dtype=np.int64)
+    component[combined > 0] = remap[combined[combined > 0]]
+    return component
+
+
 def _meshgrid_sweep(n, cfg):
     """Reference sweep on full 3-d meshgrid arrays: det_a, degeneracy,
     component ids and summary, written the direct way."""
@@ -190,19 +217,8 @@ def _meshgrid_sweep(n, cfg):
     degeneracy[pair] = 1
 
     wall = np.abs(det) <= cfg.singular_tol
-    component = np.full(det.shape, -1, dtype=np.int64)
-    pos = _meshgrid_components((det > 0.0) & ~wall)
-    neg = _meshgrid_components((det < 0.0) & ~wall)
-    n_pos_raw = int(pos.max())
-    combined = np.where(pos > 0, pos, 0) + np.where(neg > 0, neg + n_pos_raw, 0)
-    flat = combined.ravel()
-    labels, first = np.unique(flat[flat > 0], return_index=True)
-    order = labels[np.argsort(first)]
-    remap = np.zeros(int(combined.max()) + 1, dtype=np.int64)
-    remap[order] = np.arange(len(order))
-    component[combined > 0] = remap[combined[combined > 0]]
-
     sign_code = np.where(wall, 0, np.sign(det)).astype(np.int8)
+    component = _reference_ids(sign_code)
     singular = wall.copy()
     for axis in range(3):
         singular |= sign_code != np.roll(sign_code, 1, axis=axis)
@@ -240,23 +256,91 @@ def test_sweep_bitwise_equal_to_meshgrid_reference(n, singular_tol):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=8, max_value=24),
-    st.floats(min_value=math.log(1e-9), max_value=math.log(2.0)).map(math.exp),
+    st.integers(min_value=8, max_value=48),
+    st.floats(min_value=math.log(1e-300), max_value=math.log(2.0)).map(math.exp),
 )
 def test_sweep_equal_to_meshgrid_reference_property(n, singular_tol):
     cfg = ToolConfig(singular_tol=singular_tol)
     result = run_sweep(n, cfg)
     det, degeneracy, component, summary = _meshgrid_sweep(n, cfg)
-    # the summary is complete before the component ids are numbered
-    assert "component_id" not in vars(result)
+    # the summary is complete before any n^3 array is built
+    for name in ("det_a", "degeneracy", "component_id"):
+        assert name not in vars(result)
     assert result.summary == summary
+    # plain Python numbers, not numpy scalars
+    kinds = {k: type(v) for k, v in result.summary.items()}
+    assert kinds == {k: type(v) for k, v in summary.items()}
+    assert {type(v) for v in result.summary["degeneracy_counts"].values()} == {int}
+    # each fraction is its cell count over n^3, correctly rounded
+    for key in ("singular_cell_fraction", "wall_cell_fraction"):
+        fraction = result.summary[key]
+        assert fraction == round(fraction * n**3) / n**3
+    # a line's code changes at most four times around the circle
+    assert len(result._runs[0]) <= 5 * n * n
     np.testing.assert_array_equal(result.det_a.view(np.int64), det.view(np.int64))
     np.testing.assert_array_equal(result.degeneracy, degeneracy)
     first = result.component_id
     assert result.component_id is first
     assert first.dtype == np.int64
     np.testing.assert_array_equal(first, component)
-    assert result._labels == []  # no label arrays kept once numbered
+
+
+def _run_labels(code):
+    """Component ids and per-run roots of an int8 sign code by the
+    package's run labelling, as run_sweep uses it."""
+    n = code.shape[0]
+    start = sweep_module._line_starts(code.reshape(-1, n))
+    root = sweep_module._component_roots(start, code.reshape(-1)[start], n)
+    runs = (np.diff(start, append=code.size), root)
+    return sweep_module._number_components(runs).reshape(code.shape), root
+
+
+@st.composite
+def sign_codes(draw):
+    """Arbitrary sign codes: cubes of `block` cells drawn at random
+    densities, shifted by a random wrap.  They hold many runs per line,
+    runs across the k = n - 1 -> 0 wrap and components that meet only
+    across a wrap face, which the sinusoid never produces."""
+    n = draw(st.integers(min_value=8, max_value=20))
+    block = draw(st.integers(min_value=1, max_value=4))
+    p_wall = draw(st.floats(min_value=0.0, max_value=1.0))
+    p_pos = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = -(-n // block)
+    wall = rng.random((m, m, m)) < p_wall
+    sign = np.where(rng.random((m, m, m)) < p_pos, 1, -1)
+    coarse = np.where(wall, 0, sign).astype(np.int8)
+    code = coarse.repeat(block, 0).repeat(block, 1).repeat(block, 2)[:n, :n, :n]
+    return np.roll(code, tuple(rng.integers(0, n, 3)), axis=(0, 1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sign_codes())
+def test_run_labels_equal_to_scipy_periodic_reference(code):
+    ids, root = _run_labels(code)
+    expected = _reference_ids(code)
+    assert ids.dtype == expected.dtype
+    np.testing.assert_array_equal(ids, expected)
+    # one root per component
+    n_components = int(expected.max()) + 1
+    assert np.count_nonzero(root == np.arange(len(root))) == n_components
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_run_labels_join_across_each_wrap_face(axis):
+    # Two +1 cells on opposite faces, walls everywhere else, are one
+    # component, joined only across the wrap; two -1 cells one cell short
+    # of the faces stay two.
+    n = 9
+    code = np.zeros((n, n, n), dtype=np.int8)
+    for sign, (lo, hi), at in ((1, (0, n - 1), 2), (-1, (1, n - 2), 5)):
+        for k in (lo, hi):
+            cell = [at, at, at]
+            cell[axis] = k
+            code[tuple(cell)] = sign
+    ids, _ = _run_labels(code)
+    np.testing.assert_array_equal(ids, _reference_ids(code))
+    assert sorted(np.unique(ids).tolist()) == [-1, 0, 1, 2]
 
 
 def test_run_sweep_rejects_bad_grid_and_tolerance():
@@ -273,7 +357,7 @@ def test_run_sweep_rejects_bad_grid_and_tolerance():
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_cli_no_records_never_numbers_components(fmt, monkeypatch):
-    def refuse(labels):
+    def refuse(runs):
         raise AssertionError("component ids numbered for a summary-only sweep")
 
     monkeypatch.setattr(sweep_module, "_number_components", refuse)
@@ -288,9 +372,9 @@ def test_cli_records_number_components_once(monkeypatch, tmp_path):
     calls = []
     number = sweep_module._number_components
 
-    def counted(labels):
-        calls.append(labels)
-        return number(labels)
+    def counted(runs):
+        calls.append(runs)
+        return number(runs)
 
     monkeypatch.setattr(sweep_module, "_number_components", counted)
     out = tmp_path / "records.csv"
@@ -357,13 +441,9 @@ def test_record_slabs_signed_values():
     )
     degeneracy = np.arange(27, dtype=np.uint8).reshape(3, 3, 3) % 3
     component = (np.arange(27, dtype=np.int64).reshape(3, 3, 3) % 5) - 1
-    result = SweepResult(
-        grid=np.array([-1.0, 0.25, math.pi]),
-        det_a=det,
-        degeneracy=degeneracy,
-        summary={},
-    )
-    vars(result)["component_id"] = component  # stands in for the numbering
+    result = SweepResult(grid=np.array([-1.0, 0.25, math.pi]), summary={})
+    # stand in for the arrays built on first read
+    vars(result).update(det_a=det, degeneracy=degeneracy, component_id=component)
     text = "".join(_record_slabs(result))
     expected = "".join(_record_line(rec) + "\n" for rec in iter_records(result))
     assert text == expected
