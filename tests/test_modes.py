@@ -887,7 +887,11 @@ def tracked_paths(draw):
         m = np.array(a.as_tuple()) + draw(st.floats(0.35, 0.5)) * d
         g = _q2_grad(*m)
         side = 1.0 if _q2(*m) > 0.0 else -1.0
-        return [JointTriplet(*(m + 0.3 * side * g / np.linalg.norm(g))), JointTriplet(*m), b]
+        norm = np.linalg.norm(g)
+        # where g = 0, m is an extremum of q2 (|q2| = 1, e.g. all joints 0):
+        # no step leads further from the surface, so the path starts at a
+        lead = m + 0.3 * side * g / norm if norm > 0.0 else np.array(a.as_tuple())
+        return [JointTriplet(*lead), JointTriplet(*m), b]
     t1, t2 = rng.uniform(-math.pi, math.pi, 2)
     eps = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-11.0, -9.0))
     if draw(st.booleans()):
