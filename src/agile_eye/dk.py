@@ -140,7 +140,20 @@ _TRIVIAL_ONLY = JointDegeneracy(kind="trivial_only")
 
 def joint_degeneracy(j: JointTriplet, trig, q2: float) -> JointDegeneracy:
     """classify_joint_degeneracy(j) from j's joint trig (`joint_trig`) and
-    determinant factor q2, for a caller that has both."""
+    determinant factor q2 = det_factor(*trig), for a caller that has both.
+
+    Joints with |q2| > 2 STRUCTURE_TOL are generic, decided before the
+    condition pairs are evaluated.  The exit is exact: where a pair holds,
+    q2's float value has |q2| <= 2 STRUCTURE_TOL.  det_factor computes
+    (s1 s2) s3 + (c1 c2) c3, and each pair bounds one factor of each
+    product below STRUCTURE_TOL (pair 1: s2 and c3, pair 2: s3 and c1,
+    pair 3: s1 and c2), the others being sines and cosines of magnitude
+    <= 1.  Rounding is monotone and the bounds are floats, so each rounded
+    product is at most that factor in magnitude, below STRUCTURE_TOL, and
+    the rounded sum of two such products is at most 2 STRUCTURE_TOL.
+    """
+    if abs(q2) > 2.0 * STRUCTURE_TOL:
+        return _GENERIC
     if math.isnan(q2):
         # every threshold below would fail towards "generic"
         raise ValueError(f"joints {j.as_tuple()} are not finite")
@@ -222,8 +235,8 @@ def finite_solutions(phi: float, trig, q1: float, q2: float):
     # b_diagonal(j, euler_to_rotation(raw[0]))[0].
     cp, sp = math.cos(psi), math.sin(psi)
     b1 = s1 * (ct * sp) + c1 * (s3 * st * sp + c3 * cp)
-    order = _ORDERS[b1 > 0.0, q2 > 0.0]
-    return tuple(raw[i] for i in order)
+    i0, i1, i2, i3 = _ORDERS[b1 > 0.0, q2 > 0.0]
+    return raw[i0], raw[i1], raw[i2], raw[i3]
 
 
 def solve_dk(j: JointTriplet) -> DkResult:
@@ -233,8 +246,10 @@ def solve_dk(j: JointTriplet) -> DkResult:
     order (`finite_solutions`): solution k has working-mode signature
     sign(q2) * P_k, with P the mechanism's SIGN_TABLE.  Degenerate joints
     (within STRUCTURE_TOL) give the self-motion or trivial-only branch
-    instead.  The trivial orientations are attached in every case.  A NaN
-    joint raises ValueError.
+    instead; joints with |q2| > 2 STRUCTURE_TOL are generic without a
+    look at the condition pairs (`joint_degeneracy`).  The trivial
+    orientations are attached in every case.  A NaN joint raises
+    ValueError.
     """
     trig = joint_trig(*j.as_tuple())
     q1, q2 = joint_factors(*trig)

@@ -43,7 +43,7 @@ STRUCTURE_TOL = 1e-9
 SIGN_TABLE = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JointTriplet:
     """Active-joint angles (theta1, theta2, theta3), each in (-pi, pi]."""
 
@@ -51,10 +51,11 @@ class JointTriplet:
     theta2: float
     theta3: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta1", wrap_angle(float(self.theta1)))
-        object.__setattr__(self, "theta2", wrap_angle(float(self.theta2)))
-        object.__setattr__(self, "theta3", wrap_angle(float(self.theta3)))
+    # Written by hand so that each field is set once, already wrapped.
+    def __init__(self, theta1: float, theta2: float, theta3: float):
+        object.__setattr__(self, "theta1", wrap_angle(float(theta1)))
+        object.__setattr__(self, "theta2", wrap_angle(float(theta2)))
+        object.__setattr__(self, "theta3", wrap_angle(float(theta3)))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta1, self.theta2, self.theta3)

@@ -338,14 +338,19 @@ def _segment_crossing(
     (Piyavskii-Shubert exclusion) or min(|v0|, |v1|) - (L h)**2 / 8 > t
     (linear interpolation error); any other interval is bisected.  The
     second bound keeps the bisection short on segments that run close to
-    the surface q2 = 0.  Every comparison is written so that NaN fails it.
+    the surface q2 = 0.  The whole segment [0, 1] is checked first, and
+    the stack of intervals left to check is used only when it is
+    bisected.  Every comparison is written so that NaN fails it.
     """
-    base = a.as_tuple()
-    d = [wrap_angle(y - x) for x, y in zip(base, b.as_tuple())]
-    lip = sum(abs(x) for x in d)
-    stack = [(0.0, 1.0, qa, qb)]
-    while stack:
-        f0, f1, v0, v1 = stack.pop()
+    d = (
+        wrap_angle(b.theta1 - a.theta1),
+        wrap_angle(b.theta2 - a.theta2),
+        wrap_angle(b.theta3 - a.theta3),
+    )
+    lip = abs(d[0]) + abs(d[1]) + abs(d[2])
+    f0, f1, v0, v1 = 0.0, 1.0, qa, qb
+    stack = []
+    while True:
         if not (abs(v0) > singular_tol and abs(v1) > singular_tol):
             return "determinant factor within tolerance"
         if (v0 > 0.0) != (v1 > 0.0):
@@ -354,14 +359,17 @@ def _segment_crossing(
         lipschitz = (abs(v0) + abs(v1) - lh) / 2.0
         curvature = min(abs(v0), abs(v1)) - lh * lh / 8.0
         if max(lipschitz, curvature) > singular_tol:
+            if not stack:
+                return None
+            f0, f1, v0, v1 = stack.pop()
             continue
         fm = 0.5 * (f0 + f1)
         if not (lh > singular_tol and f0 < fm < f1):
             return "determinant factor within tolerance"
-        vm = det_factor(*joint_trig(*(x + fm * dx for x, dx in zip(base, d))))
+        vm = det_factor(*joint_trig(*(x + fm * dx for x, dx in zip(a.as_tuple(), d))))
+        # check [f0, fm] next, then [fm, f1]
         stack.append((fm, f1, vm, v1))
-        stack.append((f0, fm, v0, vm))
-    return None
+        f1, v1 = fm, vm
 
 
 def track_path(
@@ -381,12 +389,19 @@ def track_path(
     that is not certified ("determinant sign change" or "determinant
     factor within tolerance"), or whose end waypoint has no finite direct
     solutions ("direct solve became ...", by `joint_degeneracy`).
-    Condition pairs and trivial-only joints have |q2| < 2 STRUCTURE_TOL,
-    inside the default singular_tol.
+    Condition pairs and trivial-only joints have |q2| <= 2 STRUCTURE_TOL
+    (proved in `joint_degeneracy`), inside the default singular_tol, so a
+    certified end waypoint is generic with no look at the condition pairs
+    whenever singular_tol >= 2 STRUCTURE_TOL.  A NaN joint at any
+    waypoint raises ValueError naming its index, before any tracking.
     """
     waypoints = [p if isinstance(p, JointTriplet) else JointTriplet(*p) for p in path]
     if not waypoints:
         raise ValueError("path must contain at least one waypoint")
+    for k, p in enumerate(waypoints):
+        # wrapped angles are finite or NaN, so the sum is NaN iff one is
+        if math.isnan(p.theta1 + p.theta2 + p.theta3):
+            raise ValueError(f"waypoint {k}: joints {p.as_tuple()} are not finite")
 
     dk0 = solve_dk(waypoints[0])
     if not dk0.is_finite:

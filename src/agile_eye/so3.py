@@ -34,7 +34,7 @@ def wrap_angle(x: float) -> float:
     return math.pi if y == -math.pi else y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EulerZyx:
     """ZYX Euler triplet (phi, theta, psi); each angle normalized to (-pi, pi]."""
 
@@ -42,10 +42,11 @@ class EulerZyx:
     theta: float
     psi: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
-        object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
-        object.__setattr__(self, "psi", wrap_angle(float(self.psi)))
+    # Written by hand so that each field is set once, already wrapped.
+    def __init__(self, phi: float, theta: float, psi: float):
+        object.__setattr__(self, "phi", wrap_angle(float(phi)))
+        object.__setattr__(self, "theta", wrap_angle(float(theta)))
+        object.__setattr__(self, "psi", wrap_angle(float(psi)))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi, self.theta, self.psi)

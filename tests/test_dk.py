@@ -25,7 +25,7 @@ from agile_eye import (
     validate_rotation,
 )
 from agile_eye.dk import nearest_trivial
-from agile_eye.mechanism import joint_factors, joint_trig
+from agile_eye.mechanism import STRUCTURE_TOL, det_factor, joint_factors, joint_trig
 from conftest import (
     HALF_PI,
     PLATFORM_HOME,
@@ -130,6 +130,69 @@ def test_classify_generic_and_trivial_only():
     assert deg.kind == "trivial_only"
     # verify the construction actually zeroes the coefficient
     assert abs(q1_q2(j)[1]) < 1e-15
+
+
+def _full_degeneracy_rule(j):
+    # classify_joint_degeneracy as defined, with no early exit: the
+    # condition pairs first, then |q2| <= STRUCTURE_TOL
+    s1, c1, s2, c2, s3, c3 = joint_trig(*j.as_tuple())
+    tol = STRUCTURE_TOL
+    pairs = (
+        abs(s2) < tol and abs(c3) < tol,
+        abs(s3) < tol and abs(c1) < tol,
+        abs(s1) < tol and abs(c2) < tol,
+    )
+    if True in pairs:
+        return "self_motion", pairs.index(True) + 1
+    if abs(det_factor(s1, c1, s2, c2, s3, c3)) <= tol:
+        return "trivial_only", None
+    return "generic", None
+
+
+def _offset(draw):
+    # 1e-12 to 1e-8, half the time 5e-10 to 1e-9: two such offsets on a
+    # condition-pair line put |q2| between STRUCTURE_TOL and twice it
+    exponent = draw(st.floats(-12.0, -8.0) | st.floats(-9.3, -9.0, exclude_max=True))
+    return draw(st.sampled_from([-1.0, 1.0])) * 10.0**exponent
+
+
+@st.composite
+def near_degenerate_joints(draw):
+    # joints 1e-12 to 1e-8 off a condition-pair line (pair p: sin of joint
+    # p mod 3 and cos of joint p + 1 mod 3 vanish, 0-based) or off the
+    # surface q2 = 0, or with |q2| in (STRUCTURE_TOL, 3 STRUCTURE_TOL]
+    free = st.floats(-math.pi, math.pi)
+    offset = _offset(draw)
+    kind = draw(st.sampled_from([1, 2, 3, "surface", "band"]))
+    if kind in (1, 2, 3):
+        t = [draw(free), draw(free), draw(free)]
+        t[kind % 3] = draw(st.sampled_from([0.0, math.pi])) + offset
+        t[(kind + 1) % 3] = draw(st.sampled_from([HALF_PI, -HALF_PI])) + _offset(draw)
+        return JointTriplet(*t)
+    t1, t2 = draw(free), draw(free)
+    a, b = math.sin(t1) * math.sin(t2), math.cos(t1) * math.cos(t2)
+    rho = math.hypot(a, b)
+    assume(rho > 1e-3)
+    if kind == "band":
+        offset = math.copysign(
+            draw(st.floats(STRUCTURE_TOL, 3 * STRUCTURE_TOL, exclude_min=True)), offset
+        )
+    # q2 = rho sin(t3 + delta), as in the order property below
+    return JointTriplet(t1, t2, math.asin(offset / rho) - math.atan2(b, a))
+
+
+@settings(max_examples=600, deadline=None)
+@given(near_degenerate_joints())
+def test_degeneracy_early_exit_matches_full_rule(j):
+    # joint_degeneracy answers "generic" for |q2| > 2 STRUCTURE_TOL before
+    # it looks at the condition pairs; wherever a pair holds, |q2| is
+    # within that bound, so the answer is the full rule's
+    kind, pair = _full_degeneracy_rule(j)
+    deg = classify_joint_degeneracy(j)
+    assert (deg.kind, deg.pair) == (kind, pair)
+    assert solve_dk(j).branch == ("finite" if kind == "generic" else kind)
+    if kind == "self_motion":
+        assert abs(det_factor(*joint_trig(*j.as_tuple()))) <= 2 * STRUCTURE_TOL
 
 
 def test_joint_factors_expansions(rng):
