@@ -26,14 +26,12 @@ from .exceptions import (
     UnknownFamily,
 )
 from .ik import IkSolutionSet, LegIkOutcome, solve_ik
-from .mechanism import JointTriplet, constraint_residuals, singular_legs
+from .mechanism import JointTriplet, WorkingModeSignature, constraint_residuals, singular_legs
 from .modes import (
     SingularityCrossing,
     TrackResult,
-    WorkingModeSignature,
     assembly_mode_for,
     assembly_mode_id,
-    direct_signature,
     track_path,
     working_mode_signature,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "classify_joint_degeneracy",
     "constraint_residuals",
     "det_a_closed_form",
-    "direct_signature",
     "euler_to_rotation",
     "family_distance",
     "iter_records",

@@ -38,7 +38,7 @@ from .exceptions import (
 )
 from .ik import solve_ik
 from .mechanism import JointTriplet, constraint_residuals
-from .modes import direct_signature, track_path
+from .modes import track_path
 from .singularity import (
     classify_configuration,
     det3,
@@ -252,15 +252,14 @@ def dk(ctx, joints):
         "trivial": [_matrix_rows(m) for m in result.trivial],
     }
     if result.is_finite:
-        doc["solutions"] = []
-        for mode_id, sol in enumerate(result.solutions, 1):
-            doc["solutions"].append(
-                {
-                    "mode_id": mode_id,
-                    "euler": _angles_out(sol.as_tuple(), degrees),
-                    "signature": direct_signature(j, mode_id).label,
-                }
-            )
+        doc["solutions"] = [
+            {
+                "mode_id": mode_id,
+                "euler": _angles_out(sol.as_tuple(), degrees),
+                "signature": sig.label,
+            }
+            for mode_id, (sol, sig) in enumerate(zip(result.solutions, result.signatures), 1)
+        ]
     elif result.branch == "self_motion":
         doc["pair"] = result.pair
         doc["families"] = list(result.families)
@@ -403,7 +402,7 @@ def track(ctx, path_file, start_euler, start_matrix):
     # Each reached segment is certified to keep sign(q2), and a step's
     # signature is sign(q2) * SIGN_TABLE[mode_id - 1], so one signature holds
     # for the whole track; mode_constant stays in the schema, always true.
-    sig = direct_signature(waypoints[0], result.mode_id).label
+    sig = solve_dk(waypoints[0]).signatures[result.mode_id - 1].label
     steps = [
         {
             "step": k,

@@ -8,6 +8,8 @@ forces phi = theta3 and reduces to a scalar equation
 c1 * cos(theta) + c2 * sin(theta) = 0 whose coefficients depend only on
 the joints; each of its two roots admits two psi values, giving four
 nontrivial solutions related by half-turns about platform joint axes.
+Solution k has working-mode signature sign(c2) P_k (P = SIGN_TABLE), so
+the four carry the four signatures of sign product sign(c2) (c2 is `q2`).
 
 The cascade degenerates in two ways.  When both coefficients vanish
 (equivalently when one of three condition pairs on the joints holds), a
@@ -33,6 +35,7 @@ from .mechanism import (
     SIGN_TABLE,
     STRUCTURE_TOL,
     JointTriplet,
+    WorkingModeSignature,
     condition_pairs,
     det_factor,
     joint_factors,
@@ -83,8 +86,8 @@ class JointDegeneracy:
 class DkResult:
     """Full direct-kinematics outcome for one joint triplet.
 
-    The four trivial orientations are always present: `trivial` computes
-    fresh copies on access (`trivial_orientations`).  `branch` is
+    `q2` is det_factor of the joints, on every branch, and the trivial
+    orientations are always present (`trivial` copies them).  `branch` is
     "finite" (four Euler solutions in half-turn order: (phi, theta, psi),
     (phi, theta, psi+pi), (phi, theta+pi, -psi), (phi, theta+pi, -psi+pi)),
     "self_motion" (a condition pair holds; `families` lists the two
@@ -92,6 +95,7 @@ class DkResult:
     """
 
     branch: str
+    q2: float
     solutions: tuple[EulerZyx, EulerZyx, EulerZyx, EulerZyx] | None = None
     pair: int | None = None
     families: tuple[int, int] | None = None
@@ -100,6 +104,14 @@ class DkResult:
     @property
     def is_finite(self) -> bool:
         return self.branch == "finite"
+
+    @property
+    def signatures(self) -> tuple[WorkingModeSignature, ...] | None:
+        """sign(q2) * SIGN_TABLE[k] for each solution k; None if not finite."""
+        if self.solutions is None:
+            return None
+        s = 1 if self.q2 > 0.0 else -1
+        return tuple(WorkingModeSignature(*(s * p for p in row)) for row in SIGN_TABLE)
 
     @property
     def trivial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -244,7 +256,8 @@ def solve_dk(j: JointTriplet) -> DkResult:
 
     Generic joints give four nontrivial Euler solutions in canonical
     order (`finite_solutions`): solution k has working-mode signature
-    sign(q2) * P_k, with P the mechanism's SIGN_TABLE.  Degenerate joints
+    sign(q2) * P_k, with P the mechanism's SIGN_TABLE, which the result
+    reports with q2 (`DkResult.signatures`).  Degenerate joints
     (within STRUCTURE_TOL) give the self-motion or trivial-only branch
     instead; joints with |q2| > 2 STRUCTURE_TOL are generic without a
     look at the condition pairs (`joint_degeneracy`).  The trivial
@@ -257,14 +270,15 @@ def solve_dk(j: JointTriplet) -> DkResult:
     if deg.kind == "self_motion":
         return DkResult(
             branch="self_motion",
+            q2=q2,
             pair=deg.pair,
             families=PAIR_FAMILIES[deg.pair],
             constrained=_PAIR_DESCRIPTIONS[deg.pair],
         )
     if deg.kind == "trivial_only":
-        return DkResult(branch="trivial_only")
+        return DkResult(branch="trivial_only", q2=q2)
     solutions = finite_solutions(j.theta3, trig, q1, q2)
-    return DkResult(branch="finite", solutions=tuple(EulerZyx(*e) for e in solutions))
+    return DkResult(branch="finite", q2=q2, solutions=tuple(EulerZyx(*e) for e in solutions))
 
 
 def self_motion_family(family_id, parameter: float) -> np.ndarray:

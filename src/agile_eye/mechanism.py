@@ -43,6 +43,28 @@ STRUCTURE_TOL = 1e-9
 SIGN_TABLE = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
 
 
+@dataclass(frozen=True)
+class WorkingModeSignature:
+    """Signs of (B11, B22, B33); one of the 8 working modes."""
+
+    s1: int
+    s2: int
+    s3: int
+
+    def __post_init__(self):
+        for s in (self.s1, self.s2, self.s3):
+            if s not in (-1, 1):
+                raise ValueError("signature components must be +1 or -1")
+
+    @property
+    def label(self) -> str:
+        return "".join("+" if s > 0 else "-" for s in (self.s1, self.s2, self.s3))
+
+    @property
+    def product(self) -> int:
+        return self.s1 * self.s2 * self.s3
+
+
 @dataclass(frozen=True, init=False)
 class JointTriplet:
     """Active-joint angles (theta1, theta2, theta3), each in (-pi, pi]."""

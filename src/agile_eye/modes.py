@@ -3,8 +3,8 @@ and certified path tracking.
 
 The sign triple of diag(B) identifies the working mode: flipping one
 leg's angle by pi flips the corresponding B_ii.  Direct solution k of
-generic joints has signature sign(q2) * P_k (P the mechanism's SIGN_TABLE,
-q2 the joint-space determinant factor), so only the four signatures of
+generic joints has signature sign(q2) * P_k (P = SIGN_TABLE, q2 the
+determinant factor; `DkResult.signatures`), so only the four signatures of
 sign product sign(q2) are reachable, each naming its solution by lookup.
 At an inverse solution sign(q2) is the sign product pi(sigma) of the
 working mode sigma (the `singularity` module docstring proves it), so
@@ -35,10 +35,10 @@ so every direct solution keeps its signature, and the canonical solution
 order ties each index 1..4 to a signature.  Tracking is therefore two
 steps per segment: certify by Lipschitz and curvature bounds that |q2|
 stays above the singular tolerance, then take the end waypoint's direct
-solution with the start's index.  Past the first waypoint (a full
-solve_dk) each reached waypoint costs one joint trig, one float solve
-(`dk.finite_solutions`), one Euler triple and one matrix; its q2 ends
-one segment's certificate and starts the next.
+solution with the start's index.  The first waypoint takes a full
+solve_dk, whose q2 starts the first certificate; each later one costs one
+joint trig, one float solve (`dk.finite_solutions`), one Euler triple and
+one matrix, and its q2 ends one certificate and starts the next.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .mechanism import (
     SIGN_TABLE,
     STRUCTURE_TOL,
     JointTriplet,
+    WorkingModeSignature,
     b_diagonal,
     condition_pairs,
     det_factor,
@@ -76,35 +77,15 @@ from .so3 import EulerZyx, euler_to_rotation, rotation_angle, wrap_angle
 # Orientation-to-solution matching tolerance (rotation distance, radians).
 MATCH_TOL = 1e-6
 
-# Column signs of the half-turns H_k: direct solution k is R_1 H_k.
-_HALF_TURNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+# Column signs of the half-turns H_k: direct solution k is R_1 H_k.  Legs
+# 1, 2, 3 read columns 1, 2, 0 of R, flipping a column flips that leg's
+# B_ii, and R_1 has signature sign(q2) * +++, so H_k flips as P_k does.
+_HALF_TURNS = tuple((p3, p1, p2) for p1, p2, p3 in SIGN_TABLE)
 
 # Rounding allowance of `_certified_mode`: a bound on the rounding error of
 # each entry it computes, and on the residuals of solve_dk's solutions.
 _ROUNDING = 1e-14
 _SQRT3 = math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class WorkingModeSignature:
-    """Signs of (B11, B22, B33); one of the 8 working modes."""
-
-    s1: int
-    s2: int
-    s3: int
-
-    def __post_init__(self):
-        for s in (self.s1, self.s2, self.s3):
-            if s not in (-1, 1):
-                raise ValueError("signature components must be +1 or -1")
-
-    @property
-    def label(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in (self.s1, self.s2, self.s3))
-
-    @property
-    def product(self) -> int:
-        return self.s1 * self.s2 * self.s3
 
 
 @dataclass(frozen=True)
@@ -159,17 +140,6 @@ def _finite_dk(j: JointTriplet) -> DkResult:
     return dk
 
 
-def _q2_sign(j: JointTriplet) -> int:
-    return 1 if det_factor(*joint_trig(*j.as_tuple())) > 0.0 else -1
-
-
-def direct_signature(j: JointTriplet, mode: int) -> WorkingModeSignature:
-    """Signature sign(q2) * SIGN_TABLE[mode - 1] of direct solution `mode`
-    (1..4) of j, exact wherever solve_dk(j) is finite."""
-    s = _q2_sign(j)
-    return WorkingModeSignature(*(s * p for p in SIGN_TABLE[mode - 1]))
-
-
 def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
     """The direct solution realizing a requested working-mode signature.
 
@@ -178,13 +148,12 @@ def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
     the opposite group raises NoSuchMode.
     """
     dk = _finite_dk(j)
-    s = _q2_sign(j)
-    rel = (s * sig.s1, s * sig.s2, s * sig.s3)
-    if rel in SIGN_TABLE:
-        return dk.solutions[SIGN_TABLE.index(rel)]
+    signatures = dk.signatures
+    if sig in signatures:
+        return dk.solutions[signatures.index(sig)]
     raise NoSuchMode(
         f"signature {sig.label} not realized: these joints admit the "
-        f"sign-product {'+' if s > 0 else '-'} group only"
+        f"sign-product {'+' if dk.q2 > 0.0 else '-'} group only"
     )
 
 
@@ -418,8 +387,7 @@ def track_path(
     eulers = [dk0.solutions[best]]
     orientations = [euler_to_rotation(eulers[0])]
 
-    a = waypoints[0]
-    qa = det_factor(*joint_trig(*a.as_tuple()))
+    a, qa = waypoints[0], dk0.q2
     for seg, b in enumerate(waypoints[1:]):
         trig = joint_trig(*b.as_tuple())
         q1, qb = joint_factors(*trig)

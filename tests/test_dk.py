@@ -1,10 +1,11 @@
 import math
+import struct
 import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -13,8 +14,10 @@ from agile_eye import (
     EulerZyx,
     JointTriplet,
     UnknownFamily,
+    assembly_mode_for,
     classify_joint_degeneracy,
     constraint_residuals,
+    det_a_closed_form,
     euler_to_rotation,
     jacobians,
     rotation_distance,
@@ -23,6 +26,7 @@ from agile_eye import (
     solve_ik,
     trivial_orientations,
     validate_rotation,
+    working_mode_signature,
 )
 from agile_eye.dk import nearest_trivial
 from agile_eye.mechanism import STRUCTURE_TOL, det_factor, joint_factors, joint_trig
@@ -193,6 +197,57 @@ def test_degeneracy_early_exit_matches_full_rule(j):
     assert solve_dk(j).branch == ("finite" if kind == "generic" else kind)
     if kind == "self_motion":
         assert abs(det_factor(*joint_trig(*j.as_tuple()))) <= 2 * STRUCTURE_TOL
+
+
+# Self-motion joints on each condition pair, and trivial-only joints; the
+# first two read +++ from a signature formula that ignores the branch.
+OFF_FINITE_JOINTS = [
+    JointTriplet(math.pi / 2, 0.0, 0.0),
+    JointTriplet(0.5, 0.0, math.pi / 2),
+    JointTriplet(0.0, -math.pi / 2, 0.9),
+    JointTriplet(math.pi, math.pi / 2, 0.9),
+    trivial_only_joints(1.0, 1.0),
+    trivial_only_joints(-2.0, 0.4),
+]
+
+
+@pytest.mark.parametrize("j", OFF_FINITE_JOINTS, ids=lambda j: str(j.as_tuple()))
+def test_signatures_none_off_finite_branch(j):
+    dk = solve_dk(j)
+    assert dk.branch in ("self_motion", "trivial_only")
+    assert dk.solutions is None
+    assert dk.signatures is None
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=600, deadline=None)
+@given(near_degenerate_joints() | st.builds(JointTriplet, *[st.floats(-math.pi, math.pi)] * 3))
+@example(JointTriplet(math.pi / 2, 0.0, 0.0))
+@example(JointTriplet(0.5, 0.0, math.pi / 2))
+@example(trivial_only_joints(1.0, 1.0))
+def test_dk_q2_is_closed_form_on_every_branch(j):
+    # q2 is det_factor's value bit for bit, and signatures exist exactly
+    # where solutions do
+    dk = solve_dk(j)
+    assert _bits(dk.q2) == _bits(det_a_closed_form(j))
+    assert (dk.solutions is None) is (dk.signatures is None) is (not dk.is_finite)
+
+
+@settings(max_examples=400, deadline=None)
+@given(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 3)
+def test_signatures_are_numeric_signatures(t1, t2, t3):
+    # sign(q2) * P_k against the numeric signs of diag(B) at solution k,
+    # and assembly_mode_for inverts it
+    j = JointTriplet(t1, t2, t3)
+    dk = solve_dk(j)
+    assume(dk.is_finite)
+    for sig, sol in zip(dk.signatures, dk.solutions):
+        assert sig == working_mode_signature(j, euler_to_rotation(sol))
+        assert sig.product == (1 if dk.q2 > 0.0 else -1)
+        assert assembly_mode_for(j, sig) == sol
 
 
 def test_joint_factors_expansions(rng):

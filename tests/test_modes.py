@@ -18,7 +18,6 @@ from agile_eye import (
     assembly_mode_for,
     assembly_mode_id,
     det_a_closed_form,
-    direct_signature,
     euler_to_rotation,
     rotation_distance,
     solve_dk,
@@ -151,18 +150,44 @@ def test_assembly_mode_for_degenerate_joints():
         )
 
 
-@settings(max_examples=400, deadline=None)
-@given(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 3)
-def test_direct_signature_is_numeric_signature(t1, t2, t3):
-    # sign(q2) * P_k against the numeric signs of diag(B) at solution k,
-    # and assembly_mode_for inverts it
-    j = JointTriplet(t1, t2, t3)
-    dk = solve_dk(j)
-    assume(dk.is_finite)
-    for mode, sol in enumerate(dk.solutions, 1):
-        sig = direct_signature(j, mode)
-        assert sig == working_mode_signature(j, euler_to_rotation(sol))
-        assert assembly_mode_for(j, sig) == sol
+def test_signature_class_has_one_home():
+    import agile_eye
+    from agile_eye import mechanism
+
+    assert WorkingModeSignature is mechanism.WorkingModeSignature
+    assert modes.WorkingModeSignature is mechanism.WorkingModeSignature
+    assert not hasattr(agile_eye, "direct_signature")
+    assert not hasattr(modes, "direct_signature")
+
+
+def test_assembly_mode_for_reads_one_solve(rng, monkeypatch):
+    # the signature lookup reads solve_dk's q2 and signatures; no joint
+    # trig or determinant factor is evaluated beside that one solve
+    calls = dict.fromkeys(("solve_dk", "joint_trig", "det_factor"), 0)
+
+    def spy(name):
+        real = getattr(modes, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(modes, name, counting)
+
+    for name in calls:
+        spy(name)
+    for _ in range(50):
+        j = generic_joints(rng)
+        dk = solve_dk(j)
+        for sig, sol in zip(dk.signatures, dk.solutions):
+            calls.update(dict.fromkeys(calls, 0))
+            assert assembly_mode_for(j, sig) == sol
+            assert calls == {"solve_dk": 1, "joint_trig": 0, "det_factor": 0}
+        flipped = WorkingModeSignature(*(-s for s in (sig.s1, sig.s2, sig.s3)))
+        calls.update(dict.fromkeys(calls, 0))
+        with pytest.raises(NoSuchMode):
+            assembly_mode_for(j, flipped)
+        assert calls == {"solve_dk": 1, "joint_trig": 0, "det_factor": 0}
 
 
 def test_assembly_mode_ids():
@@ -751,9 +776,10 @@ def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
 
 
 def test_track_per_waypoint_work(rng, monkeypatch):
-    # README's cost statement: path[0] takes one solve_dk and one q2
-    # (det_factor) for the first certificate; each later waypoint takes one
-    # q2 (joint_factors), one float solve and no condition pair.  On
+    # README's cost statement: path[0] takes one solve_dk, whose q2 starts
+    # the first certificate, and no second q2 (det_factor); each later
+    # waypoint takes one q2 (joint_factors), one float solve and no
+    # condition pair.  On
     # these paths |q2| >= 0.05 at every waypoint and L <= 0.6 per segment,
     # so the curvature bound 0.05 - 0.6**2 / 8 > singular_tol clears each
     # whole segment, with no bisection.
@@ -782,7 +808,7 @@ def test_track_per_waypoint_work(rng, monkeypatch):
             result = track_path(path, start)
             assert not result.crossed
             assert calls == {
-                "det_factor": 1,
+                "det_factor": 0,
                 "joint_factors": len(path) - 1,
                 "solve_dk": 1,
                 "finite_solutions": len(path) - 1,
@@ -812,8 +838,9 @@ def _crossing_walk(rng, waypoints, step):
     st.booleans(),
 )
 def test_track_numeric_signature_is_constant(seed, waypoints, step, crossing):
-    # The numeric signs of diag(B) at every reached step equal the start's
-    # direct signature, which is what `agile track` prints for each step.
+    # The numeric signs of diag(B) at every reached step equal the start
+    # solution's signature (DkResult.signatures), which is what `agile
+    # track` prints for each step.
     rng = np.random.default_rng(seed)
     if crossing:
         path = _crossing_walk(rng, waypoints, step)
@@ -823,7 +850,7 @@ def test_track_numeric_signature_is_constant(seed, waypoints, step, crossing):
         start = euler_to_rotation(solve_dk(path[0]).solutions[mode - 1])
         result = track_path(path, start)
         assert result.crossed == crossing
-        expected = direct_signature(path[0], mode)
+        expected = solve_dk(path[0]).signatures[mode - 1]
         for j, r in zip(path, result.orientations):
             assert working_mode_signature(j, r) == expected
 
