@@ -402,14 +402,13 @@ def track(ctx, path_file, start_euler, start_matrix):
     # Each reached segment is certified to keep sign(q2), and a step's
     # signature is sign(q2) * SIGN_TABLE[mode_id - 1], so one signature holds
     # for the whole track; mode_constant stays in the schema, always true.
-    sig = solve_dk(waypoints[0]).signatures[result.mode_id - 1].label
     steps = [
         {
             "step": k,
             "joints": _angles_out(jk.as_tuple(), degrees),
             "euler": _angles_out(e.as_tuple(), degrees),
             "mode_id": result.mode_id,
-            "signature": sig,
+            "signature": result.signature.label,
         }
         for k, (jk, e) in enumerate(zip(waypoints, result.eulers))
     ]
@@ -500,7 +499,7 @@ def _record_slabs(result):
 @click.option("--no-records", is_flag=True, help="Summary only; skip the record stream.")
 @click.pass_context
 def sweep(ctx, grid_n, records_out, no_records):
-    """Joint-space sweep with det-sign flood fill on the wrapped grid.
+    """Joint-space sweep labelling det-sign components on the wrapped grid.
 
     Records go to --records-out (or stdout if omitted); the summary goes
     to stdout, or to stderr when records already use stdout.

@@ -26,6 +26,7 @@ solutions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,12 @@ _TRIVIAL = (
 )
 # The nonzero entry of each column of T_k: T[2, 0], T[0, 1], T[1, 2].
 _TRIVIAL_SIGNS = tuple((float(t[2, 0]), float(t[0, 1]), float(t[1, 2])) for t in _TRIVIAL)
+
+# sign(q2) * SIGN_TABLE, row by row, indexed by q2 > 0
+_SIGNATURES = tuple(
+    tuple(WorkingModeSignature(*(s * p for p in row)) for row in SIGN_TABLE)
+    for s in (-1, 1)
+)
 
 FAMILY_LABELS = ("1a", "1b", "2a", "2b", "3a", "3b")
 
@@ -108,10 +115,7 @@ class DkResult:
     @property
     def signatures(self) -> tuple[WorkingModeSignature, ...] | None:
         """sign(q2) * SIGN_TABLE[k] for each solution k; None if not finite."""
-        if self.solutions is None:
-            return None
-        s = 1 if self.q2 > 0.0 else -1
-        return tuple(WorkingModeSignature(*(s * p for p in row)) for row in SIGN_TABLE)
+        return None if self.solutions is None else _SIGNATURES[self.q2 > 0.0]
 
     @property
     def trivial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -284,10 +288,10 @@ def solve_dk(j: JointTriplet) -> DkResult:
 def self_motion_family(family_id, parameter: float) -> np.ndarray:
     """Orientation on one of the six self-motion curves.
 
-    family_id is 1..6 or a label from FAMILY_LABELS ("1a".."3b"); the
-    free angle is `parameter`.  On the "a" curves the singular leg is
-    fully folded (platform joint axis equal to the base joint axis), on
-    the "b" curves fully extended (opposite).
+    family_id is an integer 1..6 (a float raises TypeError) or a label
+    from FAMILY_LABELS ("1a".."3b"); the free angle is `parameter`.  On
+    the "a" curves the singular leg is fully folded (platform joint axis
+    equal to the base joint axis), on the "b" curves fully extended.
     """
     if isinstance(family_id, str):
         label = family_id.lower()
@@ -295,7 +299,7 @@ def self_motion_family(family_id, parameter: float) -> np.ndarray:
             raise UnknownFamily(f"unknown self-motion family {family_id!r}")
         fid = FAMILY_LABELS.index(label) + 1
     else:
-        fid = int(family_id)
+        fid = operator.index(family_id)
         if fid < 1 or fid > 6:
             raise UnknownFamily(f"self-motion family id must be 1..6, got {family_id}")
     c, s = math.cos(parameter), math.sin(parameter)

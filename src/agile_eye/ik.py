@@ -45,8 +45,10 @@ class IkSolutionSet:
         return any(leg.arbitrary for leg in self.legs)
 
 
-def _leg_outcome(num: float, den: float) -> LegIkOutcome:
+def _leg_outcome(leg: int, num: float, den: float) -> LegIkOutcome:
     # theta = atan2(num, den) and its antipode, from the leg table
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise ValueError(f"leg {leg}: leg table entries ({num}, {den}) are not finite")
     if max(abs(num), abs(den)) < STRUCTURE_TOL:
         return LegIkOutcome(arbitrary=True)
     a = wrap_angle(math.atan2(num, den))
@@ -58,9 +60,10 @@ def solve_ik(r: np.ndarray, fill_arbitrary: bool = False) -> IkSolutionSet:
 
     Degenerate legs are reported, not raised.  With fill_arbitrary=True
     each arbitrary leg contributes the single convention angle 0 to the
-    enumeration instead of suppressing it.
+    enumeration instead of suppressing it.  A NaN or infinite entry of
+    the leg table raises ValueError naming the leg.
     """
-    legs = tuple(_leg_outcome(num, den) for num, den in leg_table(r))
+    legs = tuple(_leg_outcome(i, n, d) for i, (n, d) in enumerate(leg_table(r), 1))
     if any(leg.arbitrary for leg in legs) and not fill_arbitrary:
         return IkSolutionSet(legs, ())
     options = [(0.0,) if leg.arbitrary else leg.angles for leg in legs]

@@ -15,6 +15,11 @@ components of -v_i across u_i: (r21, r11), (r02, r22) and (r10, r00)
     theta_i   = atan2(num_i, den_i)       (inverse kinematics, or + pi)
     B_ii      = s_i num_i + c_i den_i     (leg_b; (w_i x v_i) . u_i)
 
+u_i is the i-th base axis, so B_ii is entry i of row i of the Jacobian A
+(`jacobian_rows`), bit for bit: that entry is (-s_i)(-num_i) minus
+c_i (-den_i), and IEEE negation is exact (a NaN's sign aside).  A caller
+that builds A reads diag(B) off it; only `b_diagonal` calls `leg_b`.
+
 The joint-space factors q1, q2 and the three condition pairs use only
 arithmetic, abs, < and & on the sines and cosines of `joint_trig`, so the
 same functions take Python floats and broadcasting numpy arrays.  The

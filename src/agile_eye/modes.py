@@ -44,7 +44,7 @@ one matrix, and its q2 ends one certificate and starts the next.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,7 +68,6 @@ from .mechanism import (
     jacobian_rows,
     joint_factors,
     joint_trig,
-    leg_b,
     leg_residuals,
     leg_table,
 )
@@ -100,16 +99,17 @@ class SingularityCrossing:
 class TrackResult:
     """Orientation path produced by track_path.
 
-    One entry per input waypoint actually reached; each is direct
-    solution `mode_id` (1..4) of its waypoint.  `crossing` is None for a
-    clean track; otherwise it names the first offending segment
-    (path[segment] -> path[segment + 1]) and the orientations list stops
-    at the last safely reached waypoint.
+    One entry per input waypoint actually reached, each direct solution
+    `mode_id` (1..4) of its waypoint, in working mode `signature`.
+    `crossing` is None for a clean track; otherwise it names the first
+    offending segment (path[segment] -> path[segment + 1]) and the
+    orientations list stops at the last safely reached waypoint.
     """
 
-    orientations: tuple[np.ndarray, ...]
+    orientations: tuple[np.ndarray, ...] = field(compare=False)  # eulers fix them
     eulers: tuple[EulerZyx, ...]
     mode_id: int
+    signature: WorkingModeSignature
     crossing: SingularityCrossing | None = None
 
     @property
@@ -148,9 +148,8 @@ def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
     the opposite group raises NoSuchMode.
     """
     dk = _finite_dk(j)
-    signatures = dk.signatures
-    if sig in signatures:
-        return dk.solutions[signatures.index(sig)]
+    if sig in dk.signatures:
+        return dk.solutions[dk.signatures.index(sig)]
     raise NoSuchMode(
         f"signature {sig.label} not realized: these joints admit the "
         f"sign-product {'+' if dk.q2 > 0.0 else '-'} group only"
@@ -181,7 +180,7 @@ def _certified_mode(j: JointTriplet, r: np.ndarray) -> tuple[int, float] | None:
     proven.
 
     Let e = _ROUNDING, rho the numeric residuals, A the numeric Jacobian
-    (rows w_i x v_i), b its diagonal of B, and delta = ||r r^T - I||_F + e.
+    (rows w_i x v_i), b = (x1, y2, z3) its diagonal, diag(B), and delta = ||r r^T - I||_F + e.
     Write r = R0 (I + S), R0 orthogonal and S symmetric (polar form).  The
     singular values s of r have |s - 1| <= |s^2 - 1|, so ||S||_2 <= delta
     and each v_i = r v'_i is within delta of R0 v'_i.
@@ -232,9 +231,7 @@ def _certified_mode(j: JointTriplet, r: np.ndarray) -> tuple[int, float] | None:
     if not abs(q2) > STRUCTURE_TOL or True in condition_pairs(*trig):
         return None
     rows = r.tolist()
-    table = leg_table(rows)
-    rho = leg_residuals(trig, table)
-    b1, b2, b3 = leg_b(trig, table)
+    rho = leg_residuals(trig, leg_table(rows))
     (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = jacobian_rows(trig, rows)
     # the columns of adj A are the cross products of the rows
     u1, u2, u3 = y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3
@@ -265,10 +262,10 @@ def _certified_mode(j: JointTriplet, r: np.ndarray) -> tuple[int, float] | None:
         + 3.0 * delta
         + _ROUNDING * (1.0 + 2.0 * beta)
     )
-    if not (rad < 0.25 and abs(b1) > rad and abs(b2) > rad and abs(b3) > rad):
+    if not (rad < 0.25 and abs(x1) > rad and abs(y2) > rad and abs(z3) > rad):
         return None
     s = 1 if q2 > 0.0 else -1
-    rel = (s if b1 > 0.0 else -s, s if b2 > 0.0 else -s, s if b3 > 0.0 else -s)
+    rel = (s if x1 > 0.0 else -s, s if y2 > 0.0 else -s, s if z3 > 0.0 else -s)
     return (SIGN_TABLE.index(rel) + 1, rad) if rel in SIGN_TABLE else None
 
 
@@ -383,7 +380,7 @@ def track_path(
             f"start orientation is {dist:.3e} rad from the nearest "
             f"direct solution (tol {MATCH_TOL:g})"
         )
-    best = mode - 1
+    best, sig = mode - 1, dk0.signatures[mode - 1]
     eulers = [dk0.solutions[best]]
     orientations = [euler_to_rotation(eulers[0])]
 
@@ -398,8 +395,8 @@ def track_path(
                 reason = f"direct solve became {kind}"
         if reason is not None:
             crossing = SingularityCrossing(seg, reason)
-            return TrackResult(tuple(orientations), tuple(eulers), best + 1, crossing)
+            return TrackResult(tuple(orientations), tuple(eulers), mode, sig, crossing)
         eulers.append(EulerZyx(*finite_solutions(b.theta3, trig, q1, qb)[best]))
         orientations.append(euler_to_rotation(eulers[-1]))
         a, qa = b, qb
-    return TrackResult(tuple(orientations), tuple(eulers), best + 1)
+    return TrackResult(tuple(orientations), tuple(eulers), mode, sig)

@@ -57,7 +57,6 @@ from .mechanism import (
     det_factor,
     jacobian_rows,
     joint_trig,
-    leg_b,
     leg_residuals,
     leg_table,
     singular_legs,
@@ -87,16 +86,10 @@ class SingularityClass:
 
 
 def jacobians(j: JointTriplet, r: np.ndarray) -> JacobianPair:
-    """Numeric A and diag(B) at a configuration.
-
-    Because u_i is the i-th base frame axis, B_ii is the i-th component
-    of row i of A.
-    """
-    trig = joint_trig(*j.as_tuple())
-    return JacobianPair(
-        a=np.array(jacobian_rows(trig, r)),
-        b_diag=np.array(leg_b(trig, leg_table(r))),
-    )
+    """Numeric A and diag(B) at a configuration; diag(B) is A's diagonal
+    (`mechanism`)."""
+    a = np.array(jacobian_rows(joint_trig(*j.as_tuple()), r))
+    return JacobianPair(a=a, b_diag=a.diagonal().copy())
 
 
 def det3(m) -> float:

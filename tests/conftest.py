@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -74,3 +75,20 @@ def intermediate_axes(j: JointTriplet) -> list[np.ndarray]:
 def platform_axes(r: np.ndarray) -> list[np.ndarray]:
     """v_i = R v'_i, in the base frame."""
     return [r @ v0 for v0 in PLATFORM_HOME]
+
+
+def count_calls(monkeypatch, name: str, modules) -> Counter:
+    """Wrap `name` in each of `modules` that binds it so that its calls
+    are counted; returns the counts, keyed by module name."""
+    calls = Counter()
+    for module in modules:
+        real = getattr(module, name, None)
+        if real is None:
+            continue
+
+        def counting(*args, _real=real, _module=module.__name__, **kwargs):
+            calls[_module] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls

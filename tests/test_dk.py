@@ -19,6 +19,7 @@ from agile_eye import (
     constraint_residuals,
     det_a_closed_form,
     euler_to_rotation,
+    family_distance,
     jacobians,
     rotation_distance,
     self_motion_family,
@@ -236,6 +237,15 @@ def test_dk_q2_is_closed_form_on_every_branch(j):
     assert (dk.solutions is None) is (dk.signatures is None) is (not dk.is_finite)
 
 
+def test_signatures_are_shared_per_sign_of_q2(rng):
+    # the eight signatures are built once; a result looks its four up
+    groups = {}
+    for _ in range(200):
+        dk = solve_dk(generic_joints(rng))
+        assert groups.setdefault(dk.q2 > 0.0, dk.signatures) is dk.signatures
+    assert len(groups) == 2
+
+
 @settings(max_examples=400, deadline=None)
 @given(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 3)
 def test_signatures_are_numeric_signatures(t1, t2, t3):
@@ -432,6 +442,18 @@ def test_self_motion_family_labels_and_validity(rng):
         self_motion_family(7, 0.0)
     with pytest.raises(UnknownFamily):
         self_motion_family("4c", 0.0)
+
+
+def test_self_motion_family_id_is_an_integer():
+    # a float id was once truncated: 1.9 gave family 1
+    r = self_motion_family(2, 0.3)
+    for fid in (1.9, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            self_motion_family(fid, 0.3)
+        with pytest.raises(TypeError):
+            family_distance(r, fid)
+    np.testing.assert_array_equal(self_motion_family(np.int64(2), 0.3), r)
+    assert family_distance(r, np.int64(2)) == family_distance(r, 2)
 
 
 def test_trivials_on_exactly_three_families():

@@ -41,7 +41,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from agile_eye import cli, modes
 from agile_eye.cli import main
+from conftest import count_calls
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = json.loads((GOLDEN / "classify.json").read_text())
@@ -74,6 +76,18 @@ def test_track_output_byte_identical(case, tmp_path):
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.exit_code == case["exit_code"]
     assert result.output == case["output"]
+
+
+def test_track_solves_the_first_waypoint_once(tmp_path, monkeypatch):
+    # the signature printed on each step comes from the tracker's solve
+    case = next(c for c in TRACK_CORPUS if c["name"] == "loop_mode_2")
+    path_file = tmp_path / "path.csv"
+    path_file.write_text(case["path"])
+    args = [str(path_file) if a == "PATH" else a for a in case["args"]]
+    calls = count_calls(monkeypatch, "solve_dk", (cli, modes))
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.output == case["output"]
+    assert calls == {"agile_eye.modes": 1}
 
 
 def _assert_stream(data: bytes, expected):

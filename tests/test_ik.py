@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from agile_eye import (
     JointTriplet,
@@ -12,6 +13,26 @@ from agile_eye import (
     working_mode_signature,
 )
 from conftest import circ_diff, intermediate_axes, random_orientation
+
+
+# (leg, (row, column)) of each leg-table entry: (r21, r11), (r02, r22),
+# (r10, r00)
+LEG_TABLE_ENTRIES = [
+    (1, (2, 1)), (1, (1, 1)), (2, (0, 2)), (2, (2, 2)), (3, (1, 0)), (3, (0, 0))
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("leg, entry", LEG_TABLE_ENTRIES)
+def test_solve_ik_rejects_non_finite_leg_table_entry(leg, entry, value):
+    # at the identity r21 = 0, so a NaN r11 once made leg 1 arbitrary, and
+    # an infinite r21 gave leg 1 the angles (pi/2, -pi/2)
+    for r in (np.eye(3), euler_to_rotation((0.100, -0.672, -0.383))):
+        r = r.copy()
+        r[entry] = value
+        for fill in (False, True):
+            with pytest.raises(ValueError, match=f"^leg {leg}: .* not finite"):
+                solve_ik(r, fill_arbitrary=fill)
 
 
 def test_leg3_identity():

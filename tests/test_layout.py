@@ -14,6 +14,10 @@ takes a `tol` argument (a rotation distance).
 Every name in `agile_eye.__all__` resolves on the package, once, so
 `from agile_eye import *` works.
 
+Each sign of diag(B) is computed once: `mechanism.leg_b` has the one
+caller `b_diagonal`, as every caller that builds the Jacobian A reads
+diag(B) from A's rows.  In the CLI only `agile dk` calls `solve_dk`.
+
 Every `agile` command hands its document and CSV rows to `cli._emit`,
 the only place that calls `_json` and reads `output_format`, apart from
 `track`'s stderr `mode constant` line in CSV mode.  Every angle and
@@ -75,19 +79,25 @@ def _tolerances(path: Path):
     return found
 
 
-def _output_decisions(path: Path):
-    """(enclosing top-level function, name) of every use of `_json` and
-    every `.output_format` read, in source order."""
+def _uses(path: Path, names=(), attrs=()):
+    """(enclosing top-level function, name) of every use of a bare name in
+    `names` and of every attribute in `attrs`, in source order."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for top in tree.body:
         owner = getattr(top, "name", "<module>")
         for node in ast.walk(top):
-            if isinstance(node, ast.Name) and node.id == "_json":
-                found.append((node.lineno, owner, "_json"))
-            elif isinstance(node, ast.Attribute) and node.attr == "output_format":
-                found.append((node.lineno, owner, "output_format"))
+            if isinstance(node, ast.Name) and node.id in names:
+                found.append((node.lineno, owner, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in attrs:
+                found.append((node.lineno, owner, node.attr))
     return [entry[1:] for entry in sorted(found)]
+
+
+def _output_decisions(path: Path):
+    """(enclosing top-level function, name) of every use of `_json` and
+    every `.output_format` read, in source order."""
+    return _uses(path, names={"_json"}, attrs={"output_format"})
 
 
 def _from_angles_in(call: ast.Call) -> bool:
@@ -193,6 +203,36 @@ def test_checker_flags_output_decisions(tmp_path):
         ("dk", "output_format"),
         ("dk", "_json"),
         ("<module>", "_json"),
+    ]
+
+
+def test_leg_b_called_only_by_b_diagonal():
+    # every other caller builds A, whose diagonal is diag(B)
+    uses = [
+        (path.name, *use) for path in MODULES for use in _uses(path, {"leg_b"}, {"leg_b"})
+    ]
+    assert uses == [("mechanism.py", "b_diagonal", "leg_b")]
+
+
+def test_cli_solves_dk_only_in_dk_command():
+    # `agile track` reads its signature from the tracker's own solve
+    assert _uses(PACKAGE / "cli.py", {"solve_dk"}, {"solve_dk"}) == [("dk", "solve_dk")]
+
+
+def test_checker_flags_uses(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .mechanism import leg_b\n"
+        "def jacobians(trig, table):\n"
+        "    return mechanism.leg_b(trig, table), [leg_b][0]\n"
+        "b = leg_b\n"
+        "def leg_b(trig, table):\n"
+        "    return 'leg_b'\n"
+    )
+    assert _uses(probe, {"leg_b"}, {"leg_b"}) == [
+        ("jacobians", "leg_b"),
+        ("jacobians", "leg_b"),
+        ("<module>", "leg_b"),
     ]
 
 

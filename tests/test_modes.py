@@ -38,7 +38,13 @@ from agile_eye.mechanism import (
 from agile_eye.modes import MATCH_TOL, SingularityCrossing, TrackResult, nearest_solution
 from agile_eye.singularity import jacobians
 from agile_eye.so3 import ORTHONORMAL_TOL
-from conftest import axis_angle_rotation, circ_diff, random_joints, random_orientation
+from conftest import (
+    axis_angle_rotation,
+    circ_diff,
+    count_calls,
+    random_joints,
+    random_orientation,
+)
 from test_dk import FIG_SOLUTIONS, generic_joints
 
 FIG_JOINTS = JointTriplet(-0.3, -0.7, 0.1)
@@ -482,6 +488,36 @@ def test_assembly_mode_id_regular_poses_need_no_direct_solve(rng, monkeypatch):
         assert assembly_mode_id(j, r) == k
 
 
+def test_diag_b_is_read_from_jacobian_rows(rng, monkeypatch):
+    # jacobians and the certificate build A's rows and take diag(B) from
+    # them; leg_b is for b_diagonal alone
+    from agile_eye import mechanism, singularity
+
+    calls = count_calls(monkeypatch, "leg_b", (mechanism, singularity, modes))
+    for _ in range(200):
+        r = random_orientation(rng)
+        for j in solve_ik(r).enumerated:
+            jacobians(j, r)
+            assembly_mode_id(j, r)
+        with pytest.raises(NoMatchingSolution):
+            assembly_mode_id(random_joints(rng), r @ axis_angle_rotation((1, 2, 3), 0.5))
+    assert calls == {}
+
+
+def test_track_results_compare_by_value():
+    # eulers determine the orientations, which are left out of == and hash
+    path = [FIG_JOINTS, JointTriplet(-0.25, -0.65, 0.15), JointTriplet(-0.2, -0.6, 0.2)]
+    dk = solve_dk(FIG_JOINTS)
+    first = [track_path(path, euler_to_rotation(s)) for s in dk.solutions]
+    again = [track_path(path, euler_to_rotation(s)) for s in dk.solutions]
+    for a, b in zip(first, again):
+        assert a == b
+        assert hash(a) == hash(b)
+    assert len(set(first)) == 4
+    assert [t.signature for t in first] == list(dk.signatures)
+    assert track_path(path[:2], euler_to_rotation(dk.solutions[0])) != first[0]
+
+
 def test_track_constant_path():
     start = euler_to_rotation(solve_dk(FIG_JOINTS).solutions[0])
     result = track_path([FIG_JOINTS] * 5, start)
@@ -851,6 +887,7 @@ def test_track_numeric_signature_is_constant(seed, waypoints, step, crossing):
         result = track_path(path, start)
         assert result.crossed == crossing
         expected = solve_dk(path[0]).signatures[mode - 1]
+        assert result.signature == expected
         for j, r in zip(path, result.orientations):
             assert working_mode_signature(j, r) == expected
 
@@ -936,6 +973,7 @@ def _reference_track_path(path, start, cfg=ToolConfig()):
             f"direct solution (tol {MATCH_TOL:g})"
         )
     best = mode - 1
+    sig = dk0.signatures[best]
     eulers = [dk0.solutions[best]]
     orientations = [euler_to_rotation(eulers[0])]
 
@@ -948,10 +986,10 @@ def _reference_track_path(path, start, cfg=ToolConfig()):
                 reason = f"direct solve became {dk.branch}"
         if reason is not None:
             crossing = SingularityCrossing(seg, reason)
-            return TrackResult(tuple(orientations), tuple(eulers), best + 1, crossing)
+            return TrackResult(tuple(orientations), tuple(eulers), best + 1, sig, crossing)
         eulers.append(dk.solutions[best])
         orientations.append(euler_to_rotation(eulers[-1]))
-    return TrackResult(tuple(orientations), tuple(eulers), best + 1)
+    return TrackResult(tuple(orientations), tuple(eulers), best + 1, sig)
 
 
 @st.composite
@@ -1015,6 +1053,7 @@ def test_track_matches_full_solve_reference(path):
             assert len(got.orientations) == len(want.orientations)
             assert all(np.array_equal(x, y) for x, y in zip(got.orientations, want.orientations))
             assert got.mode_id == want.mode_id == mode + 1
+            assert got.signature == want.signature
             assert got.crossing == want.crossing
 
 

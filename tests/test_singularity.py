@@ -32,6 +32,7 @@ from agile_eye.mechanism import (
     constraint_residuals,
     jacobian_rows,
     joint_trig,
+    leg_b,
     leg_table,
     singular_legs,
 )
@@ -398,6 +399,29 @@ def test_type2_implies_type1(rng):
 
 def _same_bits(a: float, b: float) -> bool:
     return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
+# leg-table and trig entries: the IEEE special values and subnormals, or
+# any float
+_ENTRIES = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-300]
+) | st.floats()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.tuples(*[_ENTRIES] * 6),
+    st.tuples(*[st.tuples(*[_ENTRIES] * 3)] * 3),
+    st.tuples(*[st.floats(allow_infinity=False)] * 3),
+)
+def test_leg_b_is_the_diagonal_of_jacobian_rows(trig, rows, joints):
+    # B_ii is entry i of row i of A bit for bit, signed zeros included
+    # (a NaN's sign aside), so jacobians reads diag(B) from A
+    a = jacobian_rows(trig, rows)
+    b = leg_b(trig, leg_table(rows))
+    assert all(map(_same_bits, b, (a[0][0], a[1][1], a[2][2])))
+    j, r = JointTriplet(*joints), np.array(rows)
+    assert all(map(_same_bits, jacobians(j, r).b_diag.tolist(), b_diagonal(j, r)))
 
 
 def test_det3_of_float_rows_is_det3_of_array(rng):
