@@ -24,18 +24,14 @@ import numpy as np
 
 from .config import load_config
 from .dk import (
+    FAMILY_IDS,
     FAMILY_LABELS,
     FAMILY_SINGULAR_LEG,
     classify_joint_degeneracy,
     self_motion_family,
     solve_dk,
 )
-from .exceptions import (
-    MalformedRotation,
-    NotAssembled,
-    StartNotASolution,
-    UnknownFamily,
-)
+from .exceptions import MalformedRotation, NotAssembled, StartNotASolution
 from .ik import solve_ik
 from .mechanism import JointTriplet, constraint_residuals
 from .modes import track_path
@@ -191,7 +187,7 @@ def main(ctx, tol_residual, tol_singular, output_format, degrees):
         overrides["output_format"] = output_format
     if overrides:
         try:
-            cfg = replace(cfg, **overrides).validate()
+            cfg = replace(cfg, **overrides)
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
     ctx.obj = {"cfg": cfg, "degrees": degrees}
@@ -336,19 +332,18 @@ def self_motion(ctx, family, parameter):
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
     label = family.strip().lower()
     (t,) = _angles_in("--parameter", [parameter], degrees)
-    try:
-        r = self_motion_family(int(label) if label.isdigit() else label, t)
-    except UnknownFamily as exc:
-        raise click.UsageError(str(exc)) from exc
-    fid_num = int(label) if label.isdigit() else FAMILY_LABELS.index(label) + 1
+    fid = FAMILY_IDS.get(label)
+    if fid is None:
+        raise click.UsageError(f"unknown self-motion family {label!r}")
+    r = self_motion_family(fid, t)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "self_motion",
-        "family_id": fid_num,
-        "family_label": FAMILY_LABELS[fid_num - 1],
+        "family_id": fid,
+        "family_label": FAMILY_LABELS[fid - 1],
         "parameter": float(t),
-        "singular_leg": FAMILY_SINGULAR_LEG[fid_num],
-        "variant": "folded" if fid_num % 2 == 1 else "extended",
+        "singular_leg": FAMILY_SINGULAR_LEG[fid],
+        "variant": "folded" if fid % 2 == 1 else "extended",
         "matrix": _matrix_rows(r),
     }
     header = "r11,r12,r13,r21,r22,r23,r31,r32,r33"

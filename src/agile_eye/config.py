@@ -3,18 +3,22 @@
 Two thresholds are settable: the assembly residual check (loose; trig
 error accumulates) and the determinant / curve-membership check.  Exact
 structural identities use the constant mechanism.STRUCTURE_TOL.
+A ToolConfig checks itself when built (ValueError; TypeError for a
+non-integer grid_n), so every one that exists is valid.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 CONFIG_ENV_VAR = "AGILE_CONFIG"
 
-_FLOAT_FIELDS = ("residual_tol", "singular_tol")
+# config-file key -> the type its value is read as
+_FIELD_TYPES = {"residual_tol": float, "singular_tol": float, "grid_n": int, "output_format": str}
 
 
 @dataclass(frozen=True)
@@ -24,23 +28,25 @@ class ToolConfig:
     grid_n: int = 64
     output_format: str = "json"
 
-    def validate(self) -> "ToolConfig":
-        for name in _FLOAT_FIELDS:
+    def __post_init__(self) -> None:
+        for name in ("residual_tol", "singular_tol"):
             # written so that NaN fails it too
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        # a float raises TypeError; an integer such as np.int64 becomes int
+        object.__setattr__(self, "grid_n", operator.index(self.grid_n))
         if self.grid_n < 8:
             raise ValueError("grid_n must be at least 8")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be 'json' or 'csv'")
-        return self
 
 
 DEFAULT_CONFIG = ToolConfig()
 
 
 def parse_config_text(text: str) -> ToolConfig:
-    """Parse `key = value` lines (# comments allowed) over the defaults."""
+    """Parse `key = value` lines (# comments allowed) over the defaults;
+    an unknown key or a bad value raises ValueError."""
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -49,15 +55,10 @@ def parse_config_text(text: str) -> ToolConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _FLOAT_FIELDS:
-            overrides[key] = float(value)
-        elif key == "grid_n":
-            overrides[key] = int(value)
-        elif key == "output_format":
-            overrides[key] = value
-        else:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    return replace(DEFAULT_CONFIG, **overrides).validate()
+        overrides[key] = _FIELD_TYPES[key](value)
+    return replace(DEFAULT_CONFIG, **overrides)
 
 
 def load_config() -> ToolConfig:

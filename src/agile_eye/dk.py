@@ -61,6 +61,9 @@ _SIGNATURES = tuple(
 
 FAMILY_LABELS = ("1a", "1b", "2a", "2b", "3a", "3b")
 
+# Every accepted family name -> its id: "1".."6" and the labels "1a".."3b".
+FAMILY_IDS = {name: i for i, label in enumerate(FAMILY_LABELS, 1) for name in (str(i), label)}
+
 # Condition pair -> the two self-motion family ids it enables (a, b).
 PAIR_FAMILIES = {1: (1, 2), 2: (3, 4), 3: (5, 6)}
 
@@ -288,16 +291,15 @@ def solve_dk(j: JointTriplet) -> DkResult:
 def self_motion_family(family_id, parameter: float) -> np.ndarray:
     """Orientation on one of the six self-motion curves.
 
-    family_id is an integer 1..6 (a float raises TypeError) or a label
-    from FAMILY_LABELS ("1a".."3b"); the free angle is `parameter`.  On
-    the "a" curves the singular leg is fully folded (platform joint axis
-    equal to the base joint axis), on the "b" curves fully extended.
+    family_id is an integer 1..6 (a float raises TypeError) or a key of
+    FAMILY_IDS; the free angle is `parameter`.  On the "a" curves the
+    singular leg is fully folded (platform joint axis equal to the base
+    joint axis), on the "b" curves fully extended.
     """
     if isinstance(family_id, str):
-        label = family_id.lower()
-        if label not in FAMILY_LABELS:
+        fid = FAMILY_IDS.get(family_id.lower())
+        if fid is None:
             raise UnknownFamily(f"unknown self-motion family {family_id!r}")
-        fid = FAMILY_LABELS.index(label) + 1
     else:
         fid = operator.index(family_id)
         if fid < 1 or fid > 6:

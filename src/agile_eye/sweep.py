@@ -29,8 +29,7 @@ summary-only caller never builds an n^3 float or id array.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator
 
@@ -191,18 +190,20 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
     """Evaluate the determinant factor's sign over the joint grid, label
     the sign components and summarise.  Deterministic for fixed grid_n
     and tolerances.  det_a, degeneracy and component_id are built on
-    first access to the result's attribute of that name."""
-    n = operator.index(cfg.grid_n if grid_n is None else grid_n)
-    if n < 8:
-        raise ValueError("grid_n must be at least 8")
-    cfg.validate()
+    first access to the result's attribute of that name.
+
+    An explicit grid_n overrides cfg.grid_n and is checked by ToolConfig:
+    a float raises TypeError, a value below 8 ValueError."""
+    if grid_n is not None:
+        cfg = replace(cfg, grid_n=grid_n)
+    n = cfg.grid_n
     g = joint_grid(n)
     trig = _trig(g)
     s1, c1 = trig[:2]
     tol = cfg.singular_tol
 
-    # Sign code: 1 above tol, -1 below -tol, 0 on walls.  tol is validated
-    # positive and finite, so 0 is exactly |det| <= tol on the grid's
+    # Sign code: 1 above tol, -1 below -tol, 0 on walls.  ToolConfig holds
+    # tol positive and finite, so 0 is exactly |det| <= tol on the grid's
     # (finite) values.
     code = np.empty((n, n, n), dtype=np.int8)
     near_zero = 0  # cells with |det| <= STRUCTURE_TOL

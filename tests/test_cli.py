@@ -195,6 +195,25 @@ def test_self_motion_command(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("family", ["\u00b2", "\u0663", "0", "9", "7z", "1c", ""])
+def test_self_motion_unknown_family_is_usage_error(runner, family):
+    # "\u00b2" (superscript two) and "\u0663" (Arabic-Indic three) are
+    # digits to str.isdigit but not family names
+    result = runner.invoke(main, ["self-motion", "--family", family])
+    assert result.exit_code == 2
+    assert f"Error: unknown self-motion family {family!r}" in result.output
+
+
+@pytest.mark.parametrize("fid, label", enumerate(["1a", "1b", "2a", "2b", "3a", "3b"], 1))
+def test_self_motion_family_spellings_agree(runner, fid, label):
+    # ids and labels, in any case and with surrounding spaces, name one curve
+    args = ["self-motion", "--parameter", "0.7", "--family"]
+    expected = invoke(runner, [*args, label]).output
+    assert json.loads(expected)["family_id"] == fid
+    for spelling in (str(fid), f" {fid} ", label.upper(), f"\t{label.upper()} "):
+        assert invoke(runner, [*args, spelling]).output == expected
+
+
 def test_track_constant_path(runner, tmp_path):
     from agile_eye import JointTriplet, solve_dk
 
@@ -275,6 +294,41 @@ def test_track_non_finite_row_exit_code(runner, tmp_path, row):
     )
     assert result.exit_code == 2
     assert f"{path}:3: non-finite joint angle" in result.output
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("", "", "empty path file"),
+        ("theta1,theta2,theta3\n", "", "no waypoints"),
+        ("theta1,theta2,theta3\n\n , ,\n", "", "no waypoints"),
+        ("theta1,theta2,theta3\n0,0\n", ":2", "expected 3 columns"),
+        ("theta1,theta2,theta3\n0,0,0\n0,0,0,0\n", ":3", "expected 3 columns"),
+        ("theta1,theta2,theta3\n0,0,0\n\n0,abc,0\n", ":4", "could not convert"),
+    ],
+    ids=["empty", "header_only", "blank_rows_only", "two_columns", "four_columns", "text_cell"],
+)
+def test_track_bad_path_file_is_usage_error(runner, tmp_path, text, where, message):
+    # a row's line number counts the header and any skipped blank rows
+    path = tmp_path / "path.csv"
+    path.write_text(text)
+    result = runner.invoke(main, ["track", str(path), "--start-euler", "0", "0", "0"])
+    assert result.exit_code == 2
+    assert f"Error: {path}{where}: {message}" in result.output
+
+
+def test_track_skips_blank_path_rows(runner, tmp_path):
+    from agile_eye import JointTriplet, solve_dk
+
+    path = tmp_path / "path.csv"
+    path.write_text("theta1,theta2,theta3\n\n-0.3,-0.7,0.1\n , ,\n-0.3,-0.7,0.1\n\n")
+    start = solve_dk(JointTriplet(-0.3, -0.7, 0.1)).solutions[0]
+    result = invoke(
+        runner,
+        ["track", str(path), "--start-euler", *(repr(a) for a in start.as_tuple())],
+    )
+    assert result.exit_code == 0
+    assert [s["step"] for s in json.loads(result.output)["steps"]] == [0, 1]
 
 
 def test_track_degrees_path_rows_match_radians(runner, tmp_path):
@@ -473,6 +527,39 @@ def test_non_finite_tolerance_in_config_file_is_usage_error(runner, tmp_path, ke
     )
     assert result.exit_code == 2
     assert f"bad config file: {key} must be positive and finite" in result.output
+
+
+def test_config_file_skips_comments_and_blank_lines(runner, tmp_path):
+    cfg = tmp_path / "agile.cfg"
+    cfg.write_text("# tolerances\n\n   \n  # grid_n = 4\ngrid_n = 8\n")
+    result = invoke(runner, ["sweep", "--no-records"], env={"AGILE_CONFIG": str(cfg)})
+    assert json.loads(result.output)["grid_n"] == 8
+
+
+def test_config_file_output_format_csv(runner, tmp_path):
+    cfg = tmp_path / "agile.cfg"
+    cfg.write_text("output_format = csv\n")
+    result = invoke(runner, ["dk", "--", "-0.3", "-0.7", "0.1"], env={"AGILE_CONFIG": str(cfg)})
+    lines = result.output.splitlines()
+    assert lines[0] == "mode_id,phi,theta,psi,signature"
+    assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("grid_n = 8\ngrid_n 16\n", "config line 2: expected 'key = value'"),
+        ("grid_n = 4\n", "grid_n must be at least 8"),
+        ("output_format = xml\n", "output_format must be 'json' or 'csv'"),
+    ],
+    ids=["no_equals", "grid_n", "output_format"],
+)
+def test_bad_config_file_line_is_usage_error(runner, tmp_path, text, message):
+    cfg = tmp_path / "agile.cfg"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["sweep", "--no-records"], env={"AGILE_CONFIG": str(cfg)})
+    assert result.exit_code == 2
+    assert f"bad config file: {message}" in result.output
 
 
 @pytest.mark.parametrize(

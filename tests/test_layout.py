@@ -25,6 +25,11 @@ orientation read from the command line or a path file goes through
 `cli._angles_in` or `cli._parse_orientation`, the only places that check
 finiteness and convert degrees, so no angle is wrapped before it is in
 radians.
+
+Each setting has one checking home: `ToolConfig` checks itself when it
+is built, so no module defines or calls a `validate`, and neither
+`sweep.py` nor `cli.py` compares a setting against a bound.  The CLI
+resolves a `--family` name only through `dk.FAMILY_IDS`.
 """
 
 import ast
@@ -34,6 +39,11 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agile_eye"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# ToolConfig fields and the CLI flags that set them
+SETTINGS = {
+    "grid_n", "residual_tol", "singular_tol", "output_format", "tol_residual", "tol_singular"
+}
+ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 TOLERANCE_HOMES = {
     "mechanism.py": {"STRUCTURE_TOL"},
     "modes.py": {"MATCH_TOL", "assembly_mode_id(tol)"},
@@ -128,6 +138,52 @@ def _input_decisions(path: Path):
             ):
                 found.append((node.lineno, owner, "JointTriplet"))
     return [entry[1:] for entry in sorted(found)]
+
+
+def _validate_uses(path: Path):
+    """Line of every definition, import, call or mention of `validate`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if "validate" in (getattr(node, a, None) for a in ("name", "attr", "id"))
+    )
+
+
+def _names(node):
+    """Every bare name and attribute name in an expression."""
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+
+def _is_number(node) -> bool:
+    """A number literal, its negation, or `math.inf`."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if isinstance(node, ast.Attribute):
+        return node.attr == "inf"
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _setting_bounds(path: Path):
+    """Line of every ordering comparison between a number and a setting:
+    a name or attribute in SETTINGS, or a name assigned from an
+    expression that mentions one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    settings = set(SETTINGS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _names(node.value) & SETTINGS:
+            settings |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        if not any(isinstance(op, ORDERING) for op in node.ops):
+            continue
+        operands = [node.left, *node.comparators]
+        names = set().union(*(_names(o) for o in operands if not _is_number(o)))
+        if names & settings and any(map(_is_number, operands)):
+            found.append(node.lineno)
+    return sorted(found)
 
 
 def test_all_names_resolve_once():
@@ -270,3 +326,56 @@ def test_checker_flags_input_decisions(tmp_path):
         ("jacobian", "JointTriplet"),
         ("<module>", "radians"),
     ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_validate_method(path):
+    # ToolConfig checks itself in __post_init__; nothing re-checks it
+    assert _validate_uses(path) == []
+
+
+def test_checker_flags_validate(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class Config:\n"
+        "    def validate(self):\n"
+        "        return self\n"
+        "cfg = Config().validate()\n"
+        "check = validate_rotation\n"
+    )
+    assert _validate_uses(probe) == [2, 4]
+
+
+@pytest.mark.parametrize("name", ["sweep.py", "cli.py"])
+def test_settings_are_bounded_only_by_tool_config(name):
+    assert _setting_bounds(PACKAGE / name) == []
+
+
+def test_checker_flags_setting_bounds(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def run_sweep(grid_n, cfg):\n"
+        "    n = operator.index(cfg.grid_n if grid_n is None else grid_n)\n"
+        "    if n < 8:\n"
+        "        raise ValueError\n"
+        "    if not 0.0 < cfg.singular_tol < math.inf:\n"
+        "        raise ValueError\n"
+        "    tol = cfg.singular_tol\n"
+        "    ok = det > tol, det < -tol, grid_n is None, cfg.output_format == 'csv'\n"
+        "    return -8 >= grid_n, step > 1\n"
+    )
+    assert _setting_bounds(probe) == [3, 5, 9]
+
+
+def test_cli_resolves_family_names_through_one_table():
+    cli = PACKAGE / "cli.py"
+    labels_index = [
+        node.lineno
+        for node in ast.walk(ast.parse(cli.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "index"
+        and getattr(node.value, "id", None) == "FAMILY_LABELS"
+    ]
+    assert labels_index == []
+    assert _uses(cli, attrs={"isdigit"}) == []
+    assert _uses(cli, {"FAMILY_IDS"}) == [("self_motion", "FAMILY_IDS")]

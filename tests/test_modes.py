@@ -45,7 +45,7 @@ from conftest import (
     random_joints,
     random_orientation,
 )
-from test_dk import FIG_SOLUTIONS, generic_joints
+from test_dk import FIG_SOLUTIONS, generic_joints, trivial_only_joints
 
 FIG_JOINTS = JointTriplet(-0.3, -0.7, 0.1)
 
@@ -488,6 +488,23 @@ def test_assembly_mode_id_regular_poses_need_no_direct_solve(rng, monkeypatch):
         assert assembly_mode_id(j, r) == k
 
 
+@pytest.mark.parametrize(
+    "j",
+    [JointTriplet(0.5, 0.0, math.pi / 2), trivial_only_joints(1.0, 1.0)],
+    ids=["condition_pair", "trivial_only"],
+)
+def test_assembly_mode_id_declines_degenerate_joints(j, monkeypatch):
+    # the certificate declines joints that are not generic, at one of
+    # their own (trivial) orientations too; the fallback solve_dk then
+    # finds no finite solutions
+    r = solve_dk(j).trivial[0]
+    assert modes._certified_mode(j, r) is None
+    solves = count_calls(monkeypatch, "solve_dk", [modes])
+    with pytest.raises(DegenerateJoints):
+        assembly_mode_id(j, r)
+    assert solves["agile_eye.modes"] == 1
+
+
 def test_diag_b_is_read_from_jacobian_rows(rng, monkeypatch):
     # jacobians and the certificate build A's rows and take diag(B) from
     # them; leg_b is for b_diagonal alone
@@ -534,6 +551,11 @@ def test_track_requires_valid_start():
         track_path(
             [JointTriplet(0.5, 0.0, math.pi / 2)], euler_to_rotation((0, 0, 0))
         )
+
+
+def test_track_rejects_empty_path():
+    with pytest.raises(ValueError, match="path must contain at least one waypoint"):
+        track_path([], euler_to_rotation((0.0, 0.0, 0.0)))
 
 
 def test_track_rejects_nan_start():
