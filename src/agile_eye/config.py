@@ -57,7 +57,10 @@ def parse_config_text(text: str) -> ToolConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        overrides[key] = _FIELD_TYPES[key](value)
+        try:
+            overrides[key] = _FIELD_TYPES[key](value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
     return replace(DEFAULT_CONFIG, **overrides)
 
 

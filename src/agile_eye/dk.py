@@ -42,7 +42,7 @@ from .mechanism import (
     joint_factors,
     joint_trig,
 )
-from .so3 import HALF_PI, EulerZyx, rotation_angle, wrap_angle
+from .so3 import HALF_PI, EulerZyx, rotation_angle, rotation_entries, wrap_angle
 
 _TRIVIAL = (
     np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
@@ -214,6 +214,28 @@ _ORDERS = {
 }
 
 
+def _cascade(trig, q1: float, q2: float):
+    """The cascade's first solution (theta, psi), both folded to
+    (-pi/2, pi/2], their cosines and sines (ct, st, cp, sp), and the
+    canonical order (`_ORDERS`), for joint trig `trig` and joint factors
+    (q1, q2): the core of finite_solutions and direct_solution."""
+    theta = _fold_half(math.atan2(-q1, q2))
+    ct, st = math.cos(theta), math.sin(theta)
+    s1, c1, s2, c2, s3, c3 = trig
+    p1, p2 = s1 * c3, s1 * st * s3 - ct * c1
+    p3, p4 = c2 * st * c3 - ct * s2, c2 * s3
+    # Either psi equation may degenerate alone; use the better-conditioned one.
+    if max(abs(p1), abs(p2)) < max(abs(p3), abs(p4)):
+        p1, p2 = p3, p4
+    psi = _fold_half(math.atan2(-p1, p2))
+    # B11 = s1 r21 + c1 r11 of the first solution, with (r21, r11) written
+    # as so3.rotation_entries writes them (cos/sin(phi) = c3, s3), so it is
+    # bit-identical to b_diagonal(j, euler_to_rotation(that solution))[0].
+    cp, sp = math.cos(psi), math.sin(psi)
+    b1 = s1 * (ct * sp) + c1 * (s3 * st * sp + c3 * cp)
+    return theta, psi, (ct, st, cp, sp), _ORDERS[b1 > 0.0, q2 > 0.0]
+
+
 def finite_solutions(phi: float, trig, q1: float, q2: float):
     """The four nontrivial direct solutions, as raw (phi, theta, psi)
     floats in canonical order, of joints with third angle phi, joint trig
@@ -233,29 +255,41 @@ def finite_solutions(phi: float, trig, q1: float, q2: float):
     signature sign(q2) P_m thus has P_m,3 = sign(q2), which leaves two
     rows of P, and sign(B11) picks one (`_ORDERS`).
     """
-    theta = _fold_half(math.atan2(-q1, q2))
-    ct, st = math.cos(theta), math.sin(theta)
-    s1, c1, s2, c2, s3, c3 = trig
-    p1, p2 = s1 * c3, s1 * st * s3 - ct * c1
-    p3, p4 = c2 * st * c3 - ct * s2, c2 * s3
-    # Either psi equation may degenerate alone; use the better-conditioned one.
-    if max(abs(p1), abs(p2)) < max(abs(p3), abs(p4)):
-        p1, p2 = p3, p4
-    psi = _fold_half(math.atan2(-p1, p2))
+    theta, psi, _, (i0, i1, i2, i3) = _cascade(trig, q1, q2)
     raw = (
         (phi, theta, psi),
         (phi, theta, psi + math.pi),
         (phi, theta + math.pi, -psi),
         (phi, theta + math.pi, -psi + math.pi),
     )
-    # B11 = s1 r21 + c1 r11 of raw[0], with (r21, r11) written as
-    # euler_to_rotation writes them (its angles are already wrapped, and
-    # cos/sin(phi) = c3, s3), so it is bit-identical to
-    # b_diagonal(j, euler_to_rotation(raw[0]))[0].
-    cp, sp = math.cos(psi), math.sin(psi)
-    b1 = s1 * (ct * sp) + c1 * (s3 * st * sp + c3 * cp)
-    i0, i1, i2, i3 = _ORDERS[b1 > 0.0, q2 > 0.0]
     return raw[i0], raw[i1], raw[i2], raw[i3]
+
+
+def direct_solution(k: int, phi: float, trig, q1: float, q2: float):
+    """Solution k (0..3) of finite_solutions(phi, trig, q1, q2) as an
+    EulerZyx, with the nine entries of its matrix, row by row
+    (`rotation_entries`): what a caller that tracks one solution needs.
+
+    Both equal EulerZyx(*finite_solutions(phi, trig, q1, q2)[k]) and
+    euler_to_rotation of it bit for bit.  phi must lie in (-pi, pi] (a
+    JointTriplet's theta3), with s3, c3 of `trig` its sine and cosine.
+    Only theta + pi, psi + pi and -psi + pi can leave (-pi, pi], so only
+    they are wrapped.  A sine or cosine is reused only where its angle is
+    the same float: (s3, c3) for phi, and the cascade's own for theta or
+    psi where the solution keeps them; every other is computed fresh.
+    """
+    theta, psi, (ct, st, cp, sp), order = _cascade(trig, q1, q2)
+    i = order[k]
+    if i >= 2:
+        theta = wrap_angle(theta + math.pi)
+        ct, st = math.cos(theta), math.sin(theta)
+        psi = -psi if i == 2 else wrap_angle(-psi + math.pi)
+        cp, sp = math.cos(psi), math.sin(psi)
+    elif i == 1:
+        psi = wrap_angle(psi + math.pi)
+        cp, sp = math.cos(psi), math.sin(psi)
+    entries = rotation_entries(trig[5], trig[4], ct, st, cp, sp)
+    return EulerZyx.from_wrapped(phi, theta, psi), entries
 
 
 def solve_dk(j: JointTriplet) -> DkResult:

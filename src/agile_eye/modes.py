@@ -37,8 +37,11 @@ steps per segment: certify by Lipschitz and curvature bounds that |q2|
 stays above the singular tolerance, then take the end waypoint's direct
 solution with the start's index.  The first waypoint takes a full
 solve_dk, whose q2 starts the first certificate; each later one costs one
-joint trig, one float solve (`dk.finite_solutions`), one Euler triple and
-one matrix, and its q2 ends one certificate and starts the next.
+joint trig and one solve of the tracked solution alone
+(`dk.direct_solution`, which hands over its Euler triple already wrapped
+and its nine matrix entries), and its q2 ends one certificate and starts
+the next.  The entries of all waypoints go into one flat list that
+becomes one (N, 3, 3) array at the end.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .dk import DkResult, finite_solutions, joint_degeneracy, solve_dk
+from .dk import DkResult, direct_solution, joint_degeneracy, solve_dk
 from .exceptions import (
     DegenerateJoints,
     NoMatchingSolution,
@@ -100,7 +103,9 @@ class TrackResult:
     """Orientation path produced by track_path.
 
     One entry per input waypoint actually reached, each direct solution
-    `mode_id` (1..4) of its waypoint, in working mode `signature`.
+    `mode_id` (1..4) of its waypoint, in working mode `signature`.  The
+    orientations are (3, 3) views of one (N, 3, 3) float64 array, one per
+    waypoint: writing into one leaves the others as they are.
     `crossing` is None for a clean track; otherwise it names the first
     offending segment (path[segment] -> path[segment + 1]) and the
     orientations list stops at the last safely reached waypoint.
@@ -347,8 +352,8 @@ def track_path(
     MATCH_TOL (else StartNotASolution); its index is the tracked mode.
     Each segment is first certified to keep |q2| > cfg.singular_tol (see
     _segment_crossing); the waypoint's orientation is then the direct
-    solution with the start's index, taken from the float core
-    `finite_solutions` (the same solutions solve_dk returns).  Inside one
+    solution with the start's index, solved alone by `direct_solution`
+    (bit for bit the solution solve_dk returns, and its matrix).  Inside one
     sign domain of q2 every B_ii is nonzero, so each solution keeps its
     working-mode signature and the canonical order pins the index to that
     signature.  A SingularityCrossing is reported on the first segment
@@ -382,7 +387,8 @@ def track_path(
         )
     best, sig = mode - 1, dk0.signatures[mode - 1]
     eulers = [dk0.solutions[best]]
-    orientations = [euler_to_rotation(eulers[0])]
+    # every waypoint's nine matrix entries, row by row: one array at the end
+    flat = euler_to_rotation(eulers[0]).ravel().tolist()
 
     a, qa = waypoints[0], dk0.q2
     for seg, b in enumerate(waypoints[1:]):
@@ -395,8 +401,15 @@ def track_path(
                 reason = f"direct solve became {kind}"
         if reason is not None:
             crossing = SingularityCrossing(seg, reason)
-            return TrackResult(tuple(orientations), tuple(eulers), mode, sig, crossing)
-        eulers.append(EulerZyx(*finite_solutions(b.theta3, trig, q1, qb)[best]))
-        orientations.append(euler_to_rotation(eulers[-1]))
+            return _track_result(flat, eulers, mode, sig, crossing)
+        e, entries = direct_solution(best, b.theta3, trig, q1, qb)
+        eulers.append(e)
+        flat += entries
         a, qa = b, qb
-    return TrackResult(tuple(orientations), tuple(eulers), mode, sig)
+    return _track_result(flat, eulers, mode, sig)
+
+
+def _track_result(flat, eulers, mode, sig, crossing=None) -> TrackResult:
+    # one (N, 3, 3) array; each waypoint's orientation is a view of it
+    orientations = tuple(np.array(flat).reshape(-1, 3, 3))
+    return TrackResult(orientations, tuple(eulers), mode, sig, crossing)

@@ -51,6 +51,29 @@ class EulerZyx:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi, self.theta, self.psi)
 
+    @classmethod
+    def from_wrapped(cls, phi: float, theta: float, psi: float) -> EulerZyx:
+        """The triplet of three floats already in (-pi, pi], stored as
+        given: equal to EulerZyx(phi, theta, psi), without the wraps.  The
+        range is the caller's to guarantee; it is not checked."""
+        e = object.__new__(cls)
+        # the fields live in the instance dict; writing it skips the
+        # frozen __setattr__ at about half the cost of object.__setattr__
+        fields = e.__dict__
+        fields["phi"], fields["theta"], fields["psi"] = phi, theta, psi
+        return e
+
+
+def rotation_entries(cf, sf, ct, st, cp, sp) -> tuple[float, ...]:
+    """The nine entries, row by row, of Rz(phi) @ Ry(theta) @ Rx(psi) from
+    the cosines and sines of its angles (cf = cos(phi), sf = sin(phi),
+    and so on): the one home of the ZYX formula."""
+    return (
+        cf * ct, cf * st * sp - sf * cp, cf * st * cp + sf * sp,
+        sf * ct, sf * st * sp + cf * cp, sf * st * cp - cf * sp,
+        -st, ct * sp, ct * cp,
+    )
+
 
 def euler_to_rotation(e) -> np.ndarray:
     """Build the rotation matrix Rz(phi) @ Ry(theta) @ Rx(psi).
@@ -62,16 +85,11 @@ def euler_to_rotation(e) -> np.ndarray:
         phi, theta, psi = e.as_tuple()
     else:
         phi, theta, psi = (float(a) for a in e)
-    cf, sf = math.cos(phi), math.sin(phi)
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(psi), math.sin(psi)
-    return np.array(
-        [
-            [cf * ct, cf * st * sp - sf * cp, cf * st * cp + sf * sp],
-            [sf * ct, sf * st * sp + cf * cp, sf * st * cp - cf * sp],
-            [-st, ct * sp, ct * cp],
-        ]
+    entries = rotation_entries(
+        math.cos(phi), math.sin(phi), math.cos(theta), math.sin(theta), math.cos(psi), math.sin(psi)
     )
+    # a flat sequence converts faster than nested rows, to the same float64s
+    return np.array(entries).reshape(3, 3)
 
 
 def validate_rotation(r: np.ndarray) -> np.ndarray:

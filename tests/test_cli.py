@@ -551,8 +551,10 @@ def test_config_file_output_format_csv(runner, tmp_path):
         ("grid_n = 8\ngrid_n 16\n", "config line 2: expected 'key = value'"),
         ("grid_n = 4\n", "grid_n must be at least 8"),
         ("output_format = xml\n", "output_format must be 'json' or 'csv'"),
+        ("grid_n = 8.5\n", "config line 1: invalid literal for int() with base 10: '8.5'"),
+        ("grid_n = 16\nsingular_tol = abc\n", "config line 2: could not convert string to float: 'abc'"),
     ],
-    ids=["no_equals", "grid_n", "output_format"],
+    ids=["no_equals", "grid_n", "output_format", "int_value", "float_value"],
 )
 def test_bad_config_file_line_is_usage_error(runner, tmp_path, text, message):
     cfg = tmp_path / "agile.cfg"

@@ -72,7 +72,9 @@ def test_config_text_reads_each_key_as_its_type():
 @pytest.mark.parametrize(
     "text, error",
     [
-        ("grid_n = 8.5\n", "invalid literal for int"),
+        ("grid_n = 8.5\n", "config line 1: invalid literal for int"),
+        ("singular_tol = abc\n", "config line 1: could not convert string to float: 'abc'"),
+        ("grid_n = 16\nresidual_tol = 1e-6x\n", "config line 2: could not convert string to float"),
         ("singular_tol = -1\n", "singular_tol must be positive and finite"),
         ("output_format = xml\n", "output_format must be 'json' or 'csv'"),
         ("grid_n = 16\nstructure_tol = 1e-9\n", "config line 2: unknown key 'structure_tol'"),

@@ -29,7 +29,7 @@ from agile_eye import (
     validate_rotation,
     working_mode_signature,
 )
-from agile_eye.dk import nearest_trivial
+from agile_eye.dk import direct_solution, finite_solutions, nearest_trivial
 from agile_eye.mechanism import STRUCTURE_TOL, det_factor, joint_factors, joint_trig
 from conftest import (
     HALF_PI,
@@ -235,6 +235,28 @@ def test_dk_q2_is_closed_form_on_every_branch(j):
     dk = solve_dk(j)
     assert _bits(dk.q2) == _bits(det_a_closed_form(j))
     assert (dk.solutions is None) is (dk.signatures is None) is (not dk.is_finite)
+
+
+@settings(max_examples=400, deadline=None)
+@given(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 3)
+@example(0.0, 0.0, 0.0)
+@example(-0.0, -0.0, -0.0)
+@example(0.3, -0.2, math.pi)
+@example(math.pi, math.pi / 2, -math.pi / 2)
+@example(1.0, 0.5, -0.0)
+def test_direct_solution_is_finite_solution_bit_for_bit(t1, t2, t3):
+    # the tracker's one-solution solve against solve_dk's four: the same
+    # EulerZyx, angle bits included, and euler_to_rotation's entries
+    j = JointTriplet(t1, t2, t3)
+    trig = joint_trig(*j.as_tuple())
+    q1, q2 = joint_factors(*trig)
+    assume(classify_joint_degeneracy(j).kind == "generic")
+    for k, raw in enumerate(finite_solutions(j.theta3, trig, q1, q2)):
+        e, entries = direct_solution(k, j.theta3, trig, q1, q2)
+        want = EulerZyx(*raw)
+        assert e == want == solve_dk(j).solutions[k]
+        assert list(map(_bits, e.as_tuple())) == list(map(_bits, want.as_tuple()))
+        assert list(map(_bits, entries)) == list(map(_bits, euler_to_rotation(want).ravel()))
 
 
 def test_signatures_are_shared_per_sign_of_q2(rng):

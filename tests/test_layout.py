@@ -26,6 +26,12 @@ orientation read from the command line or a path file goes through
 finiteness and convert degrees, so no angle is wrapped before it is in
 radians.
 
+The ZYX rotation formula has one home, `so3.rotation_entries`: no other
+module writes a nine-entry matrix with its triple products.  The direct
+kinematics cascade, theta and psi as `atan2(-a, b)` roots, is written
+only in `dk`; `modes` tracks through `dk.direct_solution` and reads no
+private name of `dk` or `so3`, imported or as a module attribute.
+
 Each setting has one checking home: `ToolConfig` checks itself when it
 is built, so no module defines or calls a `validate`, and neither
 `sweep.py` nor `cli.py` compares a setting against a bound.  The CLI
@@ -102,6 +108,69 @@ def _uses(path: Path, names=(), attrs=()):
             elif isinstance(node, ast.Attribute) and node.attr in attrs:
                 found.append((node.lineno, owner, node.attr))
     return [entry[1:] for entry in sorted(found)]
+
+
+def _product_factors(node) -> int:
+    """Number of factors in a chain of multiplications (1 if none)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _product_factors(node.left) + _product_factors(node.right)
+    return 1
+
+
+def _zyx_builds(path: Path):
+    """Line of every tuple or list display of nine entries (flat, or three
+    rows of three) with a product of three factors among them: the shape
+    of the ZYX rotation formula."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.Tuple, ast.List)):
+            continue
+        leaves = node.elts
+        if len(leaves) == 3 and all(isinstance(e, (ast.Tuple, ast.List)) for e in leaves):
+            leaves = [leaf for row in leaves for leaf in row.elts]
+        if len(leaves) != 9 or any(isinstance(e, (ast.Tuple, ast.List)) for e in leaves):
+            continue
+        if any(_product_factors(n) >= 3 for leaf in leaves for n in ast.walk(leaf)):
+            found.append(node.lineno)
+    return found
+
+
+def _cascade_roots(path: Path):
+    """Line of every `atan2(-a, b)` call, the form of the cascade's roots."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "atan2"
+        and node.args
+        and isinstance(node.args[0], ast.UnaryOp)
+        and isinstance(node.args[0].op, ast.USub)
+    ]
+
+
+def _private_module_reads(path: Path, modules):
+    """(line, module, name) of every private name read as an attribute of
+    a package module in `modules` that the file imports whole."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "") == "agile_eye"):
+            for alias in node.names:
+                if alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                module = alias.name.rpartition(".")[2]
+                if alias.name.startswith("agile_eye.") and module in modules and alias.asname:
+                    aliases[alias.asname] = module
+    return [
+        (node.lineno, aliases[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    ]
 
 
 def _output_decisions(path: Path):
@@ -379,3 +448,43 @@ def test_cli_resolves_family_names_through_one_table():
     assert labels_index == []
     assert _uses(cli, attrs={"isdigit"}) == []
     assert _uses(cli, {"FAMILY_IDS"}) == [("self_motion", "FAMILY_IDS")]
+
+
+def test_zyx_formula_has_one_home():
+    builds = {path.name: _zyx_builds(path) for path in MODULES}
+    assert {name: lines for name, lines in builds.items() if lines} == {
+        "so3.py": builds["so3.py"]
+    }
+    assert len(builds["so3.py"]) == 1
+
+
+def test_cascade_is_written_only_in_dk():
+    roots = {path.name: _cascade_roots(path) for path in MODULES}
+    assert {name: lines for name, lines in roots.items() if lines} == {"dk.py": roots["dk.py"]}
+    assert len(roots["dk.py"]) == 2  # theta, then psi
+
+
+def test_modes_reads_no_private_dk_or_so3_name():
+    modes = PACKAGE / "modes.py"
+    assert [i for i in _private_imports(modes) if i[1].lstrip(".") in ("dk", "so3")] == []
+    assert _private_module_reads(modes, {"dk", "so3"}) == []
+
+
+def test_checker_flags_formula_copies(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\n"
+        "from . import dk\n"
+        "import agile_eye.so3 as so3\n"
+        "def rows(cf, sf, ct, st, cp, sp):\n"
+        "    return [[cf * ct, cf * st * sp - sf * cp, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]\n"
+        "FLAT = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)\n"
+        "def curve(c, s):\n"
+        "    return ((c, s, 0.0), (0.0, 0.0, -1.0), (-s, c, 0.0))\n"
+        "def roots(q1, q2):\n"
+        "    order = dk._ORDERS, so3.wrap_angle, so3._private\n"
+        "    return math.atan2(-q1, q2), math.atan2(q1, q2)\n"
+    )
+    assert _zyx_builds(probe) == [5]
+    assert _cascade_roots(probe) == [11]
+    assert _private_module_reads(probe, {"dk", "so3"}) == [(10, "dk", "_ORDERS"), (10, "so3", "_private")]

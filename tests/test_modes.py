@@ -631,6 +631,35 @@ def test_track_reports_crossing():
     assert result.crossing.segment == 0
 
 
+def test_track_crossing_at_segment_zero_keeps_one_orientation():
+    # the start alone is reached: still a (3, 3) float64 matrix, as built
+    a, b = JointTriplet(0.0, 0.0, 0.0), JointTriplet(math.pi, 0.0, 0.0)
+    for e in solve_dk(a).solutions:
+        result = track_path([a, b, a], euler_to_rotation(e))
+        assert result.crossing == SingularityCrossing(0, "determinant sign change")
+        (r,) = result.orientations
+        assert r.shape == (3, 3) and r.dtype == np.float64
+        assert r.tobytes() == euler_to_rotation(e).tobytes()
+        assert result.eulers == (e,)
+
+
+def test_track_orientations_are_independent_to_write(rng):
+    # each orientation is its own (3, 3) view: writing into one leaves the
+    # others, and the eulers they come from, as they were
+    for path in _in_domain_paths(rng, 3):
+        result = track_path(path, euler_to_rotation(solve_dk(path[0]).solutions[2]))
+        k = len(result.orientations) // 2
+        before = [r.copy() for r in result.orientations]
+        result.orientations[k][...] = 7.0
+        result.orientations[k][0, 0] = -1.0
+        for i, (r, old) in enumerate(zip(result.orientations, before)):
+            assert r.shape == (3, 3)
+            if i != k:
+                assert r.tobytes() == old.tobytes()
+                assert r.tobytes() == euler_to_rotation(result.eulers[i]).tobytes()
+        assert result.orientations[k][1, 1] == 7.0
+
+
 def test_track_reports_self_motion_entry():
     a = JointTriplet(0.4, 0.3, math.pi / 2)
     b = JointTriplet(0.4, -0.3, math.pi / 2)  # passes through sin(theta2) = 0
@@ -797,20 +826,19 @@ def test_track_index_matches_nearest_continuation(rng):
 
 
 def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
-    # The spy sits on the float core that solve_dk and track_path share, so
-    # it sees the direct solve of every waypoint, path[0]'s included.
+    # The spy sits on the cascade core that solve_dk (through
+    # finite_solutions) and the tracker's direct_solution share, so it sees
+    # the direct solve of every waypoint, path[0]'s included.
     import agile_eye.dk as dk
-    import agile_eye.modes as modes
 
     solves = []
-    core = dk.finite_solutions
+    core = dk._cascade
 
-    def counting(phi, trig, q1, q2):
+    def counting(trig, q1, q2):
         solves.append(trig)
-        return core(phi, trig, q1, q2)
+        return core(trig, q1, q2)
 
-    monkeypatch.setattr(dk, "finite_solutions", counting)
-    monkeypatch.setattr(modes, "finite_solutions", counting)
+    monkeypatch.setattr(dk, "_cascade", counting)
     paths = _in_domain_paths(rng, 25)
     # and a path that ends at a sign change after two clean segments
     paths.append(
@@ -836,15 +864,16 @@ def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
 def test_track_per_waypoint_work(rng, monkeypatch):
     # README's cost statement: path[0] takes one solve_dk, whose q2 starts
     # the first certificate, and no second q2 (det_factor); each later
-    # waypoint takes one q2 (joint_factors), one float solve and no
-    # condition pair.  On
+    # waypoint takes one q2 (joint_factors), one one-solution solve
+    # (direct_solution) and no condition pair; the cascade core runs once
+    # per waypoint, path[0]'s inside solve_dk.  On
     # these paths |q2| >= 0.05 at every waypoint and L <= 0.6 per segment,
     # so the curvature bound 0.05 - 0.6**2 / 8 > singular_tol clears each
     # whole segment, with no bisection.
     import agile_eye.dk as dk
 
-    names = ("det_factor", "joint_factors", "solve_dk", "finite_solutions", "condition_pairs")
-    calls = dict.fromkeys(names, 0)
+    names = ("det_factor", "joint_factors", "solve_dk", "direct_solution", "condition_pairs")
+    calls = dict.fromkeys((*names, "_cascade"), 0)
 
     def spy(module, name):
         real = getattr(module, name)
@@ -857,20 +886,22 @@ def test_track_per_waypoint_work(rng, monkeypatch):
 
     for name in names:
         spy(modes, name)
-    # joint_degeneracy reads the pairs from dk
+    # joint_degeneracy reads the pairs from dk, and both solvers the core
     spy(dk, "condition_pairs")
+    spy(dk, "_cascade")
     for path in _in_domain_paths(rng, 25, step=0.2):
         for mode in range(4):
             start = euler_to_rotation(solve_dk(path[0]).solutions[mode])
-            calls.update(dict.fromkeys(names, 0))
+            calls.update(dict.fromkeys(calls, 0))
             result = track_path(path, start)
             assert not result.crossed
             assert calls == {
                 "det_factor": 0,
                 "joint_factors": len(path) - 1,
                 "solve_dk": 1,
-                "finite_solutions": len(path) - 1,
+                "direct_solution": len(path) - 1,
                 "condition_pairs": 0,
+                "_cascade": len(path),
             }
 
 

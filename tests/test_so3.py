@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -104,6 +106,53 @@ def test_euler_matches_elemental_products(rng):
         np.testing.assert_allclose(
             euler_to_rotation(trip), elemental_product(*trip), atol=1e-13
         )
+
+
+def _nested_build(phi, theta, psi):
+    """The ZYX matrix built from nested rows, written out apart from
+    so3.rotation_entries: the byte-level reference."""
+    cf, sf = math.cos(phi), math.sin(phi)
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(psi), math.sin(psi)
+    return np.array(
+        [
+            [cf * ct, cf * st * sp - sf * cp, cf * st * cp + sf * sp],
+            [sf * ct, sf * st * sp + cf * cp, sf * st * cp - cf * sp],
+            [-st, ct * sp, ct * cp],
+        ]
+    )
+
+
+EDGE_ANGLES = (math.pi, -math.pi, math.pi / 2, -math.pi / 2, 0.0, -0.0)
+
+
+def test_euler_to_rotation_bytes_match_nested_build_at_edges():
+    for phi, theta, psi in itertools.product(EDGE_ANGLES, repeat=3):
+        e = EulerZyx(phi, theta, psi)  # -pi becomes pi; -0.0 stays
+        for angles, want in (((phi, theta, psi), (phi, theta, psi)), (e, e.as_tuple())):
+            got = euler_to_rotation(angles)
+            assert got.shape == (3, 3) and got.dtype == np.float64
+            assert got.tobytes() == _nested_build(*want).tobytes()
+
+
+@given(*[st.floats(-10.0, 10.0)] * 3)
+def test_euler_to_rotation_bytes_match_nested_build(phi, theta, psi):
+    assert euler_to_rotation((phi, theta, psi)).tobytes() == _nested_build(phi, theta, psi).tobytes()
+    e = EulerZyx(phi, theta, psi)
+    assert euler_to_rotation(e).tobytes() == _nested_build(*e.as_tuple()).tobytes()
+
+
+@given(*[st.floats(-math.pi, math.pi, exclude_min=True)] * 3)
+def test_from_wrapped_equals_constructor_in_range(phi, theta, psi):
+    e = EulerZyx.from_wrapped(phi, theta, psi)
+    assert type(e) is EulerZyx
+    assert e == EulerZyx(phi, theta, psi)
+    assert hash(e) == hash(EulerZyx(phi, theta, psi))
+    assert [math.copysign(1.0, x) for x in e.as_tuple()] == [
+        math.copysign(1.0, x) for x in EulerZyx(phi, theta, psi).as_tuple()
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.phi = 0.0
 
 
 def test_rotation_matrix_is_orthonormal(rng):
