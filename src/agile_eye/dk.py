@@ -34,9 +34,11 @@ import numpy as np
 from .exceptions import UnknownFamily
 from .mechanism import (
     SIGN_TABLE,
+    SIGNATURES,
     STRUCTURE_TOL,
     JointTriplet,
     WorkingModeSignature,
+    as_rows,
     condition_pairs,
     det_factor,
     joint_factors,
@@ -53,10 +55,10 @@ _TRIVIAL = (
 # The nonzero entry of each column of T_k: T[2, 0], T[0, 1], T[1, 2].
 _TRIVIAL_SIGNS = tuple((float(t[2, 0]), float(t[0, 1]), float(t[1, 2])) for t in _TRIVIAL)
 
-# sign(q2) * SIGN_TABLE, row by row, indexed by q2 > 0
+# sign(q2) * SIGN_TABLE, row by row, indexed by q2 > 0: the shared
+# instances of mechanism.SIGNATURES
 _SIGNATURES = tuple(
-    tuple(WorkingModeSignature(*(s * p for p in row)) for row in SIGN_TABLE)
-    for s in (-1, 1)
+    tuple(SIGNATURES[s * p1, s * p2, s * p3] for p1, p2, p3 in SIGN_TABLE) for s in (-1, 1)
 )
 
 FAMILY_LABELS = ("1a", "1b", "2a", "2b", "3a", "3b")
@@ -130,8 +132,9 @@ def trivial_orientations() -> tuple[np.ndarray, ...]:
     return tuple(m.copy() for m in _TRIVIAL)
 
 
-def nearest_trivial(r: np.ndarray) -> tuple[int, float]:
-    """Id (1..4) of the trivial orientation nearest to r, and its distance.
+def nearest_trivial(r) -> tuple[int, float]:
+    """Id (1..4) of the trivial orientation nearest to r (an array or its
+    rows), and its distance.
 
     Each T_k is a signed permutation, so trace(T_k^T r) is a signed sum of
     r01, r12 and r20; the geodesic distance falls as that trace grows, so
@@ -140,7 +143,7 @@ def nearest_trivial(r: np.ndarray) -> tuple[int, float]:
     j-1 of r: built from r's entries directly, it equals the matrix
     product bit for bit.
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = as_rows(r)
     traces = (r12 - r01 - r20, r01 - r12 - r20, r20 - r01 - r12, r01 + r12 + r20)
     k = max(range(4), key=traces.__getitem__)
     s0, s1, s2 = _TRIVIAL_SIGNS[k]

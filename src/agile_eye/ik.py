@@ -45,12 +45,16 @@ class IkSolutionSet:
         return any(leg.arbitrary for leg in self.legs)
 
 
+# LegIkOutcome is frozen, so every arbitrary leg shares one.
+_ARBITRARY = LegIkOutcome(arbitrary=True)
+
+
 def _leg_outcome(leg: int, num: float, den: float) -> LegIkOutcome:
     # theta = atan2(num, den) and its antipode, from the leg table
     if not (math.isfinite(num) and math.isfinite(den)):
         raise ValueError(f"leg {leg}: leg table entries ({num}, {den}) are not finite")
     if max(abs(num), abs(den)) < STRUCTURE_TOL:
-        return LegIkOutcome(arbitrary=True)
+        return _ARBITRARY
     a = wrap_angle(math.atan2(num, den))
     return LegIkOutcome(arbitrary=False, angles=(a, wrap_angle(a + math.pi)))
 
@@ -66,6 +70,8 @@ def solve_ik(r: np.ndarray, fill_arbitrary: bool = False) -> IkSolutionSet:
     legs = tuple(_leg_outcome(i, n, d) for i, (n, d) in enumerate(leg_table(r), 1))
     if any(leg.arbitrary for leg in legs) and not fill_arbitrary:
         return IkSolutionSet(legs, ())
+    # every angle is in (-pi, pi] already (`_leg_outcome` wraps both), as
+    # is the fill 0.0, so the triplets are built without a second wrap
     options = [(0.0,) if leg.arbitrary else leg.angles for leg in legs]
-    enumerated = tuple(JointTriplet(*combo) for combo in itertools.product(*options))
+    enumerated = tuple(JointTriplet.from_wrapped(*c) for c in itertools.product(*options))
     return IkSolutionSet(legs, enumerated)

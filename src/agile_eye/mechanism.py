@@ -24,13 +24,14 @@ The joint-space factors q1, q2 and the three condition pairs use only
 arithmetic, abs, < and & on the sines and cosines of `joint_trig`, so the
 same functions take Python floats and broadcasting numpy arrays.  The
 helpers that take `trig` let a caller compute the joint trig once per
-call, and `leg_table` and `jacobian_rows` take the orientation as an
-array or as its rows (`r.tolist()`), so a caller converts it once;
-`constraint_residuals` and `b_diagonal` wrap them for (j, r).
+call, and `leg_table`, `jacobian_rows` and `singular_legs` take the
+orientation as an array or as its rows (`as_rows`), so a caller converts
+it once; `constraint_residuals` and `b_diagonal` wrap them for (j, r).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +71,11 @@ class WorkingModeSignature:
         return self.s1 * self.s2 * self.s3
 
 
+# The 8 working modes, keyed by sign triple: the package's functions return
+# these shared instances (frozen, so equal to any other of the same signs).
+SIGNATURES = {s: WorkingModeSignature(*s) for s in itertools.product((1, -1), repeat=3)}
+
+
 @dataclass(frozen=True, init=False)
 class JointTriplet:
     """Active-joint angles (theta1, theta2, theta3), each in (-pi, pi]."""
@@ -78,7 +84,10 @@ class JointTriplet:
     theta2: float
     theta3: float
 
-    # Written by hand so that each field is set once, already wrapped.
+    # Written by hand so that each field is set once, already wrapped.  Not
+    # through self.__dict__, which is cheaper to write but makes CPython
+    # give each instance its own dict: every later field read then takes
+    # about twice as long, and every kinematic call reads these fields.
     def __init__(self, theta1: float, theta2: float, theta3: float):
         object.__setattr__(self, "theta1", wrap_angle(float(theta1)))
         object.__setattr__(self, "theta2", wrap_angle(float(theta2)))
@@ -86,6 +95,17 @@ class JointTriplet:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta1, self.theta2, self.theta3)
+
+    @classmethod
+    def from_wrapped(cls, theta1: float, theta2: float, theta3: float) -> JointTriplet:
+        """The triplet of three floats already in (-pi, pi], stored as
+        given: equal to JointTriplet(theta1, theta2, theta3), without the
+        wraps.  The range is the caller's to guarantee; it is not checked."""
+        j = object.__new__(cls)
+        object.__setattr__(j, "theta1", theta1)
+        object.__setattr__(j, "theta2", theta2)
+        object.__setattr__(j, "theta3", theta3)
+        return j
 
 
 def joint_trig(t1: float, t2: float, t3: float):
@@ -125,13 +145,14 @@ def _w(trig):
     return (0.0, -s1, c1), (c2, 0.0, -s2), (-s3, c3, 0.0)
 
 
-def _rows(r):
-    # a 3x3 array, or its rows as float triples
+def as_rows(r):
+    """The rows of an orientation given as a 3x3 array (`r.tolist()`) or
+    already as its rows, which are returned as they are."""
     return r.tolist() if isinstance(r, np.ndarray) else r
 
 
 def _v(r):
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _rows(r)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = as_rows(r)
     return (-r01, -r11, -r21), (-r02, -r12, -r22), (-r00, -r10, -r20)
 
 
@@ -148,7 +169,7 @@ def jacobian_rows(trig, r):
 def leg_table(r):
     """(num_i, den_i) of legs 1..3: (r21, r11), (r02, r22), (r10, r00),
     from the orientation (an array or its rows)."""
-    (r00, _, r02), (r10, r11, _), (_, r21, r22) = _rows(r)
+    (r00, _, r02), (r10, r11, _), (_, r21, r22) = as_rows(r)
     return (r21, r11), (r02, r22), (r10, r00)
 
 
@@ -179,16 +200,14 @@ def b_diagonal(j: JointTriplet, r: np.ndarray) -> tuple[float, float, float]:
     return leg_b(joint_trig(*j.as_tuple()), leg_table(r))
 
 
-def singular_legs(r: np.ndarray) -> tuple[bool, bool, bool]:
-    """Which legs are fully folded/extended at this orientation.
+def singular_legs(r) -> tuple[bool, bool, bool]:
+    """Which legs are fully folded/extended at this orientation (an array
+    or its rows).
 
     Leg i is singular when its base and platform joint axes coincide,
     i.e. |u_i . v_i| > 1 - STRUCTURE_TOL.  For this geometry u_i . v_i is
-    a single matrix entry per leg.
+    a single matrix entry per leg: r01, r12, r20.
     """
+    (_, r01, _), (_, _, r12), (r20, _, _) = as_rows(r)
     lim = 1.0 - STRUCTURE_TOL
-    return (
-        abs(float(r[0, 1])) > lim,
-        abs(float(r[1, 2])) > lim,
-        abs(float(r[2, 0])) > lim,
-    )
+    return abs(r01) > lim, abs(r12) > lim, abs(r20) > lim

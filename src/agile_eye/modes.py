@@ -62,6 +62,7 @@ from .exceptions import (
 )
 from .mechanism import (
     SIGN_TABLE,
+    SIGNATURES,
     STRUCTURE_TOL,
     JointTriplet,
     WorkingModeSignature,
@@ -127,13 +128,15 @@ def working_mode_signature(j: JointTriplet, r: np.ndarray) -> WorkingModeSignatu
 
     Raises SingularNoSignature unless every |B_ii| > STRUCTURE_TOL (NaN
     fails too): otherwise the configuration is leg-singular, with no mode.
+    The signature returned is the shared instance of `SIGNATURES`, the
+    one solve_dk(j).signatures holds for the same signs.
     """
-    b = b_diagonal(j, r)
-    if not all(abs(x) > STRUCTURE_TOL for x in b):
+    b1, b2, b3 = b_diagonal(j, r)
+    if not (abs(b1) > STRUCTURE_TOL and abs(b2) > STRUCTURE_TOL and abs(b3) > STRUCTURE_TOL):
         raise SingularNoSignature(
-            f"diag(B) = {tuple(b)} has a vanishing entry (tol {STRUCTURE_TOL:g})"
+            f"diag(B) = {(b1, b2, b3)} has a vanishing entry (tol {STRUCTURE_TOL:g})"
         )
-    return WorkingModeSignature(*(1 if x > 0 else -1 for x in b))
+    return SIGNATURES[1 if b1 > 0 else -1, 1 if b2 > 0 else -1, 1 if b3 > 0 else -1]
 
 
 def _finite_dk(j: JointTriplet) -> DkResult:

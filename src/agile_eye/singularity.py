@@ -85,6 +85,10 @@ class SingularityClass:
     trivial_id: int | None = None
 
 
+# SingularityClass is frozen, so every regular configuration shares one.
+_REGULAR = SingularityClass(kind="regular")
+
+
 def jacobians(j: JointTriplet, r: np.ndarray) -> JacobianPair:
     """Numeric A and diag(B) at a configuration; diag(B) is A's diagonal
     (`mechanism`)."""
@@ -185,29 +189,30 @@ def classify_configuration(
     families or Regular.
 
     Raises NotAssembled when some constraint residual exceeds the
-    residual tolerance, or when an entry of r is not finite.
+    residual tolerance, or when an entry of r is not finite.  Every
+    regular configuration gets the one shared "regular" instance.
     """
     trig = joint_trig(*j.as_tuple())
-    residuals = leg_residuals(trig, leg_table(r))
-    if not all(abs(x) <= cfg.residual_tol for x in residuals):  # NaN fails too
-        worst = float(np.max(np.abs(residuals)))
-        raise NotAssembled(
-            f"constraint residuals reach {worst:.3e} (> {cfg.residual_tol:g})"
-        )
+    rows = r.tolist()
+    e1, e2, e3 = leg_residuals(trig, leg_table(rows))
+    tol = cfg.residual_tol
+    if not (abs(e1) <= tol and abs(e2) <= tol and abs(e3) <= tol):  # NaN fails too
+        worst = float(np.max(np.abs((e1, e2, e3))))
+        raise NotAssembled(f"constraint residuals reach {worst:.3e} (> {tol:g})")
     pairs = condition_pairs(*trig)
     if True in pairs:
         fid, dist = _best_family(r, PAIR_FAMILIES[pairs.index(True) + 1])
         if dist < cfg.singular_tol:
             return SingularityClass(kind="self_motion", family_id=fid)
-    trivial_id, trivial_dist = nearest_trivial(r)
+    trivial_id, trivial_dist = nearest_trivial(rows)
     if math.isnan(trivial_dist):
         # r01, r12 or r20 is not finite: outside the leg table, so the
         # residual gate let it through
         raise NotAssembled(f"distance to the nearest trivial orientation is {trivial_dist}")
     if trivial_dist >= cfg.singular_tol:
-        det = det3(jacobian_rows(trig, r))
-        if abs(det) > cfg.singular_tol and not any(singular_legs(r)):
-            return SingularityClass(kind="regular")
+        det = det3(jacobian_rows(trig, rows))
+        if abs(det) > cfg.singular_tol and not any(singular_legs(rows)):
+            return _REGULAR
         # Tolerance-band fallback: attribute to the nearest singular structure.
         fid, fdist = _best_family(r, range(1, 7))
         if fdist <= trivial_dist:

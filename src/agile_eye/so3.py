@@ -42,11 +42,15 @@ class EulerZyx:
     theta: float
     psi: float
 
-    # Written by hand so that each field is set once, already wrapped.
+    # Written by hand so that each field is set once, already wrapped, into
+    # the instance dict: half the cost of object.__setattr__, though each
+    # later field read takes about twice as long, which suits a result that
+    # is read once or twice (JointTriplet, read by every call, does not).
     def __init__(self, phi: float, theta: float, psi: float):
-        object.__setattr__(self, "phi", wrap_angle(float(phi)))
-        object.__setattr__(self, "theta", wrap_angle(float(theta)))
-        object.__setattr__(self, "psi", wrap_angle(float(psi)))
+        fields = self.__dict__
+        fields["phi"] = wrap_angle(float(phi))
+        fields["theta"] = wrap_angle(float(theta))
+        fields["psi"] = wrap_angle(float(psi))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi, self.theta, self.psi)
@@ -57,8 +61,6 @@ class EulerZyx:
         given: equal to EulerZyx(phi, theta, psi), without the wraps.  The
         range is the caller's to guarantee; it is not checked."""
         e = object.__new__(cls)
-        # the fields live in the instance dict; writing it skips the
-        # frozen __setattr__ at about half the cost of object.__setattr__
         fields = e.__dict__
         fields["phi"], fields["theta"], fields["psi"] = phi, theta, psi
         return e

@@ -105,7 +105,7 @@ def test_nearest_trivial_matches_search(rng):
             rotations.append(axis_angle_rotation(rng.normal(size=3), angle) @ t)
         rotations.append(t)
     for r in rotations:
-        assert nearest_trivial(r) == _nearest_trivial_by_search(r)
+        assert nearest_trivial(r) == nearest_trivial(r.tolist()) == _nearest_trivial_by_search(r)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -116,7 +116,8 @@ def test_nearest_trivial_non_finite_distance_is_nan(value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, d = nearest_trivial(r)
-        assert math.isnan(d)
+            _, d_rows = nearest_trivial(r.tolist())
+        assert math.isnan(d) and math.isnan(d_rows)
 
 
 def test_classify_self_motion_pairs():

@@ -1,10 +1,15 @@
+import dataclasses
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agile_eye import (
+    EulerZyx,
     JointTriplet,
     constraint_residuals,
     euler_to_rotation,
@@ -13,6 +18,23 @@ from agile_eye import (
     working_mode_signature,
 )
 from conftest import circ_diff, intermediate_axes, random_orientation
+
+EDGE_ANGLES = (math.pi, -math.pi, math.pi / 2, -math.pi / 2, 0.0, -0.0)
+IN_RANGE = st.floats(-math.pi, math.pi, exclude_min=True)
+
+
+def _bits(j):
+    # the fields' bit patterns, so that -0.0 and 0.0 differ
+    return struct.pack("<3d", j.theta1, j.theta2, j.theta3)
+
+
+def _assert_enumerated_are_constructor_triplets(r):
+    for fill in (False, True):
+        for t in solve_ik(r, fill_arbitrary=fill).enumerated:
+            ref = JointTriplet(*t.as_tuple())
+            assert type(t) is JointTriplet
+            assert _bits(t) == _bits(ref)
+            assert t == ref and hash(t) == hash(ref)
 
 
 # (leg, (row, column)) of each leg-table entry: (r21, r11), (r02, r22),
@@ -134,3 +156,33 @@ def test_product_index_is_working_mode_signature(rng):
         r = random_orientation(rng)
         sols = solve_ik(r).enumerated
         assert [working_mode_signature(j, r).label for j in sols] == labels
+
+
+def test_enumerated_triplets_are_bit_identical_on_edge_grid():
+    # trivial and self-motion orientations among these make arbitrary legs,
+    # filled with 0.0; signed zeros reach the leg table
+    for angles in itertools.product(EDGE_ANGLES, repeat=3):
+        _assert_enumerated_are_constructor_triplets(euler_to_rotation(EulerZyx(*angles)))
+
+
+@given(IN_RANGE, st.floats(-math.pi / 2, math.pi / 2), IN_RANGE)
+def test_enumerated_triplets_are_bit_identical(phi, theta, psi):
+    _assert_enumerated_are_constructor_triplets(euler_to_rotation((phi, theta, psi)))
+
+
+@given(IN_RANGE, IN_RANGE, IN_RANGE)
+def test_joint_triplet_from_wrapped_equals_constructor_in_range(t1, t2, t3):
+    j = JointTriplet.from_wrapped(t1, t2, t3)
+    ref = JointTriplet(t1, t2, t3)
+    assert type(j) is JointTriplet
+    assert j == ref and hash(j) == hash(ref)
+    assert _bits(j) == _bits(ref)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        j.theta1 = 0.0
+
+
+def test_arbitrary_legs_share_one_frozen_outcome():
+    legs = solve_ik(trivial_orientations()[0]).legs
+    assert legs[0] is legs[1] is legs[2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        legs[0].arbitrary = False

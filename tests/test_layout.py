@@ -36,6 +36,10 @@ Each setting has one checking home: `ToolConfig` checks itself when it
 is built, so no module defines or calls a `validate`, and neither
 `sweep.py` nor `cli.py` compares a setting against a bound.  The CLI
 resolves a `--family` name only through `dk.FAMILY_IDS`.
+
+The 8 working-mode signatures are built once, in `mechanism.SIGNATURES`:
+no other module calls `WorkingModeSignature(...)`, so every signature the
+package returns is one of those shared instances.
 """
 
 import ast
@@ -207,6 +211,19 @@ def _input_decisions(path: Path):
             ):
                 found.append((node.lineno, owner, "JointTriplet"))
     return [entry[1:] for entry in sorted(found)]
+
+
+def _calls(path: Path, name: str):
+    """(enclosing top-level function, line) of every call of `name`, as a
+    bare name or an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (getattr(top, "name", "<module>"), node.lineno)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    ]
 
 
 def _validate_uses(path: Path):
@@ -488,3 +505,24 @@ def test_checker_flags_formula_copies(tmp_path):
     assert _zyx_builds(probe) == [5]
     assert _cascade_roots(probe) == [11]
     assert _private_module_reads(probe, {"dk", "so3"}) == [(10, "dk", "_ORDERS"), (10, "so3", "_private")]
+
+
+def test_signatures_are_built_only_in_mechanism():
+    calls = {path.name: _calls(path, "WorkingModeSignature") for path in MODULES}
+    assert {name: found for name, found in calls.items() if found} == {
+        "mechanism.py": calls["mechanism.py"]
+    }
+    assert [owner for owner, _ in calls["mechanism.py"]] == ["<module>"]
+
+
+def test_checker_flags_signature_copies(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .mechanism import WorkingModeSignature\n"
+        "def sign(b) -> WorkingModeSignature:\n"
+        "    return WorkingModeSignature(*(1 if x > 0 else -1 for x in b))\n"
+        "TABLE = [mechanism.WorkingModeSignature(1, 1, 1)]\n"
+        "def check(sig):\n"
+        "    return isinstance(sig, WorkingModeSignature), WorkingModeSignature\n"
+    )
+    assert _calls(probe, "WorkingModeSignature") == [("sign", 3), ("<module>", 4)]

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -8,8 +10,10 @@ from agile_eye import (
     constraint_residuals,
     euler_to_rotation,
     singular_legs,
+    solve_ik,
     trivial_orientations,
 )
+from agile_eye.mechanism import STRUCTURE_TOL
 from conftest import (
     BASE_AXES,
     intermediate_axes,
@@ -72,12 +76,46 @@ def test_residual_trig_expansions(rng):
         assert abs(res[2] - f3) < 1e-12
 
 
+def test_joint_triplets_keep_the_default_dataclass_layout():
+    # a triplet whose fields were written through self.__dict__ would own
+    # a dict (CPython 3.11+), which makes every later field read slower
+    @dataclasses.dataclass(frozen=True)
+    class Default:
+        theta1: float
+        theta2: float
+        theta3: float
+
+    def layout(x):
+        return [type(ref) for ref in gc.get_referents(x)]
+
+    want = layout(Default(0.1, 0.2, 0.3))
+    assert layout(JointTriplet(0.1, 0.2, 0.3)) == want
+    assert layout(JointTriplet.from_wrapped(0.1, 0.2, 0.3)) == want
+    sols = solve_ik(euler_to_rotation((0.100, -0.672, -0.383))).enumerated
+    assert len(sols) == 8 and all(layout(j) == want for j in sols)
+
+
 def test_singular_legs():
     for r in trivial_orientations():
         assert singular_legs(r) == (True, True, True)
     assert singular_legs(np.eye(3)) == (False, False, False)
     r = euler_to_rotation((0.3, 0.1, -0.2))
     assert singular_legs(r) == (False, False, False)
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 1.0, -1.0, 1.0 - 1e-10, -(1.0 - 1e-8), 0.0]
+)
+@pytest.mark.parametrize("entry", [(0, 1), (1, 2), (2, 0)])
+def test_singular_legs_on_rows_equals_array(entry, value):
+    # u_i . v_i is r01, r12, r20; the array form once read them as
+    # abs(float(r[i, j])) > 1 - STRUCTURE_TOL
+    lim = 1.0 - STRUCTURE_TOL
+    for r in (np.eye(3), euler_to_rotation((0.3, 0.1, -0.2)), trivial_orientations()[1]):
+        r = r.copy()
+        r[entry] = value
+        expected = tuple(abs(float(r[e])) > lim for e in ((0, 1), (1, 2), (2, 0)))
+        assert singular_legs(r) == singular_legs(r.tolist()) == expected
 
 
 def test_leg_table_identities(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -103,6 +104,30 @@ def test_signature_flips_between_first_two_solutions():
 def test_signature_undefined_at_trivial_orientation():
     with pytest.raises(SingularNoSignature):
         working_mode_signature(JointTriplet(0, 0, 0), trivial_orientations()[0])
+
+
+@pytest.mark.parametrize("entry", [(2, 1), (1, 1), (0, 2), (2, 2), (1, 0), (0, 0)])
+def test_signature_nan_leg_table_entry_raises(entry):
+    # the leg table (r21, r11), (r02, r22), (r10, r00): a NaN makes one
+    # B_ii NaN while the other two stay clear of zero
+    r = euler_to_rotation((0.100, -0.672, -0.383))
+    for j in solve_ik(r).enumerated:
+        bad = r.copy()
+        bad[entry] = math.nan
+        with pytest.raises(SingularNoSignature, match="nan"):
+            working_mode_signature(j, bad)
+
+
+def test_signature_is_the_shared_instance_of_its_direct_solution(rng):
+    for _ in range(200):
+        j = generic_joints(rng)
+        dk = solve_dk(j)
+        for k, e in enumerate(dk.solutions, 1):
+            sig = working_mode_signature(j, euler_to_rotation(e))
+            assert sig is dk.signatures[k - 1]
+            assert sig == WorkingModeSignature(sig.s1, sig.s2, sig.s3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sig.s1 = -sig.s1
 
 
 def test_signature_bijection_and_pattern(rng):

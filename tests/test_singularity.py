@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -11,6 +12,7 @@ from agile_eye import (
     DenominatorDegenerate,
     JointTriplet,
     NotAssembled,
+    SingularityClass,
     b_diag_closed_form,
     classify_configuration,
     classify_joint_degeneracy,
@@ -547,10 +549,28 @@ def test_classify_nan_joint_not_assembled(leg):
 
 @pytest.mark.parametrize("entry", [(2, 1), (1, 1), (0, 2), (2, 2), (1, 0), (0, 0)])
 def test_classify_nan_leg_table_entry_not_assembled(entry):
-    r = np.eye(3)
-    r[entry] = math.nan
-    with pytest.raises(NotAssembled, match="reach nan"):
-        classify_configuration(JointTriplet(0.0, 0.0, 0.0), r)
+    # at the identity the other residuals are exactly 0; at the regular
+    # IK solutions they are rounding-sized
+    r0 = euler_to_rotation((0.100, -0.672, -0.383))
+    configs = [(JointTriplet(0.0, 0.0, 0.0), np.eye(3))]
+    configs += [(j, r0) for j in solve_ik(r0).enumerated]
+    for j, r in configs:
+        r = r.copy()
+        r[entry] = math.nan
+        with pytest.raises(NotAssembled, match="reach nan"):
+            classify_configuration(j, r)
+
+
+def test_regular_class_is_one_shared_frozen_instance(rng):
+    regular = []
+    for _ in range(50):
+        r = random_orientation(rng)
+        regular += [classify_configuration(j, r) for j in solve_ik(r).enumerated]
+    assert len(regular) == 400
+    assert all(out is regular[0] for out in regular)
+    assert regular[0] == SingularityClass(kind="regular")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        regular[0].kind = "lockup"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
