@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import sys
 from dataclasses import replace
@@ -203,9 +202,8 @@ def ik(ctx, euler, matrix, fill_arbitrary):
     cfg, degrees = ctx.obj["cfg"], ctx.obj["degrees"]
     r = _parse_orientation(euler, matrix, degrees)
     result = solve_ik(r, fill_arbitrary=fill_arbitrary)
-    # B_ii = +hypot(num_i, den_i) at the atan2 root, - at its antipode (0 if filled)
-    signs = itertools.product("+-", repeat=3)
-    labels = itertools.repeat(None) if result.any_arbitrary else map("".join, signs)
+    sigs = result.signatures
+    labels = [None] * len(result.enumerated) if sigs is None else [s.label for s in sigs]
     solutions = [
         {"joints": _angles_out(j.as_tuple(), degrees), "signature": label}
         for j, label in zip(result.enumerated, labels)

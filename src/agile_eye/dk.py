@@ -44,16 +44,14 @@ from .mechanism import (
     joint_factors,
     joint_trig,
 )
-from .so3 import HALF_PI, EulerZyx, rotation_angle, rotation_entries, wrap_angle
+from .so3 import HALF_PI, EulerZyx, nearest_flip, rotation_entries, wrap_angle
 
-_TRIVIAL = (
-    np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
-    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]]),
-    np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]),
-    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+# T_k = C diag(h_k), C the cyclic column permutation (column j of C is
+# e_(j-1 mod 3)): h_k holds the nonzero entries T[2, 0], T[0, 1], T[1, 2].
+_TRIVIAL_SIGNS = ((-1.0, -1.0, 1.0), (-1.0, 1.0, -1.0), (1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+_TRIVIAL = tuple(
+    np.array([[0.0, h1, 0.0], [0.0, 0.0, h2], [h0, 0.0, 0.0]]) for h0, h1, h2 in _TRIVIAL_SIGNS
 )
-# The nonzero entry of each column of T_k: T[2, 0], T[0, 1], T[1, 2].
-_TRIVIAL_SIGNS = tuple((float(t[2, 0]), float(t[0, 1]), float(t[1, 2])) for t in _TRIVIAL)
 
 # sign(q2) * SIGN_TABLE, row by row, indexed by q2 > 0: the shared
 # instances of mechanism.SIGNATURES
@@ -136,23 +134,12 @@ def nearest_trivial(r) -> tuple[int, float]:
     """Id (1..4) of the trivial orientation nearest to r (an array or its
     rows), and its distance.
 
-    Each T_k is a signed permutation, so trace(T_k^T r) is a signed sum of
-    r01, r12 and r20; the geodesic distance falls as that trace grows, so
-    the nearest T_k has the largest.  Ties go to the lowest id.  Column j
-    of T_k is +-e_(j-1 mod 3), so column j of r^T T_k is a signed row
-    j-1 of r: built from r's entries directly, it equals the matrix
-    product bit for bit.
+    With T_k = C diag(h_k) (`_TRIVIAL_SIGNS`), r^T T_k = (r^T C) diag(h_k):
+    `nearest_flip` of r^T C, whose column j is row j-1 of r, written from
+    r's entries bit for bit.  Ties go to the lowest id.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = as_rows(r)
-    traces = (r12 - r01 - r20, r01 - r12 - r20, r20 - r01 - r12, r01 + r12 + r20)
-    k = max(range(4), key=traces.__getitem__)
-    s0, s1, s2 = _TRIVIAL_SIGNS[k]
-    m = (
-        (s0 * r20, s1 * r00, s2 * r10),
-        (s0 * r21, s1 * r01, s2 * r11),
-        (s0 * r22, s1 * r02, s2 * r12),
-    )
-    return k + 1, rotation_angle(m)
+    return nearest_flip(((r20, r00, r10), (r21, r01, r11), (r22, r02, r12)), _TRIVIAL_SIGNS)
 
 
 # JointDegeneracy is frozen, so the two classes without a pair are shared.

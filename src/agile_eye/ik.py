@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import STRUCTURE_TOL, JointTriplet, leg_table
+from .mechanism import SIGNATURES, STRUCTURE_TOL, JointTriplet, WorkingModeSignature, leg_table
 from .so3 import wrap_angle
 
 
@@ -43,6 +43,15 @@ class IkSolutionSet:
     @property
     def any_arbitrary(self) -> bool:
         return any(leg.arbitrary for leg in self.legs)
+
+    @property
+    def signatures(self) -> tuple[WorkingModeSignature, ...] | None:
+        """The working mode of each enumerated triplet; None when a leg is
+        arbitrary.  Leg i's first angle is the root atan2(num_i, den_i),
+        where B_ii = +hypot(num_i, den_i), and its antipode has -hypot, so
+        the signatures run in itertools.product((1, -1), repeat=3) order:
+        the order of `SIGNATURES`."""
+        return None if self.any_arbitrary else tuple(SIGNATURES.values())
 
 
 # LegIkOutcome is frozen, so every arbitrary leg shares one.

@@ -75,7 +75,7 @@ from .mechanism import (
     leg_residuals,
     leg_table,
 )
-from .so3 import EulerZyx, euler_to_rotation, rotation_angle, wrap_angle
+from .so3 import EulerZyx, euler_to_rotation, nearest_flip, wrap_angle
 
 # Orientation-to-solution matching tolerance (rotation distance, radians).
 MATCH_TOL = 1e-6
@@ -168,17 +168,11 @@ def nearest_solution(dk: DkResult, r: np.ndarray) -> tuple[int, float]:
     """Index (1..4) of the finite direct solution of `dk` nearest to r, and
     its rotation distance.
 
-    With M = r^T R_1, r^T R_k = M H_k; the distance falls as trace(M H_k)
-    grows, so the nearest solution has the largest (ties go to the lowest
-    index) and its distance is the angle of M H_k.  NaN in r gives a NaN
+    With M = r^T R_1, r^T R_k = M H_k: `nearest_flip` of M and the
+    half-turns (ties go to the lowest index).  NaN in r gives a NaN
     distance.
     """
-    m = (r.T @ euler_to_rotation(dk.solutions[0])).tolist()
-    m00, m11, m22 = m[0][0], m[1][1], m[2][2]
-    traces = [h0 * m00 + h1 * m11 + h2 * m22 for h0, h1, h2 in _HALF_TURNS]
-    k = max(range(4), key=traces.__getitem__)
-    h = _HALF_TURNS[k]
-    return k + 1, rotation_angle([[x * s for x, s in zip(row, h)] for row in m])
+    return nearest_flip((r.T @ euler_to_rotation(dk.solutions[0])).tolist(), _HALF_TURNS)
 
 
 def _certified_mode(j: JointTriplet, r: np.ndarray) -> tuple[int, float] | None:

@@ -42,6 +42,7 @@ of D (r00 = r02 = 0 on 1a and 1b, r02 = r22 = 0 on 2a and 2b, r00 = r21 =
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,8 @@ def det_a_closed_form(j: JointTriplet, branch: str = "nontrivial") -> float:
 
 
 def b_diag_closed_form(j: JointTriplet, mode: int) -> np.ndarray:
-    """Closed-form diagonal of B at direct solution `mode` (1..4).
+    """Closed-form diagonal of B at direct solution `mode`, an integer 1..4
+    (a float raises TypeError).
 
     B_ii = P_mode,i * q2 / (d_j d_l), with P the mechanism's SIGN_TABLE
     and d_j, d_l the two denominators paired with leg i.  This is the
@@ -133,7 +135,7 @@ def b_diag_closed_form(j: JointTriplet, mode: int) -> np.ndarray:
     STRUCTURE_TOL (NaN fails too): else the numerator vanishes too and the
     configuration is leg-singular, so no finite ratio is reported.
     """
-    if mode not in (1, 2, 3, 4):
+    if operator.index(mode) not in (1, 2, 3, 4):
         raise ValueError(f"assembly mode must be 1..4, got {mode}")
     s1, c1, s2, c2, s3, c3 = joint_trig(*j.as_tuple())
     # sqrt(1 - cos^2 a sin^2 b) rewritten without cancellation

@@ -126,6 +126,31 @@ def rotation_angle(m) -> float:
     return math.atan2(s, c) if math.isfinite(s + c) else math.nan
 
 
+def nearest_flip(m, flips) -> tuple[int, float]:
+    """Index k (1..4) of the sign triple h = flips[k - 1] that makes
+    M diag(h) the rotation of smallest angle, and that angle, for M given
+    by its rows and four sign triples: the rotation among the four that is
+    nearest to the identity.
+
+    A rotation's angle falls as its trace (1 + 2 cos(angle)) grows, so
+    that h has the largest trace h0 m00 + h1 m11 + h2 m22; ties go to the
+    lowest index.  M diag(h) is M with column i times h_i.  NaN or
+    infinite entries give a NaN angle (`rotation_angle`).
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    traces = [h0 * m00 + h1 * m11 + h2 * m22 for h0, h1, h2 in flips]
+    k = 0
+    for i in (1, 2, 3):
+        if traces[i] > traces[k]:
+            k = i
+    h0, h1, h2 = flips[k]
+    return k + 1, rotation_angle((
+        (m00 * h0, m01 * h1, m02 * h2),
+        (m10 * h0, m11 * h1, m12 * h2),
+        (m20 * h0, m21 * h1, m22 * h2),
+    ))
+
+
 # An infinite entry makes the product NaN (inf * 0) and sets numpy's
 # invalid flag; rotation_angle returns NaN for it, so no warning is due.
 @np.errstate(invalid="ignore")

@@ -104,6 +104,7 @@ def test_solve_ik_trivial_orientation_empty_or_filled():
     filled = solve_ik(r_to3, fill_arbitrary=True)
     assert len(filled.enumerated) == 1
     assert filled.enumerated[0].as_tuple() == (0.0, 0.0, 0.0)
+    assert result.signatures is None and filled.signatures is None
 
 
 def test_fill_count_matches_two_solution_legs(rng):
@@ -115,6 +116,7 @@ def test_fill_count_matches_two_solution_legs(rng):
     assert result.legs[0].arbitrary
     assert not result.legs[1].arbitrary and not result.legs[2].arbitrary
     assert len(result.enumerated) == 4
+    assert result.signatures is None
 
 
 def test_antipodal_intermediate_axes(rng):
@@ -150,12 +152,16 @@ def test_solution_count_property(rng):
 
 def test_product_index_is_working_mode_signature(rng):
     # enumerated[m] takes the atan2 root (+) or its antipode (-) per leg in
-    # itertools.product order, and B_ii = +-hypot(num_i, den_i) there
+    # itertools.product order, and B_ii = +-hypot(num_i, den_i) there; the
+    # solve names each one with the shared instance the numeric signs give
     labels = ["".join(p) for p in itertools.product("+-", repeat=3)]
     for _ in range(2000):
         r = random_orientation(rng)
-        sols = solve_ik(r).enumerated
-        assert [working_mode_signature(j, r).label for j in sols] == labels
+        result = solve_ik(r)
+        numeric = [working_mode_signature(j, r) for j in result.enumerated]
+        assert [sig.label for sig in numeric] == labels
+        assert len(result.signatures) == len(numeric)
+        assert all(a is b for a, b in zip(result.signatures, numeric))
 
 
 def test_enumerated_triplets_are_bit_identical_on_edge_grid():

@@ -40,6 +40,11 @@ resolves a `--family` name only through `dk.FAMILY_IDS`.
 The 8 working-mode signatures are built once, in `mechanism.SIGNATURES`:
 no other module calls `WorkingModeSignature(...)`, so every signature the
 package returns is one of those shared instances.
+
+The search for the nearest of four sign-flipped rotations has one home,
+`so3.nearest_flip`: the trivial orientations and the direct solutions
+are both matched by it, so no module outside `so3` imports or calls
+`rotation_angle`.
 """
 
 import ast
@@ -223,6 +228,19 @@ def _calls(path: Path, name: str):
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    ]
+
+
+def _references(path: Path, name: str):
+    """(enclosing top-level function, line) of every import of `name` and
+    of every use of it as a bare name or an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (getattr(top, "name", "<module>"), node.lineno)
+        for top in tree.body
+        for node in ast.walk(top)
+        if name in (getattr(node, "id", None), getattr(node, "attr", None))
+        or (isinstance(node, ast.ImportFrom) and name in (a.name for a in node.names))
     ]
 
 
@@ -526,3 +544,29 @@ def test_checker_flags_signature_copies(tmp_path):
         "    return isinstance(sig, WorkingModeSignature), WorkingModeSignature\n"
     )
     assert _calls(probe, "WorkingModeSignature") == [("sign", 3), ("<module>", 4)]
+
+
+def test_rotation_angle_is_called_only_in_so3():
+    # one nearest-of-four search, so3.nearest_flip, serves the trivial
+    # orientations and the direct solutions alike
+    refs = {path.name: _references(path, "rotation_angle") for path in MODULES}
+    assert {name: found for name, found in refs.items() if found} == {"so3.py": refs["so3.py"]}
+    assert [owner for owner, _ in refs["so3.py"]] == ["nearest_flip", "rotation_distance"]
+
+
+def test_checker_flags_rotation_angle_references(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .so3 import euler_to_rotation, rotation_angle\n"
+        "def nearest(m):\n"
+        "    return so3.rotation_angle(m), min(map(rotation_angle, [m]))\n"
+        "ANGLE = rotation_angle\n"
+        "def rotation_angle(m):\n"
+        "    return 'rotation_angle'\n"
+    )
+    assert _references(probe, "rotation_angle") == [
+        ("<module>", 1),
+        ("nearest", 3),
+        ("nearest", 3),
+        ("<module>", 4),
+    ]

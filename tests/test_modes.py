@@ -38,7 +38,7 @@ from agile_eye.mechanism import (
 )
 from agile_eye.modes import MATCH_TOL, SingularityCrossing, TrackResult, nearest_solution
 from agile_eye.singularity import jacobians
-from agile_eye.so3 import ORTHONORMAL_TOL
+from agile_eye.so3 import ORTHONORMAL_TOL, nearest_flip
 from conftest import (
     axis_angle_rotation,
     circ_diff,
@@ -374,6 +374,31 @@ def test_direct_solution_residuals_within_rounding_allowance(t1, t2, t3, log_q2,
     j, sols = _finite_solutions(*j.as_tuple())
     for sol in sols:
         assert max(abs(x) for x in constraint_residuals(j, euler_to_rotation(sol))) < 1e-14
+
+
+@settings(max_examples=400, deadline=None)
+@given(angles, angles, angles, angles, angles, angles)
+def test_nearest_solution_matches_four_distance_search(t1, t2, t3, phi, theta, psi):
+    # any orientation, assembled or not; where two distances tie within
+    # 1e-12, rounding may pick either, so such a case is left out
+    j, sols = _finite_solutions(t1, t2, t3)
+    r = euler_to_rotation((phi, theta, psi))
+    dists = [rotation_distance(r, euler_to_rotation(s)) for s in sols]
+    best = min(range(4), key=dists.__getitem__)
+    assume(sorted(dists)[1] - dists[best] > 1e-12)
+    k, dist = nearest_solution(solve_dk(j), r)
+    assert k == best + 1
+    assert abs(dist - dists[best]) <= 1e-15
+
+
+def test_nearest_flip_tie_goes_to_lowest_index():
+    # a quarter-turn about x has diagonal (1, 0, 0): the half-turns 1 and 2
+    # both give trace 1, and both rotations are quarter-turns
+    assert [np.diag(h).tolist() for h in modes._HALF_TURNS] == [h.tolist() for h in HALF_TURNS]
+    quarter_x = ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0))
+    assert nearest_flip(quarter_x, modes._HALF_TURNS) == (1, math.pi / 2)
+    swapped = (modes._HALF_TURNS[1], modes._HALF_TURNS[0], *modes._HALF_TURNS[2:])
+    assert nearest_flip(quarter_x, swapped) == (1, math.pi / 2)
 
 
 @settings(max_examples=400, deadline=None)

@@ -122,6 +122,19 @@ def test_b_diag_closed_form_values():
         b_diag_closed_form(JointTriplet(0, 0, 0), mode=5)
 
 
+@pytest.mark.parametrize("mode", [1.0, 2.5])
+def test_b_diag_closed_form_rejects_float_mode(mode):
+    # type-checked as self_motion_family checks its id, not an index error
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        b_diag_closed_form(JointTriplet(-0.3, -0.7, 0.1), mode)
+
+
+def test_b_diag_closed_form_accepts_numpy_integer_mode():
+    j = JointTriplet(-0.3, -0.7, 0.1)
+    got = b_diag_closed_form(j, np.int64(2))
+    assert got.tolist() == b_diag_closed_form(j, 2).tolist()
+
+
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 
 
