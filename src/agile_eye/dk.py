@@ -53,9 +53,9 @@ _TRIVIAL = tuple(
     np.array([[0.0, h1, 0.0], [0.0, 0.0, h2], [h0, 0.0, 0.0]]) for h0, h1, h2 in _TRIVIAL_SIGNS
 )
 
-# sign(q2) * SIGN_TABLE, row by row, indexed by q2 > 0: the shared
-# instances of mechanism.SIGNATURES
-_SIGNATURES = tuple(
+# sign(q2) * SIGN_TABLE, row by row, indexed by q2 > 0: the signatures of
+# the four direct solutions, as shared instances of mechanism.SIGNATURES
+SOLUTION_SIGNATURES = tuple(
     tuple(SIGNATURES[s * p1, s * p2, s * p3] for p1, p2, p3 in SIGN_TABLE) for s in (-1, 1)
 )
 
@@ -118,7 +118,7 @@ class DkResult:
     @property
     def signatures(self) -> tuple[WorkingModeSignature, ...] | None:
         """sign(q2) * SIGN_TABLE[k] for each solution k; None if not finite."""
-        return None if self.solutions is None else _SIGNATURES[self.q2 > 0.0]
+        return None if self.solutions is None else SOLUTION_SIGNATURES[self.q2 > 0.0]
 
     @property
     def trivial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -136,7 +136,7 @@ def nearest_trivial(r) -> tuple[int, float]:
 
     With T_k = C diag(h_k) (`_TRIVIAL_SIGNS`), r^T T_k = (r^T C) diag(h_k):
     `nearest_flip` of r^T C, whose column j is row j-1 of r, written from
-    r's entries bit for bit.  Ties go to the lowest id.
+    r's entries bit for bit; ties as in `nearest_flip`.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = as_rows(r)
     return nearest_flip(((r20, r00, r10), (r21, r01, r11), (r22, r02, r12)), _TRIVIAL_SIGNS)
@@ -194,8 +194,8 @@ def _fold_half(a: float) -> float:
 
 # Canonical order, keyed by (B11 > 0, q2 > 0) at the cascade's first
 # solution, whose signature is sign(q2) P_m with P_m,3 = sign(q2)
-# (finite_solutions): cascade solution i has signature sign(q2) P_m P_i,
-# so solution k is cascade solution P.index(P_m P_k).
+# (`_cascade`): cascade solution i has signature sign(q2) P_m P_i, so
+# solution k is cascade solution P.index(P_m P_k).
 _ORDERS = {
     (m1 * m3 > 0, m3 > 0): tuple(
         SIGN_TABLE.index((m1 * p1, m2 * p2, m3 * p3)) for p1, p2, p3 in SIGN_TABLE
@@ -207,8 +207,20 @@ _ORDERS = {
 def _cascade(trig, q1: float, q2: float):
     """The cascade's first solution (theta, psi), both folded to
     (-pi/2, pi/2], their cosines and sines (ct, st, cp, sp), and the
-    canonical order (`_ORDERS`), for joint trig `trig` and joint factors
-    (q1, q2): the core of finite_solutions and direct_solution."""
+    canonical order (`_ORDERS`) of generic joints with joint trig `trig`
+    and joint factors (q1, q2).  theta solves q1 cos(theta) + q2
+    sin(theta) = 0, then psi solves p1 cos(psi) + p2 sin(psi) = 0 or
+    p3 cos(psi) + p4 sin(psi) = 0; the four solutions are the half-turn
+    table of `DkResult` on (theta3, theta, psi).
+
+    One sign fixes the order.  theta is folded to (-pi/2, pi/2], and the
+    float nearest pi/2 lies below pi/2, so cos(theta) > 0.  Leg 3 reads
+    (r10, r00) = cos(theta) (s3, c3) on the first solution, so there
+    B33 = s3 (s3 cos(theta)) + c3 (c3 cos(theta)) > 0: both terms are
+    >= 0 and one is about cos(theta) / 2 or more.  That solution's
+    signature sign(q2) P_m thus has P_m,3 = sign(q2), which leaves two
+    rows of P, and sign(B11) picks one.
+    """
     theta = _fold_half(math.atan2(-q1, q2))
     ct, st = math.cos(theta), math.sin(theta)
     s1, c1, s2, c2, s3, c3 = trig
@@ -226,67 +238,43 @@ def _cascade(trig, q1: float, q2: float):
     return theta, psi, (ct, st, cp, sp), _ORDERS[b1 > 0.0, q2 > 0.0]
 
 
-def finite_solutions(phi: float, trig, q1: float, q2: float):
-    """The four nontrivial direct solutions, as raw (phi, theta, psi)
-    floats in canonical order, of joints with third angle phi, joint trig
-    `trig` (`joint_trig`) and joint factors (q1, q2) (`joint_factors`).
-
-    The angles are not wrapped (EulerZyx wraps them).  The joints must be
-    generic (`joint_degeneracy`); solve_dk is this plus that check.
-
-    theta solves q1 cos(theta) + q2 sin(theta) = 0, then psi solves
-    p1 cos(psi) + p2 sin(psi) = 0 or p3 cos(psi) + p4 sin(psi) = 0.
-
-    One sign fixes the order.  theta is folded to (-pi/2, pi/2], and the
-    float nearest pi/2 lies below pi/2, so cos(theta) > 0.  Leg 3 reads
-    (r10, r00) = cos(theta) (s3, c3) on the cascade's first solution, so
-    there B33 = s3 (s3 cos(theta)) + c3 (c3 cos(theta)) > 0: both terms
-    are >= 0 and one is about cos(theta) / 2 or more.  That solution's
-    signature sign(q2) P_m thus has P_m,3 = sign(q2), which leaves two
-    rows of P, and sign(B11) picks one (`_ORDERS`).
-    """
-    theta, psi, _, (i0, i1, i2, i3) = _cascade(trig, q1, q2)
-    raw = (
-        (phi, theta, psi),
-        (phi, theta, psi + math.pi),
-        (phi, theta + math.pi, -psi),
-        (phi, theta + math.pi, -psi + math.pi),
-    )
-    return raw[i0], raw[i1], raw[i2], raw[i3]
+def _half_turn(i: int, phi: float, theta: float, psi: float) -> EulerZyx:
+    """Entry i (0..3) of the half-turn table on the cascade's first
+    solution (phi, theta, psi), equal to EulerZyx of it bit for bit: with
+    phi in (-pi, pi] and theta, psi folded, only theta + pi, psi + pi and
+    -psi + pi can leave (-pi, pi], so only they are wrapped."""
+    if i >= 2:
+        theta = wrap_angle(theta + math.pi)
+        psi = -psi if i == 2 else wrap_angle(-psi + math.pi)
+    elif i == 1:
+        psi = wrap_angle(psi + math.pi)
+    return EulerZyx.from_wrapped(phi, theta, psi)
 
 
 def direct_solution(k: int, phi: float, trig, q1: float, q2: float):
-    """Solution k (0..3) of finite_solutions(phi, trig, q1, q2) as an
-    EulerZyx, with the nine entries of its matrix, row by row
-    (`rotation_entries`): what a caller that tracks one solution needs.
-
-    Both equal EulerZyx(*finite_solutions(phi, trig, q1, q2)[k]) and
-    euler_to_rotation of it bit for bit.  phi must lie in (-pi, pi] (a
-    JointTriplet's theta3), with s3, c3 of `trig` its sine and cosine.
-    Only theta + pi, psi + pi and -psi + pi can leave (-pi, pi], so only
-    they are wrapped.  A sine or cosine is reused only where its angle is
-    the same float: (s3, c3) for phi, and the cascade's own for theta or
-    psi where the solution keeps them; every other is computed fresh.
+    """solve_dk's solutions[k] (0..3) of generic joints with third angle
+    phi (a JointTriplet's theta3), joint trig `trig` (`joint_trig`) and
+    joint factors (q1, q2) (`joint_factors`), with the nine entries of its
+    matrix, row by row (`rotation_entries`), both bit for bit: what a
+    caller that tracks one solution needs.  A sine or cosine is reused
+    only where its angle is the same float: (s3, c3) for phi, and the
+    cascade's own for theta or psi where the solution keeps them.
     """
     theta, psi, (ct, st, cp, sp), order = _cascade(trig, q1, q2)
     i = order[k]
+    e = _half_turn(i, phi, theta, psi)
     if i >= 2:
-        theta = wrap_angle(theta + math.pi)
-        ct, st = math.cos(theta), math.sin(theta)
-        psi = -psi if i == 2 else wrap_angle(-psi + math.pi)
-        cp, sp = math.cos(psi), math.sin(psi)
-    elif i == 1:
-        psi = wrap_angle(psi + math.pi)
-        cp, sp = math.cos(psi), math.sin(psi)
-    entries = rotation_entries(trig[5], trig[4], ct, st, cp, sp)
-    return EulerZyx.from_wrapped(phi, theta, psi), entries
+        ct, st = math.cos(e.theta), math.sin(e.theta)
+    if i >= 1:
+        cp, sp = math.cos(e.psi), math.sin(e.psi)
+    return e, rotation_entries(trig[5], trig[4], ct, st, cp, sp)
 
 
 def solve_dk(j: JointTriplet) -> DkResult:
     """Solve the direct kinematics for one joint triplet.
 
     Generic joints give four nontrivial Euler solutions in canonical
-    order (`finite_solutions`): solution k has working-mode signature
+    order (`_cascade`): solution k has working-mode signature
     sign(q2) * P_k, with P the mechanism's SIGN_TABLE, which the result
     reports with q2 (`DkResult.signatures`).  Degenerate joints
     (within STRUCTURE_TOL) give the self-motion or trivial-only branch
@@ -308,8 +296,9 @@ def solve_dk(j: JointTriplet) -> DkResult:
         )
     if deg.kind == "trivial_only":
         return DkResult(branch="trivial_only", q2=q2)
-    solutions = finite_solutions(j.theta3, trig, q1, q2)
-    return DkResult(branch="finite", q2=q2, solutions=tuple(EulerZyx(*e) for e in solutions))
+    theta, psi, _, order = _cascade(trig, q1, q2)
+    solutions = tuple(_half_turn(i, j.theta3, theta, psi) for i in order)
+    return DkResult(branch="finite", q2=q2, solutions=solutions)
 
 
 def self_motion_family(family_id, parameter: float) -> np.ndarray:

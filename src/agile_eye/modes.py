@@ -35,12 +35,12 @@ so every direct solution keeps its signature, and the canonical solution
 order ties each index 1..4 to a signature.  Tracking is therefore two
 steps per segment: certify by Lipschitz and curvature bounds that |q2|
 stays above the singular tolerance, then take the end waypoint's direct
-solution with the start's index.  The first waypoint takes a full
-solve_dk, whose q2 starts the first certificate; each later one costs one
-joint trig and one solve of the tracked solution alone
+solution with the start's index.  Every waypoint, the first included,
+costs one joint trig and one solve of the tracked solution alone
 (`dk.direct_solution`, which hands over its Euler triple already wrapped
 and its nine matrix entries), and its q2 ends one certificate and starts
-the next.  The entries of all waypoints go into one flat list that
+the next; the first one's index is matched as in assembly_mode_id
+(`_match`).  The entries of all waypoints go into one flat list that
 becomes one (N, 3, 3) array at the end.
 """
 
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .dk import DkResult, direct_solution, joint_degeneracy, solve_dk
+from .dk import SOLUTION_SIGNATURES, DkResult, direct_solution, joint_degeneracy, solve_dk
 from .exceptions import (
     DegenerateJoints,
     NoMatchingSolution,
@@ -169,8 +169,7 @@ def nearest_solution(dk: DkResult, r: np.ndarray) -> tuple[int, float]:
     its rotation distance.
 
     With M = r^T R_1, r^T R_k = M H_k: `nearest_flip` of M and the
-    half-turns (ties go to the lowest index).  NaN in r gives a NaN
-    distance.
+    half-turns (ties as there).  NaN in r gives a NaN distance.
     """
     return nearest_flip((r.T @ euler_to_rotation(dk.solutions[0])).tolist(), _HALF_TURNS)
 
@@ -281,15 +280,22 @@ def assembly_mode_id(
     the sign table, with no direct-kinematics solve; every other input is
     matched against solve_dk's four solutions (`nearest_solution`).
     """
-    certified = _certified_mode(j, r)
-    if certified is not None and certified[1] <= tol:  # NaN fails too
-        return certified[0]
-    idx, dist = nearest_solution(_finite_dk(j), r)
+    idx, dist = _match(j, r, tol)
     if not dist <= tol:
         raise NoMatchingSolution(
             "orientation matches no nontrivial direct solution of these joints"
         )
     return idx
+
+
+def _match(j: JointTriplet, r: np.ndarray, tol: float) -> tuple[int, float]:
+    """(k, distance) of the direct solution nearest to r: the certified
+    radius where `_certified_mode` proves k within tol, else
+    nearest_solution of solve_dk (DegenerateJoints off the finite branch)."""
+    certified = _certified_mode(j, r)
+    if certified is not None and certified[1] <= tol:  # NaN fails too
+        return certified
+    return nearest_solution(_finite_dk(j), r)
 
 
 def _segment_crossing(
@@ -346,11 +352,12 @@ def track_path(
     """Track the assembly mode along a joint path.
 
     `start` must match one of the four direct solutions of path[0] within
-    MATCH_TOL (else StartNotASolution); its index is the tracked mode.
-    Each segment is first certified to keep |q2| > cfg.singular_tol (see
-    _segment_crossing); the waypoint's orientation is then the direct
-    solution with the start's index, solved alone by `direct_solution`
-    (bit for bit the solution solve_dk returns, and its matrix).  Inside one
+    MATCH_TOL (`_match`; else StartNotASolution); its index is the tracked
+    mode.  Each segment is first certified to keep |q2| > cfg.singular_tol
+    (see _segment_crossing); every waypoint's orientation, path[0]'s too,
+    is the direct solution with that index, solved alone by
+    `direct_solution` (bit for bit the solution solve_dk returns, and its
+    matrix).  Inside one
     sign domain of q2 every B_ii is nonzero, so each solution keeps its
     working-mode signature and the canonical order pins the index to that
     signature.  A SingularityCrossing is reported on the first segment
@@ -371,23 +378,24 @@ def track_path(
         if math.isnan(p.theta1 + p.theta2 + p.theta3):
             raise ValueError(f"waypoint {k}: joints {p.as_tuple()} are not finite")
 
-    dk0 = solve_dk(waypoints[0])
-    if not dk0.is_finite:
-        raise StartNotASolution(
-            f"first waypoint has branch {dk0.branch!r}, not finite solutions"
-        )
-    mode, dist = nearest_solution(dk0, start)
+    a = waypoints[0]
+    trig = joint_trig(*a.as_tuple())
+    q1, qa = joint_factors(*trig)
+    kind = joint_degeneracy(a, trig, qa).kind
+    if kind != "generic":
+        raise StartNotASolution(f"first waypoint has branch {kind!r}, not finite solutions")
+    mode, dist = _match(a, start, MATCH_TOL)
     if not dist <= MATCH_TOL:  # NaN fails too
         raise StartNotASolution(
             f"start orientation is {dist:.3e} rad from the nearest "
             f"direct solution (tol {MATCH_TOL:g})"
         )
-    best, sig = mode - 1, dk0.signatures[mode - 1]
-    eulers = [dk0.solutions[best]]
+    best, sig = mode - 1, SOLUTION_SIGNATURES[qa > 0.0][mode - 1]
+    e, entries = direct_solution(best, a.theta3, trig, q1, qa)
+    eulers = [e]
     # every waypoint's nine matrix entries, row by row: one array at the end
-    flat = euler_to_rotation(eulers[0]).ravel().tolist()
+    flat = list(entries)
 
-    a, qa = waypoints[0], dk0.q2
     for seg, b in enumerate(waypoints[1:]):
         trig = joint_trig(*b.as_tuple())
         q1, qb = joint_factors(*trig)

@@ -60,7 +60,6 @@ from .mechanism import (
     joint_trig,
     leg_residuals,
     leg_table,
-    singular_legs,
 )
 from .so3 import rotation_distance, wrap_angle
 
@@ -213,7 +212,7 @@ def classify_configuration(
         raise NotAssembled(f"distance to the nearest trivial orientation is {trivial_dist}")
     if trivial_dist >= cfg.singular_tol:
         det = det3(jacobian_rows(trig, rows))
-        if abs(det) > cfg.singular_tol and not any(singular_legs(rows)):
+        if abs(det) > cfg.singular_tol:
             return _REGULAR
         # Tolerance-band fallback: attribute to the nearest singular structure.
         fid, fdist = _best_family(r, range(1, 7))

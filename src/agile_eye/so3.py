@@ -133,9 +133,10 @@ def nearest_flip(m, flips) -> tuple[int, float]:
     nearest to the identity.
 
     A rotation's angle falls as its trace (1 + 2 cos(angle)) grows, so
-    that h has the largest trace h0 m00 + h1 m11 + h2 m22; ties go to the
-    lowest index.  M diag(h) is M with column i times h_i.  NaN or
-    infinite entries give a NaN angle (`rotation_angle`).
+    that h has the largest trace h0 m00 + h1 m11 + h2 m22.  Ties of the
+    computed traces go to the lowest index; an M exactly as near to two
+    may get either, as its traces round.  M diag(h) is M with column i
+    times h_i.  NaN or infinite entries give a NaN angle (`rotation_angle`).
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
     traces = [h0 * m00 + h1 * m11 + h2 * m22 for h0, h1, h2 in flips]

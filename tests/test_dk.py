@@ -29,7 +29,7 @@ from agile_eye import (
     validate_rotation,
     working_mode_signature,
 )
-from agile_eye.dk import direct_solution, finite_solutions, nearest_trivial
+from agile_eye.dk import direct_solution, nearest_trivial
 from agile_eye.mechanism import STRUCTURE_TOL, det_factor, joint_factors, joint_trig
 from conftest import (
     HALF_PI,
@@ -238,6 +238,27 @@ def test_dk_q2_is_closed_form_on_every_branch(j):
     assert (dk.solutions is None) is (dk.signatures is None) is (not dk.is_finite)
 
 
+def _half_turn_table(j, dk):
+    # DkResult's half-turn table on the one solution whose theta and psi
+    # both lie in (-pi/2, pi/2], built with EulerZyx's own wraps and
+    # ordered by the numeric signatures of its entries
+    (base,) = [
+        e for e in dk.solutions if -HALF_PI < e.theta <= HALF_PI and -HALF_PI < e.psi <= HALF_PI
+    ]
+    phi, theta, psi = base.as_tuple()
+    table = [
+        EulerZyx(phi, theta, psi),
+        EulerZyx(phi, theta, psi + math.pi),
+        EulerZyx(phi, theta + math.pi, -psi),
+        EulerZyx(phi, theta + math.pi, -psi + math.pi),
+    ]
+    ordered = {
+        dk.signatures.index(working_mode_signature(j, euler_to_rotation(e))): e for e in table
+    }
+    assert sorted(ordered) == [0, 1, 2, 3]
+    return [ordered[k] for k in range(4)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 3)
 @example(0.0, 0.0, 0.0)
@@ -245,18 +266,20 @@ def test_dk_q2_is_closed_form_on_every_branch(j):
 @example(0.3, -0.2, math.pi)
 @example(math.pi, math.pi / 2, -math.pi / 2)
 @example(1.0, 0.5, -0.0)
-def test_direct_solution_is_finite_solution_bit_for_bit(t1, t2, t3):
-    # the tracker's one-solution solve against solve_dk's four: the same
-    # EulerZyx, angle bits included, and euler_to_rotation's entries
+def test_direct_solution_is_half_turn_table_entry_bit_for_bit(t1, t2, t3):
+    # solve_dk's four solutions and the tracker's one-solution solve
+    # against the half-turn table: the same EulerZyx, angle bits
+    # included, and euler_to_rotation's entries
     j = JointTriplet(t1, t2, t3)
     trig = joint_trig(*j.as_tuple())
     q1, q2 = joint_factors(*trig)
     assume(classify_joint_degeneracy(j).kind == "generic")
-    for k, raw in enumerate(finite_solutions(j.theta3, trig, q1, q2)):
+    dk = solve_dk(j)
+    for k, want in enumerate(_half_turn_table(j, dk)):
         e, entries = direct_solution(k, j.theta3, trig, q1, q2)
-        want = EulerZyx(*raw)
-        assert e == want == solve_dk(j).solutions[k]
-        assert list(map(_bits, e.as_tuple())) == list(map(_bits, want.as_tuple()))
+        assert e == want == dk.solutions[k]
+        for got in (e, dk.solutions[k]):
+            assert list(map(_bits, got.as_tuple())) == list(map(_bits, want.as_tuple()))
         assert list(map(_bits, entries)) == list(map(_bits, euler_to_rotation(want).ravel()))
 
 

@@ -79,15 +79,19 @@ def test_track_output_byte_identical(case, tmp_path):
 
 
 def test_track_solves_the_first_waypoint_once(tmp_path, monkeypatch):
-    # the signature printed on each step comes from the tracker's solve
+    # the signature printed on each step comes from the tracker's one
+    # direct solve per waypoint; the certificate matches the start, so no
+    # waypoint takes a full solve_dk
     case = next(c for c in TRACK_CORPUS if c["name"] == "loop_mode_2")
     path_file = tmp_path / "path.csv"
     path_file.write_text(case["path"])
     args = [str(path_file) if a == "PATH" else a for a in case["args"]]
-    calls = count_calls(monkeypatch, "solve_dk", (cli, modes))
+    full = count_calls(monkeypatch, "solve_dk", (cli, modes))
+    one = count_calls(monkeypatch, "direct_solution", (modes,))
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.output == case["output"]
-    assert calls == {"agile_eye.modes": 1}
+    assert full == {}
+    assert one == {"agile_eye.modes": case["path"].count("\n") - 1}
 
 
 def _assert_stream(data: bytes, expected):

@@ -9,7 +9,8 @@ live in `mechanism`).
 The exact structural identities share `mechanism.STRUCTURE_TOL`; the
 other module-level tolerances are the matching distance of `modes` and
 the orthonormality check of the SO(3) layer.  Only `assembly_mode_id`
-takes a `tol` argument (a rotation distance).
+and `_match`, the one match it shares with `track_path`'s start, take a
+`tol` argument (a rotation distance).
 
 Every name in `agile_eye.__all__` resolves on the package, once, so
 `from agile_eye import *` works.
@@ -30,7 +31,13 @@ The ZYX rotation formula has one home, `so3.rotation_entries`: no other
 module writes a nine-entry matrix with its triple products.  The direct
 kinematics cascade, theta and psi as `atan2(-a, b)` roots, is written
 only in `dk`; `modes` tracks through `dk.direct_solution` and reads no
-private name of `dk` or `so3`, imported or as a module attribute.
+private name of `dk` or `so3`, imported or as a module attribute.  Every
+finite direct solution is built in one `dk` function, the only caller of
+`EulerZyx.from_wrapped`, for `solve_dk` and `direct_solution` alike, and
+no second builder such as the former `finite_solutions` is defined.
+`track_path` takes every waypoint, the first included, through
+`direct_solution`: it references no `solve_dk`, `nearest_solution` or
+`euler_to_rotation`.
 
 Each setting has one checking home: `ToolConfig` checks itself when it
 is built, so no module defines or calls a `validate`, and neither
@@ -61,7 +68,7 @@ SETTINGS = {
 ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 TOLERANCE_HOMES = {
     "mechanism.py": {"STRUCTURE_TOL"},
-    "modes.py": {"MATCH_TOL", "assembly_mode_id(tol)"},
+    "modes.py": {"MATCH_TOL", "assembly_mode_id(tol)", "_match(tol)"},
     "so3.py": {"ORTHONORMAL_TOL"},
 }
 
@@ -241,6 +248,31 @@ def _references(path: Path, name: str):
         for node in ast.walk(top)
         if name in (getattr(node, "id", None), getattr(node, "attr", None))
         or (isinstance(node, ast.ImportFrom) and name in (a.name for a in node.names))
+    ]
+
+
+def _definitions(path: Path, name: str):
+    """Line of every function, class or assigned name called `name`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name)
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == name)
+    )
+
+
+def _method_calls(path: Path, owner: str, method: str):
+    """(enclosing top-level function, line) of every call of
+    `owner.method(...)`, with `owner` a bare name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (getattr(top, "name", "<module>"), node.lineno)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+        and getattr(node.func.value, "id", None) == owner
     ]
 
 
@@ -570,3 +602,43 @@ def test_checker_flags_rotation_angle_references(tmp_path):
         ("nearest", 3),
         ("<module>", 4),
     ]
+
+
+def test_direct_solutions_have_one_builder():
+    # solve_dk and direct_solution build each EulerZyx through one function
+    assert {path.name: _definitions(path, "finite_solutions") for path in MODULES} == dict.fromkeys(
+        (path.name for path in MODULES), []
+    )
+    calls = {path.name: _method_calls(path, "EulerZyx", "from_wrapped") for path in MODULES}
+    assert {name: found for name, found in calls.items() if found} == {"dk.py": calls["dk.py"]}
+    assert len({owner for owner, _ in calls["dk.py"]}) == 1
+
+
+def test_track_path_takes_no_full_solve():
+    # every waypoint, the first included, goes through direct_solution;
+    # the start is matched through modes._match
+    modes = PACKAGE / "modes.py"
+    for name in ("solve_dk", "nearest_solution", "euler_to_rotation"):
+        assert "track_path" not in [owner for owner, _ in _references(modes, name)], name
+
+
+def test_checker_flags_builders_and_full_solves(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .so3 import EulerZyx\n"
+        "def finite_solutions(phi, trig, q1, q2):\n"
+        "    return EulerZyx.from_wrapped(phi, q1, q2), JointTriplet.from_wrapped(phi, q1, q2)\n"
+        "finite_solutions = None\n"
+        "def track_path(path, start):\n"
+        "    dk0 = modes.solve_dk(path[0])\n"
+        "    return [EulerZyx.from_wrapped(*e) for e in dk0.solutions], euler_to_rotation\n"
+        "def other(finite_solutions):\n"
+        "    return finite_solutions\n"
+    )
+    assert _definitions(probe, "finite_solutions") == [2, 4]
+    assert _method_calls(probe, "EulerZyx", "from_wrapped") == [
+        ("finite_solutions", 3),
+        ("track_path", 7),
+    ]
+    assert _references(probe, "solve_dk") == [("track_path", 6)]
+    assert _references(probe, "euler_to_rotation") == [("track_path", 7)]

@@ -603,6 +603,48 @@ def test_track_requires_valid_start():
         )
 
 
+@pytest.mark.parametrize(
+    "j, branch",
+    [
+        (JointTriplet(0.5, 0.0, math.pi / 2), "self_motion"),
+        (JointTriplet(math.pi, math.pi / 2, 0.9), "self_motion"),
+        (trivial_only_joints(1.0, 1.0), "trivial_only"),
+    ],
+    ids=["pair_1", "pair_3", "trivial_only"],
+)
+def test_track_rejects_degenerate_first_waypoint(j, branch, monkeypatch):
+    # the first waypoint's degeneracy comes from joint_degeneracy, as every
+    # other waypoint's does, under solve_dk's branch names
+    assert solve_dk(j).branch == branch
+    solves = count_calls(monkeypatch, "solve_dk", [modes])
+    message = f"first waypoint has branch {branch!r}, not finite solutions"
+    for start in (np.eye(3), trivial_orientations()[0]):
+        with pytest.raises(StartNotASolution, match=f"^{message}$"):
+            track_path([j, FIG_JOINTS], start)
+    assert solves == {}
+
+
+def test_track_start_declined_by_certificate_keeps_its_mode(monkeypatch):
+    # Scaling an exact solution by 1 + 2e-7 leaves it within rounding of
+    # that solution, but its orthonormality defect alone puts the
+    # certificate's radius above MATCH_TOL: one solve_dk matches it, with
+    # the index and the track of the exact start.
+    path = [FIG_JOINTS, JointTriplet(-0.25, -0.65, 0.15), JointTriplet(-0.2, -0.6, 0.2)]
+    for k, sol in enumerate(solve_dk(FIG_JOINTS).solutions):
+        exact = euler_to_rotation(sol)
+        start = exact * (1.0 + 2e-7)
+        certified = modes._certified_mode(FIG_JOINTS, start)
+        assert certified is None or certified[1] > MATCH_TOL
+        index, dist = nearest_solution(solve_dk(FIG_JOINTS), start)
+        assert index == k + 1 and dist < 1e-15
+        solves = count_calls(monkeypatch, "solve_dk", [modes])
+        result = track_path(path, start)
+        assert solves == {"agile_eye.modes": 1}
+        monkeypatch.undo()
+        assert result.mode_id == k + 1
+        assert result == track_path(path, exact)
+
+
 def test_track_rejects_empty_path():
     with pytest.raises(ValueError, match="path must contain at least one waypoint"):
         track_path([], euler_to_rotation((0.0, 0.0, 0.0)))
@@ -876,9 +918,9 @@ def test_track_index_matches_nearest_continuation(rng):
 
 
 def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
-    # The spy sits on the cascade core that solve_dk (through
-    # finite_solutions) and the tracker's direct_solution share, so it sees
-    # the direct solve of every waypoint, path[0]'s included.
+    # The spy sits on the cascade core that solve_dk and direct_solution
+    # share, so it sees the direct solve of every waypoint, path[0]'s
+    # included.
     import agile_eye.dk as dk
 
     solves = []
@@ -912,11 +954,11 @@ def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
 
 
 def test_track_per_waypoint_work(rng, monkeypatch):
-    # README's cost statement: path[0] takes one solve_dk, whose q2 starts
-    # the first certificate, and no second q2 (det_factor); each later
-    # waypoint takes one q2 (joint_factors), one one-solution solve
-    # (direct_solution) and no condition pair; the cascade core runs once
-    # per waypoint, path[0]'s inside solve_dk.  On
+    # README's cost statement: every waypoint, path[0]'s included, takes
+    # one q2 (joint_factors) and one one-solution solve (direct_solution),
+    # and the cascade core runs once per waypoint.  path[0] is matched by
+    # the certificate (its own det_factor and condition pairs) with no
+    # solve_dk; no later waypoint looks at a condition pair.  On
     # these paths |q2| >= 0.05 at every waypoint and L <= 0.6 per segment,
     # so the curvature bound 0.05 - 0.6**2 / 8 > singular_tol clears each
     # whole segment, with no bisection.
@@ -946,11 +988,11 @@ def test_track_per_waypoint_work(rng, monkeypatch):
             result = track_path(path, start)
             assert not result.crossed
             assert calls == {
-                "det_factor": 0,
-                "joint_factors": len(path) - 1,
-                "solve_dk": 1,
-                "direct_solution": len(path) - 1,
-                "condition_pairs": 0,
+                "det_factor": 1,
+                "joint_factors": len(path),
+                "solve_dk": 0,
+                "direct_solution": len(path),
+                "condition_pairs": 1,
                 "_cascade": len(path),
             }
 

@@ -13,6 +13,7 @@ from agile_eye import (
     JointTriplet,
     NotAssembled,
     SingularityClass,
+    ToolConfig,
     b_diag_closed_form,
     classify_configuration,
     classify_joint_degeneracy,
@@ -27,7 +28,7 @@ from agile_eye import (
     trivial_orientations,
 )
 from agile_eye.config import DEFAULT_CONFIG
-from agile_eye.dk import PAIR_FAMILIES, nearest_trivial
+from agile_eye.dk import FAMILY_SINGULAR_LEG, PAIR_FAMILIES, nearest_trivial
 from agile_eye.mechanism import (
     STRUCTURE_TOL,
     b_diagonal,
@@ -40,6 +41,7 @@ from agile_eye.mechanism import (
 )
 from agile_eye.singularity import det3
 from conftest import (
+    axis_angle_rotation,
     circ_diff,
     intermediate_axes,
     platform_axes,
@@ -363,6 +365,41 @@ def test_classify_pair_joints_at_trivial_is_self_motion():
     out = classify_configuration(j, trivial_orientations()[0])
     assert out.kind == "self_motion"
     assert out.family_id in (1, 2)
+
+
+def test_det_a_vanishes_on_self_motion_curves(rng):
+    # On every curve det A is zero whatever angle the free legs take, so
+    # |det A| against singular_tol needs no folded-leg test beside it.
+    worst = 0.0
+    for _ in range(2000):
+        fid = int(rng.integers(1, 7))
+        r = self_motion_family(fid, rng.uniform(-math.pi, math.pi))
+        ik = solve_ik(r, fill_arbitrary=True)
+        assert ik.legs[FAMILY_SINGULAR_LEG[fid] - 1].arbitrary
+        for j in ik.enumerated:
+            angles = [
+                rng.uniform(-math.pi, math.pi) if leg.arbitrary else a
+                for leg, a in zip(ik.legs, j.as_tuple())
+            ]
+            rows = jacobian_rows(joint_trig(*angles), r)
+            worst = max(worst, abs(det3(rows)))
+    assert worst < 1e-14
+
+
+def test_classify_near_curve_follows_singular_tol():
+    # 8.6e-6 rad off curve 1a, inside the 4.5e-5 rad band where leg 1
+    # reads folded (singular_legs), |det A| = 8.6e-6: regular at the
+    # default singular_tol, self-motion on curve 1a at 1e-4
+    r = self_motion_family(1, 0.7) @ axis_angle_rotation((0.3, 0.5, 0.8), 1e-5)
+    assert singular_legs(r) == (True, False, False)
+    assert 8e-6 < family_distance(r, 1)[1] < 9e-6
+    configs = solve_ik(r).enumerated
+    assert len(configs) == 8
+    for j in configs:
+        assert 8e-6 < abs(det3(jacobians(j, r).a)) < 9e-6
+        assert classify_configuration(j, r).kind == "regular"
+        out = classify_configuration(j, r, ToolConfig(singular_tol=1e-4))
+        assert (out.kind, out.family_id) == ("self_motion", 1)
 
 
 def test_classify_not_assembled():
