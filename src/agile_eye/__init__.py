@@ -26,7 +26,7 @@ from .exceptions import (
     UnknownFamily,
 )
 from .ik import IkSolutionSet, LegIkOutcome, solve_ik
-from .mechanism import JointTriplet, WorkingModeSignature, constraint_residuals, singular_legs
+from .mechanism import JointTriplet, WorkingModeSignature, constraint_residuals
 from .modes import (
     SingularityCrossing,
     TrackResult,
@@ -92,7 +92,6 @@ __all__ = [
     "rotation_distance",
     "run_sweep",
     "self_motion_family",
-    "singular_legs",
     "solve_dk",
     "solve_ik",
     "track_path",

@@ -11,6 +11,7 @@ Exit codes: 2 parse/usage errors, 3 not-assembled, 4 start-not-a-solution,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -349,28 +350,32 @@ def self_motion(ctx, family, parameter):
 
 
 def _read_path_file(path_file: str, degrees: bool) -> list[JointTriplet]:
-    with open(path_file, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path_file, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"{path_file}: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise click.UsageError(f"{path_file}: empty path file") from None
+    if [h.strip() for h in header] != ["theta1", "theta2", "theta3"]:
+        raise click.UsageError(
+            f"{path_file}: expected header 'theta1,theta2,theta3'"
+        )
+    waypoints = []
+    for lineno, row in enumerate(reader, 2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise click.UsageError(f"{path_file}:{lineno}: expected 3 columns")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise click.UsageError(f"{path_file}: empty path file") from None
-        if [h.strip() for h in header] != ["theta1", "theta2", "theta3"]:
-            raise click.UsageError(
-                f"{path_file}: expected header 'theta1,theta2,theta3'"
-            )
-        waypoints = []
-        for lineno, row in enumerate(reader, 2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise click.UsageError(f"{path_file}:{lineno}: expected 3 columns")
-            try:
-                values = [float(c) for c in row]
-            except ValueError as exc:
-                raise click.UsageError(f"{path_file}:{lineno}: {exc}") from exc
-            name = f"{path_file}:{lineno}: non-finite joint angle"
-            waypoints.append(JointTriplet(*_angles_in(name, values, degrees)))
+            values = [float(c) for c in row]
+        except ValueError as exc:
+            raise click.UsageError(f"{path_file}:{lineno}: {exc}") from exc
+        name = f"{path_file}:{lineno}: non-finite joint angle"
+        waypoints.append(JointTriplet(*_angles_in(name, values, degrees)))
     if not waypoints:
         raise click.UsageError(f"{path_file}: no waypoints")
     return waypoints
@@ -500,21 +505,24 @@ def sweep(ctx, grid_n, records_out, no_records):
     cfg = ctx.obj["cfg"]
     if records_out is not None and no_records:
         raise click.UsageError("--records-out and --no-records are mutually exclusive")
-    try:
-        result = run_sweep(grid_n, cfg)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-    def write_records(out):
-        out.write("theta1,theta2,theta3,det_a,degeneracy,component_id\n")
-        out.writelines(_record_slabs(result))
-
     records_on_stdout = records_out is None and not no_records
-    if records_on_stdout:
-        write_records(sys.stdout)
-    elif not no_records:
-        with open(records_out, "w") as fh:
-            write_records(fh)
+    if records_out is None:
+        records = contextlib.nullcontext(None if no_records else sys.stdout)
+    else:
+        # opened before the sweep, so that a path that cannot be written
+        # is a usage error, not a traceback after the whole sweep
+        try:
+            records = open(records_out, "w")
+        except OSError as exc:
+            raise click.UsageError(f"--records-out: {exc}") from exc
+    with records as out:
+        try:
+            result = run_sweep(grid_n, cfg)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+        if out is not None:
+            out.write("theta1,theta2,theta3,det_a,degeneracy,component_id\n")
+            out.writelines(_record_slabs(result))
     summary = result.summary
     keys = ("grid_n", "components_positive", "components_negative",
             "singular_cell_fraction", "wall_cell_fraction")

@@ -24,9 +24,9 @@ The joint-space factors q1, q2 and the three condition pairs use only
 arithmetic, abs, < and & on the sines and cosines of `joint_trig`, so the
 same functions take Python floats and broadcasting numpy arrays.  The
 helpers that take `trig` let a caller compute the joint trig once per
-call, and `leg_table`, `jacobian_rows` and `singular_legs` take the
-orientation as an array or as its rows (`as_rows`), so a caller converts
-it once; `constraint_residuals` and `b_diagonal` wrap them for (j, r).
+call, and `leg_table` and `jacobian_rows` take the orientation as an
+array or as its rows (`as_rows`), so a caller converts it once;
+`constraint_residuals` and `b_diagonal` wrap them for (j, r).
 """
 
 from __future__ import annotations
@@ -198,16 +198,3 @@ def b_diagonal(j: JointTriplet, r: np.ndarray) -> tuple[float, float, float]:
     """diag(B); the sign of B_ii tells which of the two leg-i branches the
     configuration uses."""
     return leg_b(joint_trig(*j.as_tuple()), leg_table(r))
-
-
-def singular_legs(r) -> tuple[bool, bool, bool]:
-    """Which legs are fully folded/extended at this orientation (an array
-    or its rows).
-
-    Leg i is singular when its base and platform joint axes coincide,
-    i.e. |u_i . v_i| > 1 - STRUCTURE_TOL.  For this geometry u_i . v_i is
-    a single matrix entry per leg: r01, r12, r20.
-    """
-    (_, r01, _), (_, _, r12), (r20, _, _) = as_rows(r)
-    lim = 1.0 - STRUCTURE_TOL
-    return abs(r01) > lim, abs(r12) > lim, abs(r20) > lim

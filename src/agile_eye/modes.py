@@ -16,7 +16,10 @@ certificate proves it equal to the nearest-solution match within tol
 (`_certified_mode`): an assembled orientation lies within the certified
 radius of r, and every |B_ii| exceeds the radius, so that orientation is
 the direct solution with the numeric signs of diag(B).  Every other
-input is matched against all four direct solutions.
+input is matched against all four direct solutions, the one solve_dk of
+a match (`_match`).  Each match first evaluates its joints once
+(`_generic`): their trig and joint factors, and `dk.joint_degeneracy`'s
+decision that they are generic, which the certificate takes as given.
 
 The four direct solutions are half-turns of the first about the platform
 axes: R_k = R_1 H_k with H_k = I, diag(1, -1, -1), diag(-1, 1, -1) and
@@ -40,8 +43,9 @@ costs one joint trig and one solve of the tracked solution alone
 (`dk.direct_solution`, which hands over its Euler triple already wrapped
 and its nine matrix entries), and its q2 ends one certificate and starts
 the next; the first one's index is matched as in assembly_mode_id
-(`_match`).  The entries of all waypoints go into one flat list that
-becomes one (N, 3, 3) array at the end.
+(`_match`), on that same joint trig and q2.  The entries of all
+waypoints go into one flat list that becomes one (N, 3, 3) array at the
+end.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ from .mechanism import (
     JointTriplet,
     WorkingModeSignature,
     b_diagonal,
-    condition_pairs,
     det_factor,
     jacobian_rows,
     joint_factors,
@@ -139,13 +142,18 @@ def working_mode_signature(j: JointTriplet, r: np.ndarray) -> WorkingModeSignatu
     return SIGNATURES[1 if b1 > 0 else -1, 1 if b2 > 0 else -1, 1 if b3 > 0 else -1]
 
 
-def _finite_dk(j: JointTriplet) -> DkResult:
-    dk = solve_dk(j)
-    if not dk.is_finite:
+def _generic(j: JointTriplet):
+    """(trig, q1, q2): the joint trig (`joint_trig`) and joint factors of
+    generic joints; DegenerateJoints on any other (`joint_degeneracy`),
+    ValueError on a NaN joint."""
+    trig = joint_trig(*j.as_tuple())
+    q1, q2 = joint_factors(*trig)
+    kind = joint_degeneracy(j, trig, q2).kind
+    if kind != "generic":
         raise DegenerateJoints(
-            f"direct kinematics branch is {dk.branch!r}; finite solutions required"
+            f"direct kinematics branch is {kind!r}; finite solutions required"
         )
-    return dk
+    return trig, q1, q2
 
 
 def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
@@ -153,14 +161,17 @@ def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
 
     Only the four signatures whose sign product matches the sign of the
     joint-space determinant factor are realizable; asking for one from
-    the opposite group raises NoSuchMode.
+    the opposite group raises NoSuchMode.  The solution is built alone
+    (`dk.direct_solution`, bit for bit solve_dk's); joints that are not
+    generic raise DegenerateJoints.
     """
-    dk = _finite_dk(j)
-    if sig in dk.signatures:
-        return dk.solutions[dk.signatures.index(sig)]
+    trig, q1, q2 = _generic(j)
+    signatures = SOLUTION_SIGNATURES[q2 > 0.0]
+    if sig in signatures:
+        return direct_solution(signatures.index(sig), j.theta3, trig, q1, q2)[0]
     raise NoSuchMode(
         f"signature {sig.label} not realized: these joints admit the "
-        f"sign-product {'+' if dk.q2 > 0.0 else '-'} group only"
+        f"sign-product {'+' if q2 > 0.0 else '-'} group only"
     )
 
 
@@ -174,11 +185,13 @@ def nearest_solution(dk: DkResult, r: np.ndarray) -> tuple[int, float]:
     return nearest_flip((r.T @ euler_to_rotation(dk.solutions[0])).tolist(), _HALF_TURNS)
 
 
-def _certified_mode(j: JointTriplet, r: np.ndarray) -> tuple[int, float] | None:
-    """(k, rad): nearest_solution(solve_dk(j), r) gives index k at a
-    distance of at most rad, and k is SIGN_TABLE.index(sign(q2) sigma) + 1
-    for the signs sigma of the numeric diag(B); None wherever that is not
-    proven.
+def _certified_mode(trig, q2: float, r: np.ndarray) -> tuple[int, float] | None:
+    """(k, rad): for generic joints j with joint trig `trig` and
+    determinant factor q2 (`joint_factors`), nearest_solution(solve_dk(j),
+    r) gives index k at a distance of at most rad, and k is
+    SIGN_TABLE.index(sign(q2) sigma) + 1 for the signs sigma of the
+    numeric diag(B); None wherever that is not proven.  The caller decides
+    that j is generic (`_generic`); no joint function is evaluated here.
 
     Let e = _ROUNDING, rho the numeric residuals, A the numeric Jacobian
     (rows w_i x v_i), b = (x1, y2, z3) its diagonal, diag(B), and delta = ||r r^T - I||_F + e.
@@ -224,13 +237,8 @@ def _certified_mode(j: JointTriplet, r: np.ndarray) -> tuple[int, float] | None:
     exact one; that covers the distance's rounding and keeps solve_dk's
     own diag(B), of magnitude |B_ii(R*)| > 2 delta + e (1 + 2 beta), on
     the signs that give its canonical order.  Every comparison fails on
-    NaN, so a NaN or infinite entry in r gives None; so do joints that are
-    not generic (or NaN), which solve_dk rejects.
+    NaN, so a NaN or infinite entry in r gives None.
     """
-    trig = joint_trig(*j.as_tuple())
-    q2 = det_factor(*trig)
-    if not abs(q2) > STRUCTURE_TOL or True in condition_pairs(*trig):
-        return None
     rows = r.tolist()
     rho = leg_residuals(trig, leg_table(rows))
     (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = jacobian_rows(trig, rows)
@@ -276,11 +284,13 @@ def assembly_mode_id(
     """Index (1..4) of the canonical direct solution within `tol` of r
     (NaN fails).
 
+    Joints that are not generic raise DegenerateJoints (`_generic`).
     Where `_certified_mode` proves the answer within tol it is read from
     the sign table, with no direct-kinematics solve; every other input is
     matched against solve_dk's four solutions (`nearest_solution`).
     """
-    idx, dist = _match(j, r, tol)
+    trig, _, q2 = _generic(j)
+    idx, dist = _match(j, trig, q2, r, tol)
     if not dist <= tol:
         raise NoMatchingSolution(
             "orientation matches no nontrivial direct solution of these joints"
@@ -288,14 +298,15 @@ def assembly_mode_id(
     return idx
 
 
-def _match(j: JointTriplet, r: np.ndarray, tol: float) -> tuple[int, float]:
-    """(k, distance) of the direct solution nearest to r: the certified
+def _match(j: JointTriplet, trig, q2: float, r: np.ndarray, tol: float) -> tuple[int, float]:
+    """(k, distance) of the direct solution of generic joints j, with joint
+    trig `trig` and determinant factor q2, nearest to r: the certified
     radius where `_certified_mode` proves k within tol, else
-    nearest_solution of solve_dk (DegenerateJoints off the finite branch)."""
-    certified = _certified_mode(j, r)
+    nearest_solution of solve_dk, the only solve of a mode match."""
+    certified = _certified_mode(trig, q2, r)
     if certified is not None and certified[1] <= tol:  # NaN fails too
         return certified
-    return nearest_solution(_finite_dk(j), r)
+    return nearest_solution(solve_dk(j), r)
 
 
 def _segment_crossing(
@@ -384,7 +395,7 @@ def track_path(
     kind = joint_degeneracy(a, trig, qa).kind
     if kind != "generic":
         raise StartNotASolution(f"first waypoint has branch {kind!r}, not finite solutions")
-    mode, dist = _match(a, start, MATCH_TOL)
+    mode, dist = _match(a, trig, qa, start, MATCH_TOL)
     if not dist <= MATCH_TOL:  # NaN fails too
         raise StartNotASolution(
             f"start orientation is {dist:.3e} rad from the nearest "

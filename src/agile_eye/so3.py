@@ -98,12 +98,14 @@ def validate_rotation(r: np.ndarray) -> np.ndarray:
     """Check that r is a proper rotation; return it as a float64 array.
 
     Raises MalformedRotation if r is not 3x3, or unless R^T R and det(R)
-    are within ORTHONORMAL_TOL of I (entrywise) and of +1; NaN fails.
+    are within ORTHONORMAL_TOL of I (entrywise) and of +1; NaN fails, and
+    so do finite entries whose products overflow (with no numpy warning).
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise MalformedRotation(f"expected 3x3 matrix, got shape {r.shape}")
-    err = np.max(np.abs(r.T @ r - np.eye(3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.max(np.abs(r.T @ r - np.eye(3)))
     if not err <= ORTHONORMAL_TOL:
         raise MalformedRotation(f"R^T R deviates from identity by {err:.3e}")
     det = float(np.linalg.det(r))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from agile_eye import cli
 from agile_eye.cli import main
 
 R_TO1_FLAT = ["0", "-1", "0", "0", "0", "1", "-1", "0", "0"]
@@ -59,6 +60,25 @@ def test_ik_parse_failures(runner):
     bad = ["1", "0", "0", "0", "1", "0", "0", "0", "2"]
     result = runner.invoke(main, ["ik", "--matrix", *bad])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ["1e200", "0", "0", "0", "1e200", "0", "0", "0", "1e200"],
+        ["1", "0", "0", "0", "1", "0", "0", "0", "1e300"],
+    ],
+)
+def test_ik_overflowing_matrix_is_clean_usage_error(runner, matrix):
+    # finite entries whose products overflow: the usage error alone, with
+    # no numpy warning on stderr
+    result = runner.invoke(main, ["ik", "--matrix", *matrix])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        "\nError: invalid rotation matrix: R^T R deviates from identity by inf\n"
+    )
+    assert "Warning" not in result.stderr
 
 
 def test_ik_degrees_flag(runner):
@@ -317,6 +337,19 @@ def test_track_bad_path_file_is_usage_error(runner, tmp_path, text, where, messa
     assert f"Error: {path}{where}: {message}" in result.output
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"theta1,theta2,theta3\n0.3,-0.2,\xff\n", b"theta1,the\xffta2,theta3\n0.3,-0.2,0.5\n"],
+    ids=["row", "header"],
+)
+def test_track_path_file_not_utf8_is_usage_error(runner, tmp_path, data):
+    path = tmp_path / "path.csv"
+    path.write_bytes(data)
+    result = runner.invoke(main, ["track", str(path), "--start-euler", "0", "0", "0"])
+    assert result.exit_code == 2
+    assert f"Error: {path}: 'utf-8' codec can't decode byte 0xff" in result.output
+
+
 def test_track_skips_blank_path_rows(runner, tmp_path):
     from agile_eye import JointTriplet, solve_dk
 
@@ -388,6 +421,17 @@ def test_sweep_records_out_with_no_records_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
     assert "mutually exclusive" in result.output
     assert not records.exists()
+
+
+def test_sweep_records_out_in_missing_directory_is_usage_error(runner, tmp_path, monkeypatch):
+    # the file is opened before the sweep runs
+    records = tmp_path / "missing" / "records.csv"
+    sweeps = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: sweeps.append(args))
+    result = runner.invoke(main, ["sweep", "--grid-n", "8", "--records-out", str(records)])
+    assert result.exit_code == 2
+    assert f"Error: --records-out: [Errno 2] No such file or directory: '{records}'" in result.output
+    assert sweeps == []
 
 
 def test_sweep_grid_too_small(runner):

@@ -37,7 +37,13 @@ finite direct solution is built in one `dk` function, the only caller of
 no second builder such as the former `finite_solutions` is defined.
 `track_path` takes every waypoint, the first included, through
 `direct_solution`: it references no `solve_dk`, `nearest_solution` or
-`euler_to_rotation`.
+`euler_to_rotation`.  A mode match decides once that its joints are
+generic and evaluates their trig once, in `modes`: `modes` references no
+`condition_pairs` (the generic-joints rule is `dk.joint_degeneracy`'s),
+and calls `solve_dk` only in `_match`'s uncertified fallback.
+
+Every name a package module imports is used there, apart from the names
+the benchmark harness patches on a module (`PATCHED_IMPORTS`).
 
 Each setting has one checking home: `ToolConfig` checks itself when it
 is built, so no module defines or calls a `validate`, and neither
@@ -66,6 +72,8 @@ SETTINGS = {
     "grid_n", "residual_tol", "singular_tol", "output_format", "tol_residual", "tol_singular"
 }
 ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+# (module, name) imported only so that bench/tracing.py can patch it
+PATCHED_IMPORTS = {("cli.py", "iter_records")}
 TOLERANCE_HOMES = {
     "mechanism.py": {"STRUCTURE_TOL"},
     "modes.py": {"MATCH_TOL", "assembly_mode_id(tol)", "_match(tol)"},
@@ -274,6 +282,23 @@ def _method_calls(path: Path, owner: str, method: str):
         and node.func.attr == method
         and getattr(node.func.value, "id", None) == owner
     ]
+
+
+def _unused_imports(path: Path):
+    """(line, name) of every name bound by an import and never read as a
+    bare name or listed in `__all__` (`__future__` imports aside)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in _names(node.targets[0]):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return [(line, name) for line, name in imported if name not in used]
 
 
 def _validate_uses(path: Path):
@@ -620,6 +645,57 @@ def test_track_path_takes_no_full_solve():
     modes = PACKAGE / "modes.py"
     for name in ("solve_dk", "nearest_solution", "euler_to_rotation"):
         assert "track_path" not in [owner for owner, _ in _references(modes, name)], name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    unused = [name for _, name in _unused_imports(path) if (path.name, name) not in PATCHED_IMPORTS]
+    assert unused == []
+
+
+def test_patched_imports_are_unused_otherwise():
+    # an allow-listed name that the module comes to use needs no entry
+    for module, name in PATCHED_IMPORTS:
+        assert name in [n for _, n in _unused_imports(PACKAGE / module)]
+
+
+def test_checker_flags_unused_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os.path, sys as system\n"
+        "from .mechanism import condition_pairs, det_factor as q2, joint_trig\n"
+        "from .dk import solve_dk\n"
+        "__all__ = ['solve_dk']\n"
+        "def f(trig: joint_trig) -> None:\n"
+        "    return q2(*trig), os.sep, g.condition_pairs\n"
+    )
+    assert _unused_imports(probe) == [(2, "system"), (3, "condition_pairs")]
+
+
+def test_modes_evaluates_joints_once_per_match():
+    modes = PACKAGE / "modes.py"
+    assert _references(modes, "condition_pairs") == []
+    assert [owner for owner, _ in _calls(modes, "solve_dk")] == ["_match"]
+    assert _definitions(modes, "_finite_dk") == []
+    # the certificate takes its caller's joint evaluation
+    for name in ("joint_trig", "joint_factors", "det_factor", "condition_pairs", "JointTriplet"):
+        assert "_certified_mode" not in [owner for owner, _ in _references(modes, name)], name
+
+
+def test_checker_flags_joint_evaluations(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .mechanism import condition_pairs\n"
+        "def _certified_mode(j: JointTriplet, r):\n"
+        "    return solve_dk(j), det_factor(*joint_trig(*j.as_tuple()))\n"
+        "def _match(j, r):\n"
+        "    return dk.solve_dk(j), mechanism.condition_pairs\n"
+    )
+    assert _references(probe, "condition_pairs") == [("<module>", 1), ("_match", 5)]
+    assert _calls(probe, "solve_dk") == [("_certified_mode", 3), ("_match", 5)]
+    for name in ("joint_trig", "det_factor", "JointTriplet"):
+        assert [owner for owner, _ in _references(probe, name)] == ["_certified_mode"]
 
 
 def test_checker_flags_builders_and_full_solves(tmp_path):

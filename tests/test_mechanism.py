@@ -9,11 +9,10 @@ from agile_eye import (
     JointTriplet,
     constraint_residuals,
     euler_to_rotation,
-    singular_legs,
     solve_ik,
     trivial_orientations,
 )
-from agile_eye.mechanism import STRUCTURE_TOL
+from agile_eye.mechanism import STRUCTURE_TOL, as_rows
 from conftest import (
     BASE_AXES,
     intermediate_axes,
@@ -95,7 +94,24 @@ def test_joint_triplets_keep_the_default_dataclass_layout():
     assert len(sols) == 8 and all(layout(j) == want for j in sols)
 
 
+def singular_legs(r) -> tuple[bool, bool, bool]:
+    """Which legs are fully folded/extended at this orientation (an array
+    or its rows): |u_i . v_i| > 1 - STRUCTURE_TOL, with u_i . v_i the
+    entries r01, r12, r20.  Only the reference classifier of
+    test_singularity reads it: a test on a cosine, it holds within about
+    4.5e-5 rad of a leg's singular set, so the package does not use it."""
+    (_, r01, _), (_, _, r12), (r20, _, _) = as_rows(r)
+    lim = 1.0 - STRUCTURE_TOL
+    return abs(r01) > lim, abs(r12) > lim, abs(r20) > lim
+
+
 def test_singular_legs():
+    # the reference above is the only one: the package exports none
+    import agile_eye
+    from agile_eye import mechanism
+
+    assert not hasattr(agile_eye, "singular_legs")
+    assert not hasattr(mechanism, "singular_legs")
     for r in trivial_orientations():
         assert singular_legs(r) == (True, True, True)
     assert singular_legs(np.eye(3)) == (False, False, False)

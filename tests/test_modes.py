@@ -192,8 +192,9 @@ def test_signature_class_has_one_home():
 
 
 def test_assembly_mode_for_reads_one_solve(rng, monkeypatch):
-    # the signature lookup reads solve_dk's q2 and signatures; no joint
-    # trig or determinant factor is evaluated beside that one solve
+    # the signature lookup reads the sign of q2 from one joint evaluation
+    # (`_generic`) and solves the requested solution alone: no solve_dk,
+    # and no determinant factor beside joint_factors' own
     calls = dict.fromkeys(("solve_dk", "joint_trig", "det_factor"), 0)
 
     def spy(name):
@@ -213,12 +214,12 @@ def test_assembly_mode_for_reads_one_solve(rng, monkeypatch):
         for sig, sol in zip(dk.signatures, dk.solutions):
             calls.update(dict.fromkeys(calls, 0))
             assert assembly_mode_for(j, sig) == sol
-            assert calls == {"solve_dk": 1, "joint_trig": 0, "det_factor": 0}
+            assert calls == {"solve_dk": 0, "joint_trig": 1, "det_factor": 0}
         flipped = WorkingModeSignature(*(-s for s in (sig.s1, sig.s2, sig.s3)))
         calls.update(dict.fromkeys(calls, 0))
         with pytest.raises(NoSuchMode):
             assembly_mode_for(j, flipped)
-        assert calls == {"solve_dk": 1, "joint_trig": 0, "det_factor": 0}
+        assert calls == {"solve_dk": 0, "joint_trig": 1, "det_factor": 0}
 
 
 def test_assembly_mode_ids():
@@ -544,15 +545,16 @@ def test_assembly_mode_id_regular_poses_need_no_direct_solve(rng, monkeypatch):
     ids=["condition_pair", "trivial_only"],
 )
 def test_assembly_mode_id_declines_degenerate_joints(j, monkeypatch):
-    # the certificate declines joints that are not generic, at one of
-    # their own (trivial) orientations too; the fallback solve_dk then
-    # finds no finite solutions
+    # joints that are not generic are declined by joint_degeneracy, at one
+    # of their own (trivial) orientations too, before any certificate or
+    # solve, with the message of solve_dk's branch
     r = solve_dk(j).trivial[0]
-    assert modes._certified_mode(j, r) is None
+    branch = solve_dk(j).branch
     solves = count_calls(monkeypatch, "solve_dk", [modes])
-    with pytest.raises(DegenerateJoints):
+    message = f"direct kinematics branch is {branch!r}; finite solutions required"
+    with pytest.raises(DegenerateJoints, match=f"^{message}$"):
         assembly_mode_id(j, r)
-    assert solves["agile_eye.modes"] == 1
+    assert solves == {}
 
 
 def test_diag_b_is_read_from_jacobian_rows(rng, monkeypatch):
@@ -633,7 +635,8 @@ def test_track_start_declined_by_certificate_keeps_its_mode(monkeypatch):
     for k, sol in enumerate(solve_dk(FIG_JOINTS).solutions):
         exact = euler_to_rotation(sol)
         start = exact * (1.0 + 2e-7)
-        certified = modes._certified_mode(FIG_JOINTS, start)
+        trig = joint_trig(*FIG_JOINTS.as_tuple())
+        certified = modes._certified_mode(trig, det_factor(*trig), start)
         assert certified is None or certified[1] > MATCH_TOL
         index, dist = nearest_solution(solve_dk(FIG_JOINTS), start)
         assert index == k + 1 and dist < 1e-15
@@ -957,15 +960,14 @@ def test_track_per_waypoint_work(rng, monkeypatch):
     # README's cost statement: every waypoint, path[0]'s included, takes
     # one q2 (joint_factors) and one one-solution solve (direct_solution),
     # and the cascade core runs once per waypoint.  path[0] is matched by
-    # the certificate (its own det_factor and condition pairs) with no
-    # solve_dk; no later waypoint looks at a condition pair.  On
-    # these paths |q2| >= 0.05 at every waypoint and L <= 0.6 per segment,
-    # so the curvature bound 0.05 - 0.6**2 / 8 > singular_tol clears each
-    # whole segment, with no bisection.
+    # the certificate on that same q2, with no solve_dk; no waypoint looks
+    # at a condition pair.  On these paths |q2| >= 0.05 at every waypoint
+    # and L <= 0.6 per segment, so the curvature bound 0.05 - 0.6**2 / 8 >
+    # singular_tol clears each whole segment, with no bisection.
     import agile_eye.dk as dk
 
-    names = ("det_factor", "joint_factors", "solve_dk", "direct_solution", "condition_pairs")
-    calls = dict.fromkeys((*names, "_cascade"), 0)
+    names = ("det_factor", "joint_factors", "solve_dk", "direct_solution")
+    calls = dict.fromkeys((*names, "condition_pairs", "_cascade"), 0)
 
     def spy(module, name):
         real = getattr(module, name)
@@ -988,11 +990,11 @@ def test_track_per_waypoint_work(rng, monkeypatch):
             result = track_path(path, start)
             assert not result.crossed
             assert calls == {
-                "det_factor": 1,
+                "det_factor": 0,
                 "joint_factors": len(path),
                 "solve_dk": 0,
                 "direct_solution": len(path),
-                "condition_pairs": 1,
+                "condition_pairs": 0,
                 "_cascade": len(path),
             }
 

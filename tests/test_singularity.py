@@ -37,7 +37,6 @@ from agile_eye.mechanism import (
     joint_trig,
     leg_b,
     leg_table,
-    singular_legs,
 )
 from agile_eye.singularity import det3
 from conftest import (
@@ -49,6 +48,7 @@ from conftest import (
     random_orientation,
 )
 from test_dk import generic_joints, trivial_only_joints
+from test_mechanism import singular_legs
 
 
 def test_jacobians_reference_configuration():

@@ -169,10 +169,13 @@ def test_malformed_rotation_rejected():
         validate_rotation(np.diag([1.0, 1.0, -1.0]))  # det -1
     with pytest.raises(MalformedRotation):
         validate_rotation(np.eye(4))
-    # NaN fails every threshold check
+    # NaN fails every threshold check, and so does R^T R where finite
+    # entries overflow it, with no numpy warning
     one_nan = np.eye(3)
     one_nan[2, 1] = math.nan
-    for r in (np.full((3, 3), math.nan), one_nan):
+    one_huge = np.eye(3)
+    one_huge[0, 2] = 1e300
+    for r in (np.full((3, 3), math.nan), one_nan, 1e200 * np.eye(3), one_huge):
         with pytest.raises(MalformedRotation):
             validate_rotation(r)
 
