@@ -349,13 +349,23 @@ def self_motion(ctx, family, parameter):
     _emit(cfg, doc, header, [[x for row in doc["matrix"] for x in row]])
 
 
+def _csv_rows(path_file: str, text: str):
+    """The rows of a path file's text; a field over the csv module's size
+    limit is a usage error at its line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise click.UsageError(f"{path_file}:{reader.line_num}: {exc}") from exc
+
+
 def _read_path_file(path_file: str, degrees: bool) -> list[JointTriplet]:
     try:
         with open(path_file, newline="", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"{path_file}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _csv_rows(path_file, text)
     try:
         header = next(reader)
     except StopIteration:

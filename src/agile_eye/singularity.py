@@ -152,8 +152,9 @@ def b_diag_closed_form(j: JointTriplet, mode: int) -> np.ndarray:
 
 
 # An infinite entry of r meets the curve's zeros (inf * 0) and sets numpy's
-# invalid flag; the distance is NaN for it, so no warning is due.
-@np.errstate(invalid="ignore")
+# invalid flag, and finite entries whose sums overflow set its overflow
+# flag; the distance is NaN for both, so no warning is due.
+@np.errstate(invalid="ignore", over="ignore")
 def family_distance(r: np.ndarray, family_id: int) -> tuple[float, float]:
     """Min rotation distance from r to a self-motion curve.
 

@@ -120,7 +120,9 @@ def rotation_angle(m) -> float:
     |vee(M - M^T)| = 2 sin(angle) and trace(M) - 1 = 2 cos(angle); their
     atan2 keeps full precision over the whole range.  NaN or infinite
     entries give NaN (atan2 of two infinities would give a multiple of
-    pi/4), and so do entries whose sums overflow.
+    pi/4), and so do entries whose sums overflow.  M is assumed to be a
+    rotation and is not checked (`validate_rotation` checks); a positive
+    multiple of the identity reads as angle 0.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
     s = math.hypot(m21 - m12, m02 - m20, m10 - m01)
@@ -159,7 +161,10 @@ def nearest_flip(m, flips) -> tuple[int, float]:
 @np.errstate(invalid="ignore")
 def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Geodesic angle between two rotations, in [0, pi]: the angle of
-    a^T b.  NaN if either has a NaN or infinite entry."""
+    a^T b.  NaN if either has a NaN or infinite entry.  Both are assumed
+    to be rotations and are not checked (`validate_rotation` checks); a
+    positive multiple of a rotation is at distance 0 from it, up to
+    rounding: rotation_distance(2 I, I) is 0."""
     # np.dot makes the same BLAS call as a.T @ b, with less overhead
     return rotation_angle(np.dot(a.T, b).tolist())
 

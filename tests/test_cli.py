@@ -316,6 +316,9 @@ def test_track_non_finite_row_exit_code(runner, tmp_path, row):
     assert f"{path}:3: non-finite joint angle" in result.output
 
 
+OVERSIZED = "field larger than field limit (131072)"
+
+
 @pytest.mark.parametrize(
     "text, where, message",
     [
@@ -325,8 +328,13 @@ def test_track_non_finite_row_exit_code(runner, tmp_path, row):
         ("theta1,theta2,theta3\n0,0\n", ":2", "expected 3 columns"),
         ("theta1,theta2,theta3\n0,0,0\n0,0,0,0\n", ":3", "expected 3 columns"),
         ("theta1,theta2,theta3\n0,0,0\n\n0,abc,0\n", ":4", "could not convert"),
+        (f"theta1,theta2,theta3\n0,0,0\n0,{'0' * 131073},0\n", ":3", OVERSIZED),
+        (f"theta1,theta2,{'t' * 131073}\n0,0,0\n", ":1", OVERSIZED),
     ],
-    ids=["empty", "header_only", "blank_rows_only", "two_columns", "four_columns", "text_cell"],
+    ids=[
+        "empty", "header_only", "blank_rows_only", "two_columns", "four_columns", "text_cell",
+        "oversized_row_field", "oversized_header_field",
+    ],
 )
 def test_track_bad_path_file_is_usage_error(runner, tmp_path, text, where, message):
     # a row's line number counts the header and any skipped blank rows

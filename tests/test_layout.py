@@ -1,66 +1,12 @@
-"""Package layout: modules share formulas only through public names, and
-each tolerance has one home, and the CLI has one output path.
-
-A leading-underscore name is private to its module; a module that
-imports one from another package module is using a copy of a formula
-that should have a public home (the leg table and joint-space factors
-live in `mechanism`).
-
-The exact structural identities share `mechanism.STRUCTURE_TOL`; the
-other module-level tolerances are the matching distance of `modes` and
-the orthonormality check of the SO(3) layer.  Only `assembly_mode_id`
-and `_match`, the one match it shares with `track_path`'s start, take a
-`tol` argument (a rotation distance).
-
-Every name in `agile_eye.__all__` resolves on the package, once, so
-`from agile_eye import *` works.
-
-Each sign of diag(B) is computed once: `mechanism.leg_b` has the one
-caller `b_diagonal`, as every caller that builds the Jacobian A reads
-diag(B) from A's rows.  In the CLI only `agile dk` calls `solve_dk`.
-
-Every `agile` command hands its document and CSV rows to `cli._emit`,
-the only place that calls `_json` and reads `output_format`, apart from
-`track`'s stderr `mode constant` line in CSV mode.  Every angle and
-orientation read from the command line or a path file goes through
-`cli._angles_in` or `cli._parse_orientation`, the only places that check
-finiteness and convert degrees, so no angle is wrapped before it is in
-radians.
-
-The ZYX rotation formula has one home, `so3.rotation_entries`: no other
-module writes a nine-entry matrix with its triple products.  The direct
-kinematics cascade, theta and psi as `atan2(-a, b)` roots, is written
-only in `dk`; `modes` tracks through `dk.direct_solution` and reads no
-private name of `dk` or `so3`, imported or as a module attribute.  Every
-finite direct solution is built in one `dk` function, the only caller of
-`EulerZyx.from_wrapped`, for `solve_dk` and `direct_solution` alike, and
-no second builder such as the former `finite_solutions` is defined.
-`track_path` takes every waypoint, the first included, through
-`direct_solution`: it references no `solve_dk`, `nearest_solution` or
-`euler_to_rotation`.  A mode match decides once that its joints are
-generic and evaluates their trig once, in `modes`: `modes` references no
-`condition_pairs` (the generic-joints rule is `dk.joint_degeneracy`'s),
-and calls `solve_dk` only in `_match`'s uncertified fallback.
-
-Every name a package module imports is used there, apart from the names
-the benchmark harness patches on a module (`PATCHED_IMPORTS`).
-
-Each setting has one checking home: `ToolConfig` checks itself when it
-is built, so no module defines or calls a `validate`, and neither
-`sweep.py` nor `cli.py` compares a setting against a bound.  The CLI
-resolves a `--family` name only through `dk.FAMILY_IDS`.
-
-The 8 working-mode signatures are built once, in `mechanism.SIGNATURES`:
-no other module calls `WorkingModeSignature(...)`, so every signature the
-package returns is one of those shared instances.
-
-The search for the nearest of four sign-flipped rotations has one home,
-`so3.nearest_flip`: the trivial orientations and the direct solutions
-are both matched by it, so no module outside `so3` imports or calls
-`rotation_angle`.
+"""Package layout: each formula, tolerance, setting check and output
+decision has one home, reached by other modules only through public names.
+Where a name may appear is a row, with its reason, of `HOMES` (its every
+site), `BARRED` (names a module or one of its functions never mentions) or
+`RETIRED` (names with no site anywhere), all read off one walker, `_sites`.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,6 +25,102 @@ TOLERANCE_HOMES = {
     "modes.py": {"MATCH_TOL", "assembly_mode_id(tol)", "_match(tol)"},
     "so3.py": {"ORTHONORMAL_TOL"},
 }
+
+# (name, roles): every (module, owner) site of it in those roles, duplicates kept
+HOMES = {
+    # cli._emit writes every command's output; track's stderr line reads the format too
+    ("_json", "name"): [("cli.py", "_emit")],
+    ("output_format", "attr"):
+        [("cli.py", "_emit"), ("cli.py", "track"), ("config.py", "ToolConfig")],
+    # each sign of diag(B) is computed once; a caller with A reads A's rows
+    ("leg_b", "name attr"): [("mechanism.py", "b_diagonal")],
+    # `agile dk` and a mode match's uncertified fallback; track reads the tracker's solve
+    ("solve_dk", "name attr"): [("cli.py", "dk"), ("modes.py", "_match")],
+    # the CLI resolves a --family name through this one table
+    ("FAMILY_IDS", "name"):
+        [("cli.py", "self_motion"), ("dk.py", "<module>"), ("dk.py", "self_motion_family")],
+    # the 8 signatures are built once, in mechanism.SIGNATURES
+    ("WorkingModeSignature", "call"): [("mechanism.py", "<module>")],
+    # one nearest-of-four search, for trivial orientations and direct solutions alike
+    ("rotation_angle", "import name attr"):
+        [("so3.py", "nearest_flip"), ("so3.py", "rotation_distance")],
+    # one builder of a finite direct solution, for solve_dk and direct_solution alike
+    ("EulerZyx.from_wrapped", "call"): [("dk.py", "_half_turn")],
+}
+# (module, owner or None for the whole module): names with no site there
+BARRED = {
+    # a --family name resolves only through dk.FAMILY_IDS
+    ("cli.py", None): {"FAMILY_LABELS.index", "isdigit"},
+    # the generic-joints rule is dk.joint_degeneracy's
+    ("modes.py", None): {"condition_pairs"},
+    # the certificate takes its caller's joint evaluation
+    ("modes.py", "_certified_mode"): {"joint_trig", "joint_factors", "det_factor", "JointTriplet"},
+    # every waypoint, the first included, goes through dk.direct_solution
+    ("modes.py", "track_path"): {"solve_dk", "nearest_solution", "euler_to_rotation"},
+}
+NOT_PACKAGE_NAMES = {"isdigit"}  # BARRED names defined outside the package
+RETIRED = {
+    "validate",  # ToolConfig checks itself when it is built
+    "finite_solutions",  # dk._half_turn builds every direct solution
+    "_finite_dk",  # modes._generic evaluates a match's joints once
+}
+
+
+def _sites(path: Path):
+    """(name, role, owner, line) of every name site in a module, `owner` being its
+    top-level definition or "<module>".  Roles: "import"; "def" (a def, class, other
+    binding or assigned bare name); a bare "name", in any context; "attr"; "call" of a
+    bare name or attribute, which is a site of "Owner.attr" too on a bare name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            found = []
+            if isinstance(node, ast.alias):
+                found = [(node.name, "import")]
+            elif isinstance(node, ast.Name):
+                found = [(node.id, "name")] + [(node.id, "def")] * isinstance(node.ctx, ast.Store)
+            elif isinstance(node, (ast.Attribute, ast.Call)):
+                role, target = ("call", node.func) if isinstance(node, ast.Call) else ("attr", node)
+                if isinstance(target, ast.Name):
+                    found = [(target.id, role)]
+                elif isinstance(target, ast.Attribute):
+                    found = [(target.attr, role)]
+                    if isinstance(target.value, ast.Name):
+                        found.append((f"{target.value.id}.{target.attr}", role))
+            elif isinstance(getattr(node, "name", None), str):
+                found = [(node.name, "def")]
+            for name, role in found:
+                yield name, role, owner, node.lineno
+
+
+SITES = [(path.name, *site) for path in MODULES for site in _sites(path)]
+
+
+def _home_errors(sites, name, roles, homes):
+    """(name, module, owner, line) of each site past the homes; line None: a home unfilled."""
+    spare, extra = Counter(homes), []
+    for module, n, role, owner, line in sites:
+        if n == name and role in roles.split():
+            spare[module, owner] -= 1
+            extra += [(name, module, owner, line)] * (spare[module, owner] < 0)
+    return sorted(extra) + [(name, *home, None) for home in spare.elements()]
+
+
+def _barred_errors(sites, module, owner, names):
+    """(name, module, owner, line), one a line, of `names` in `module` and `owner` (None: any)."""
+    return sorted({(n, m, o, line) for m, n, _, o, line in sites
+                   if n in names and module in (None, m) and owner in (None, o)})
+
+
+def _stale(sites, module, owner, names):
+    """Why a BARRED row would pass vacuously: its owner is gone from its module, or a
+    package name it bars (a dotted name's head) is defined nowhere."""
+    owners = {o for m, _, _, o, _ in sites if m == module}
+    gone = [] if owners and owner in owners | {None} else [f"{module} has no {owner}"]
+    defined = {n for _, n, role, _, _ in sites if role == "def"}
+    heads = {n.partition(".")[0] for n in names} - NOT_PACKAGE_NAMES
+    return gone + [f"{head} is defined nowhere" for head in sorted(heads - defined)]
 
 
 def _private_imports(path: Path):
@@ -117,21 +159,6 @@ def _tolerances(path: Path):
             if any(p is not None and p.arg == "tol" for p in params):
                 found.append((node.lineno, f"{getattr(node, 'name', 'lambda')}(tol)"))
     return found
-
-
-def _uses(path: Path, names=(), attrs=()):
-    """(enclosing top-level function, name) of every use of a bare name in
-    `names` and of every attribute in `attrs`, in source order."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    found = []
-    for top in tree.body:
-        owner = getattr(top, "name", "<module>")
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and node.id in names:
-                found.append((node.lineno, owner, node.id))
-            elif isinstance(node, ast.Attribute) and node.attr in attrs:
-                found.append((node.lineno, owner, node.attr))
-    return [entry[1:] for entry in sorted(found)]
 
 
 def _product_factors(node) -> int:
@@ -197,12 +224,6 @@ def _private_module_reads(path: Path, modules):
     ]
 
 
-def _output_decisions(path: Path):
-    """(enclosing top-level function, name) of every use of `_json` and
-    every `.output_format` read, in source order."""
-    return _uses(path, names={"_json"}, attrs={"output_format"})
-
-
 def _from_angles_in(call: ast.Call) -> bool:
     """Whether a call's only argument is `*_angles_in(...)`."""
     if call.keywords or len(call.args) != 1 or not isinstance(call.args[0], ast.Starred):
@@ -233,57 +254,6 @@ def _input_decisions(path: Path):
     return [entry[1:] for entry in sorted(found)]
 
 
-def _calls(path: Path, name: str):
-    """(enclosing top-level function, line) of every call of `name`, as a
-    bare name or an attribute."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return [
-        (getattr(top, "name", "<module>"), node.lineno)
-        for top in tree.body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
-    ]
-
-
-def _references(path: Path, name: str):
-    """(enclosing top-level function, line) of every import of `name` and
-    of every use of it as a bare name or an attribute."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return [
-        (getattr(top, "name", "<module>"), node.lineno)
-        for top in tree.body
-        for node in ast.walk(top)
-        if name in (getattr(node, "id", None), getattr(node, "attr", None))
-        or (isinstance(node, ast.ImportFrom) and name in (a.name for a in node.names))
-    ]
-
-
-def _definitions(path: Path, name: str):
-    """Line of every function, class or assigned name called `name`."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name)
-        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == name)
-    )
-
-
-def _method_calls(path: Path, owner: str, method: str):
-    """(enclosing top-level function, line) of every call of
-    `owner.method(...)`, with `owner` a bare name."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return [
-        (getattr(top, "name", "<module>"), node.lineno)
-        for top in tree.body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == method
-        and getattr(node.func.value, "id", None) == owner
-    ]
-
-
 def _unused_imports(path: Path):
     """(line, name) of every name bound by an import and never read as a
     bare name or listed in `__all__` (`__future__` imports aside)."""
@@ -299,16 +269,6 @@ def _unused_imports(path: Path):
         elif isinstance(node, ast.Assign) and "__all__" in _names(node.targets[0]):
             used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
     return [(line, name) for line, name in imported if name not in used]
-
-
-def _validate_uses(path: Path):
-    """Line of every definition, import, call or mention of `validate`."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if "validate" in (getattr(node, a, None) for a in ("name", "attr", "id"))
-    )
 
 
 def _names(node):
@@ -394,65 +354,6 @@ def test_checker_flags_tolerances(tmp_path):
     assert _tolerances(probe) == [(1, "FOLD_TOL"), (2, "B_TOL"), (3, "f(tol)"), (5, "lambda(tol)")]
 
 
-def test_cli_has_one_output_path():
-    assert _output_decisions(PACKAGE / "cli.py") == [
-        ("_emit", "output_format"),
-        ("_emit", "_json"),
-        ("track", "output_format"),
-    ]
-
-
-def test_checker_flags_output_decisions(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text(
-        "def _emit(cfg, doc):\n"
-        "    return _json(doc) if cfg.output_format == 'json' else ''\n"
-        "def dk(ctx):\n"
-        "    fmt = ctx.obj['cfg'].output_format\n"
-        "    def inner(doc):\n"
-        "        return _json(doc)\n"
-        "    return inner\n"
-        "writer = _json\n"
-    )
-    assert _output_decisions(probe) == [
-        ("_emit", "_json"),
-        ("_emit", "output_format"),
-        ("dk", "output_format"),
-        ("dk", "_json"),
-        ("<module>", "_json"),
-    ]
-
-
-def test_leg_b_called_only_by_b_diagonal():
-    # every other caller builds A, whose diagonal is diag(B)
-    uses = [
-        (path.name, *use) for path in MODULES for use in _uses(path, {"leg_b"}, {"leg_b"})
-    ]
-    assert uses == [("mechanism.py", "b_diagonal", "leg_b")]
-
-
-def test_cli_solves_dk_only_in_dk_command():
-    # `agile track` reads its signature from the tracker's own solve
-    assert _uses(PACKAGE / "cli.py", {"solve_dk"}, {"solve_dk"}) == [("dk", "solve_dk")]
-
-
-def test_checker_flags_uses(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text(
-        "from .mechanism import leg_b\n"
-        "def jacobians(trig, table):\n"
-        "    return mechanism.leg_b(trig, table), [leg_b][0]\n"
-        "b = leg_b\n"
-        "def leg_b(trig, table):\n"
-        "    return 'leg_b'\n"
-    )
-    assert _uses(probe, {"leg_b"}, {"leg_b"}) == [
-        ("jacobians", "leg_b"),
-        ("jacobians", "leg_b"),
-        ("<module>", "leg_b"),
-    ]
-
-
 def test_cli_has_one_input_path():
     assert _input_decisions(PACKAGE / "cli.py") == [
         ("_angles_in", "_require_finite"),
@@ -489,24 +390,6 @@ def test_checker_flags_input_decisions(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
-def test_no_validate_method(path):
-    # ToolConfig checks itself in __post_init__; nothing re-checks it
-    assert _validate_uses(path) == []
-
-
-def test_checker_flags_validate(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text(
-        "class Config:\n"
-        "    def validate(self):\n"
-        "        return self\n"
-        "cfg = Config().validate()\n"
-        "check = validate_rotation\n"
-    )
-    assert _validate_uses(probe) == [2, 4]
-
-
 @pytest.mark.parametrize("name", ["sweep.py", "cli.py"])
 def test_settings_are_bounded_only_by_tool_config(name):
     assert _setting_bounds(PACKAGE / name) == []
@@ -526,20 +409,6 @@ def test_checker_flags_setting_bounds(tmp_path):
         "    return -8 >= grid_n, step > 1\n"
     )
     assert _setting_bounds(probe) == [3, 5, 9]
-
-
-def test_cli_resolves_family_names_through_one_table():
-    cli = PACKAGE / "cli.py"
-    labels_index = [
-        node.lineno
-        for node in ast.walk(ast.parse(cli.read_text()))
-        if isinstance(node, ast.Attribute)
-        and node.attr == "index"
-        and getattr(node.value, "id", None) == "FAMILY_LABELS"
-    ]
-    assert labels_index == []
-    assert _uses(cli, attrs={"isdigit"}) == []
-    assert _uses(cli, {"FAMILY_IDS"}) == [("self_motion", "FAMILY_IDS")]
 
 
 def test_zyx_formula_has_one_home():
@@ -582,71 +451,6 @@ def test_checker_flags_formula_copies(tmp_path):
     assert _private_module_reads(probe, {"dk", "so3"}) == [(10, "dk", "_ORDERS"), (10, "so3", "_private")]
 
 
-def test_signatures_are_built_only_in_mechanism():
-    calls = {path.name: _calls(path, "WorkingModeSignature") for path in MODULES}
-    assert {name: found for name, found in calls.items() if found} == {
-        "mechanism.py": calls["mechanism.py"]
-    }
-    assert [owner for owner, _ in calls["mechanism.py"]] == ["<module>"]
-
-
-def test_checker_flags_signature_copies(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text(
-        "from .mechanism import WorkingModeSignature\n"
-        "def sign(b) -> WorkingModeSignature:\n"
-        "    return WorkingModeSignature(*(1 if x > 0 else -1 for x in b))\n"
-        "TABLE = [mechanism.WorkingModeSignature(1, 1, 1)]\n"
-        "def check(sig):\n"
-        "    return isinstance(sig, WorkingModeSignature), WorkingModeSignature\n"
-    )
-    assert _calls(probe, "WorkingModeSignature") == [("sign", 3), ("<module>", 4)]
-
-
-def test_rotation_angle_is_called_only_in_so3():
-    # one nearest-of-four search, so3.nearest_flip, serves the trivial
-    # orientations and the direct solutions alike
-    refs = {path.name: _references(path, "rotation_angle") for path in MODULES}
-    assert {name: found for name, found in refs.items() if found} == {"so3.py": refs["so3.py"]}
-    assert [owner for owner, _ in refs["so3.py"]] == ["nearest_flip", "rotation_distance"]
-
-
-def test_checker_flags_rotation_angle_references(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text(
-        "from .so3 import euler_to_rotation, rotation_angle\n"
-        "def nearest(m):\n"
-        "    return so3.rotation_angle(m), min(map(rotation_angle, [m]))\n"
-        "ANGLE = rotation_angle\n"
-        "def rotation_angle(m):\n"
-        "    return 'rotation_angle'\n"
-    )
-    assert _references(probe, "rotation_angle") == [
-        ("<module>", 1),
-        ("nearest", 3),
-        ("nearest", 3),
-        ("<module>", 4),
-    ]
-
-
-def test_direct_solutions_have_one_builder():
-    # solve_dk and direct_solution build each EulerZyx through one function
-    assert {path.name: _definitions(path, "finite_solutions") for path in MODULES} == dict.fromkeys(
-        (path.name for path in MODULES), []
-    )
-    calls = {path.name: _method_calls(path, "EulerZyx", "from_wrapped") for path in MODULES}
-    assert {name: found for name, found in calls.items() if found} == {"dk.py": calls["dk.py"]}
-    assert len({owner for owner, _ in calls["dk.py"]}) == 1
-
-
-def test_track_path_takes_no_full_solve():
-    # every waypoint, the first included, goes through direct_solution;
-    # the start is matched through modes._match
-    modes = PACKAGE / "modes.py"
-    for name in ("solve_dk", "nearest_solution", "euler_to_rotation"):
-        assert "track_path" not in [owner for owner, _ in _references(modes, name)], name
-
-
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     unused = [name for _, name in _unused_imports(path) if (path.name, name) not in PATCHED_IMPORTS]
@@ -673,48 +477,118 @@ def test_checker_flags_unused_imports(tmp_path):
     assert _unused_imports(probe) == [(2, "system"), (3, "condition_pairs")]
 
 
-def test_modes_evaluates_joints_once_per_match():
-    modes = PACKAGE / "modes.py"
-    assert _references(modes, "condition_pairs") == []
-    assert [owner for owner, _ in _calls(modes, "solve_dk")] == ["_match"]
-    assert _definitions(modes, "_finite_dk") == []
-    # the certificate takes its caller's joint evaluation
-    for name in ("joint_trig", "joint_factors", "det_factor", "condition_pairs", "JointTriplet"):
-        assert "_certified_mode" not in [owner for owner, _ in _references(modes, name)], name
+@pytest.mark.parametrize("name, roles", HOMES, ids=[name for name, _ in HOMES])
+def test_homes(name, roles):
+    assert _home_errors(SITES, name, roles, HOMES[name, roles]) == []
+
+
+@pytest.mark.parametrize("module, owner", BARRED, ids=[f"{m[:-3]}.{o or '*'}" for m, o in BARRED])
+def test_barred(module, owner):
+    assert _stale(SITES, module, owner, BARRED[module, owner]) == []
+    assert _barred_errors(SITES, module, owner, BARRED[module, owner]) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_validate_method(path):
+    # the RETIRED row validate, one module at a time
+    assert _barred_errors(SITES, path.name, None, {"validate"}) == []
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED - {"validate"}))
+def test_retired(name):
+    assert _barred_errors(SITES, None, None, {name}) == []
+
+
+def _assert_flags(tmp_path, probes):
+    """Each probe's sites join its module's; the tables flag exactly the names that a
+    probe line's comment lists, duplicates kept."""
+    sites, expected = list(SITES), []
+    for module, source in probes.items():
+        (tmp_path / module).write_text(source)
+        sites += [(module, *site) for site in _sites(tmp_path / module)]
+        for line, text in enumerate(source.splitlines(), 1):
+            expected += [(name, module, line) for name in text.partition("#")[2].split()]
+    flags = [e for (n, roles), homes in HOMES.items() for e in _home_errors(sites, n, roles, homes)]
+    flags += [e for (m, o), names in BARRED.items() for e in _barred_errors(sites, m, o, names)]
+    flags += _barred_errors(sites, None, None, RETIRED)
+    assert sorted((name, module, line) for name, module, _, line in flags) == sorted(expected)
+
+
+def test_checker_flags_output_decisions(tmp_path):
+    _assert_flags(tmp_path, {"cli.py":
+        "def dk(ctx):\n"
+        "    fmt = ctx.obj['cfg'].output_format  # output_format\n"
+        "    def inner(doc):\n"
+        "        return _json(doc)  # _json\n"
+        "writer = _json  # _json\n"
+        "def track(cfg): return cfg.output_format  # output_format\n"
+        "def main(output_format): return ToolConfig(output_format=output_format)\n"})
+
+
+def test_checker_flags_uses(tmp_path):
+    _assert_flags(tmp_path, {"mechanism.py":
+        "from .mechanism import leg_b\n"
+        "def jacobians(t): return mechanism.leg_b(t), [leg_b][0]  # leg_b leg_b\n"
+        "b = leg_b  # leg_b\n"
+        "def leg_b(t): return 'leg_b'\n", "cli.py":
+        "def track(cfg): return solve_dk  # solve_dk\n"
+        "def self_motion(name):\n"
+        "    return FAMILY_IDS[name], FAMILY_LABELS.index(name), name.isdigit()"
+        "  # FAMILY_IDS FAMILY_LABELS.index isdigit\n"})
+
+
+def test_checker_flags_validate(tmp_path):
+    _assert_flags(tmp_path, {"config.py":
+        "class Config:\n"
+        "    def validate(self): return self  # validate\n"
+        "cfg = Config().validate()  # validate\n"
+        "check = validate_rotation\n"})
+
+
+def test_checker_flags_signature_copies(tmp_path):
+    _assert_flags(tmp_path, {"mechanism.py":
+        "from .mechanism import WorkingModeSignature\n"
+        "def sign(b) -> WorkingModeSignature:\n"
+        "    return WorkingModeSignature(*b)  # WorkingModeSignature\n"
+        "TABLE = [mechanism.WorkingModeSignature(1, 1, 1)]  # WorkingModeSignature\n"
+        "def check(sig): return isinstance(sig, WorkingModeSignature), WorkingModeSignature\n"})
+
+
+def test_checker_flags_rotation_angle_references(tmp_path):
+    _assert_flags(tmp_path, {"so3.py":
+        "from .so3 import euler_to_rotation, rotation_angle  # rotation_angle\n"
+        "def nearest_flip(m):\n"
+        "    return so3.rotation_angle(m), rotation_angle  # rotation_angle rotation_angle\n"
+        "ANGLE = rotation_angle  # rotation_angle\n"
+        "def rotation_angle(m): return 'rotation_angle'\n"})
 
 
 def test_checker_flags_joint_evaluations(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text(
-        "from .mechanism import condition_pairs\n"
-        "def _certified_mode(j: JointTriplet, r):\n"
-        "    return solve_dk(j), det_factor(*joint_trig(*j.as_tuple()))\n"
+    _assert_flags(tmp_path, {"modes.py":
+        "from .mechanism import condition_pairs  # condition_pairs\n"
+        "def _certified_mode(j: JointTriplet, r):  # JointTriplet\n"
+        "    q2 = det_factor(*joint_trig(*j.as_tuple()))  # det_factor joint_trig\n"
+        "    return solve_dk(j)  # solve_dk\n"
         "def _match(j, r):\n"
-        "    return dk.solve_dk(j), mechanism.condition_pairs\n"
-    )
-    assert _references(probe, "condition_pairs") == [("<module>", 1), ("_match", 5)]
-    assert _calls(probe, "solve_dk") == [("_certified_mode", 3), ("_match", 5)]
-    for name in ("joint_trig", "det_factor", "JointTriplet"):
-        assert [owner for owner, _ in _references(probe, name)] == ["_certified_mode"]
+        "    return dk.solve_dk(j), mechanism.condition_pairs  # solve_dk condition_pairs\n"})
 
 
 def test_checker_flags_builders_and_full_solves(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text(
-        "from .so3 import EulerZyx\n"
-        "def finite_solutions(phi, trig, q1, q2):\n"
-        "    return EulerZyx.from_wrapped(phi, q1, q2), JointTriplet.from_wrapped(phi, q1, q2)\n"
-        "finite_solutions = None\n"
+    _assert_flags(tmp_path, {"dk.py":
+        "def finite_solutions(phi, q1, q2):  # finite_solutions\n"
+        "    return EulerZyx.from_wrapped(phi, q1, q2)  # EulerZyx.from_wrapped\n"
+        "finite_solutions = JointTriplet.from_wrapped  # finite_solutions\n"
+        "def other(finite_solutions): return finite_solutions  # finite_solutions\n", "modes.py":
         "def track_path(path, start):\n"
-        "    dk0 = modes.solve_dk(path[0])\n"
-        "    return [EulerZyx.from_wrapped(*e) for e in dk0.solutions], euler_to_rotation\n"
-        "def other(finite_solutions):\n"
-        "    return finite_solutions\n"
-    )
-    assert _definitions(probe, "finite_solutions") == [2, 4]
-    assert _method_calls(probe, "EulerZyx", "from_wrapped") == [
-        ("finite_solutions", 3),
-        ("track_path", 7),
-    ]
-    assert _references(probe, "solve_dk") == [("track_path", 6)]
-    assert _references(probe, "euler_to_rotation") == [("track_path", 7)]
+        "    dk0 = modes.solve_dk(path[0])  # solve_dk solve_dk\n"
+        "    rows = [EulerZyx.from_wrapped(*e) for e in dk0]  # EulerZyx.from_wrapped\n"
+        "    return euler_to_rotation, nearest_solution  # euler_to_rotation nearest_solution\n"})
+
+
+def test_barred_rows_go_stale_when_renamed():
+    # renaming a barred owner or name leaves its row stale, not passing
+    renamed = {"track_path": "follow_path", "solve_dk": "solve_direct", "FAMILY_LABELS": "LABELS"}
+    sites = [(m, renamed.get(n, n), r, renamed.get(o, o), line) for m, n, r, o, line in SITES]
+    stale = [_stale(sites, *row, BARRED[row]) for row in BARRED]
+    assert stale == [["FAMILY_LABELS is defined nowhere"], [], [], [
+        "modes.py has no track_path", "solve_dk is defined nowhere"]]

@@ -330,6 +330,16 @@ def test_family_distance_non_finite_entry_is_nan_without_warning(value):
             assert math.isnan(d)
 
 
+@pytest.mark.parametrize("value", [1e308, -1e308])
+def test_family_distance_overflowing_entries_is_nan_without_warning(value):
+    # finite entries whose sums overflow read as non-finite ones do
+    for fid in range(1, 7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, d = family_distance(np.full((3, 3), value), fid)
+        assert math.isnan(d)
+
+
 def test_classify_regular():
     out = classify_configuration(JointTriplet(0, 0, 0), np.eye(3))
     assert out.kind == "regular"
@@ -632,6 +642,16 @@ def test_classify_non_finite_entry_outside_leg_table_not_assembled(entry, value)
     r[entry] = value
     with pytest.raises(NotAssembled, match="nearest trivial orientation is nan"):
         classify_configuration(JointTriplet(0.0, 0.0, 0.0), r)
+
+
+def test_classify_overflowing_entries_outside_leg_table_not_assembled():
+    # finite entries whose sums overflow take the non-finite path, unwarned
+    r = self_motion_family(1, 0.4)
+    r[1, 2], r[2, 0] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAssembled, match="nearest trivial orientation is nan"):
+            classify_configuration(JointTriplet(0.3, 0.0, math.pi / 2), r)
 
 
 def _orientation_factor(r):
