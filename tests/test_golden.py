@@ -26,16 +26,25 @@ to stdout (summary on stderr), a tolerance wide enough for thick walls
 sha256 and length, an n = 128 summary without records, the same as CSV
 at n = 16, and n = 7 (usage error).
 
+The library (tests/golden/library.json): sha256 digests of solve_dk,
+solve_ik, assembly_mode_id, classify_configuration and track_path on a
+lattice of joints, random joints and their direct solutions, exact and
+perturbed (tests/golden/make_library.py); a section that moved is named
+with its first moved chunk.
+
 Rebuild a corpus from the repository root with
 
     PYTHONPATH=src python tests/golden/make_classify.py > tests/golden/classify.json
     PYTHONPATH=src python tests/golden/make_track.py > tests/golden/track.json
     PYTHONPATH=src python tests/golden/make_sweep.py > tests/golden/sweep.json
     PYTHONPATH=src python tests/golden/make_kinematics.py > tests/golden/kinematics.json
+    PYTHONPATH=src python tests/golden/make_library.py > tests/golden/library.json
 """
 
+import functools
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +59,9 @@ CORPUS = json.loads((GOLDEN / "classify.json").read_text())
 TRACK_CORPUS = json.loads((GOLDEN / "track.json").read_text())
 SWEEP_CORPUS = json.loads((GOLDEN / "sweep.json").read_text())
 KINEMATICS_CORPUS = json.loads((GOLDEN / "kinematics.json").read_text())
+LIBRARY_CORPUS = json.loads((GOLDEN / "library.json").read_text())
+sys.path.insert(0, str(GOLDEN))
+import make_library  # noqa: E402
 
 
 @pytest.mark.parametrize("case", CORPUS, ids=[c["name"] for c in CORPUS])
@@ -114,3 +126,22 @@ def test_sweep_output_byte_identical(case, tmp_path):
         assert not records.exists()
     else:
         _assert_stream(records.read_bytes(), case["records"])
+
+
+@functools.cache
+def _library_digests():
+    return make_library.digests()
+
+
+@pytest.mark.parametrize("section", make_library.SECTIONS)
+def test_library_outputs_bit_identical(section):
+    expected = LIBRARY_CORPUS["sections"][section]
+    got = _library_digests()[section]
+    moved = [i for i, (a, b) in enumerate(zip(got["chunks"], expected["chunks"])) if a != b]
+    size = LIBRARY_CORPUS["chunk"]
+    first = moved[0] * size if moved else None
+    where = f"first moved chunk {moved[0]} (records {first} to {first + size - 1})" if moved else ""
+    made = {k: LIBRARY_CORPUS[k] for k in ("python", "numpy")}
+    assert (got["count"], got["sha256"]) == (expected["count"], expected["sha256"]), (
+        f"{section}: {where}; corpus made with {made}, running {make_library.versions()}"
+    )
