@@ -350,11 +350,15 @@ def self_motion(ctx, family, parameter):
 
 
 def _csv_rows(path_file: str, text: str):
-    """The rows of a path file's text; a field over the csv module's size
-    limit is a usage error at its line."""
+    """(line, row) for each row of a path file's text, line being the
+    physical line the row starts on (a quoted field may span lines); a
+    field over the csv module's size limit is a usage error at its line."""
     reader = csv.reader(io.StringIO(text, newline=""))
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise click.UsageError(f"{path_file}:{reader.line_num}: {exc}") from exc
 
@@ -367,7 +371,7 @@ def _read_path_file(path_file: str, degrees: bool) -> list[JointTriplet]:
         raise click.UsageError(f"{path_file}: {exc}") from exc
     reader = _csv_rows(path_file, text)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise click.UsageError(f"{path_file}: empty path file") from None
     if [h.strip() for h in header] != ["theta1", "theta2", "theta3"]:
@@ -375,7 +379,7 @@ def _read_path_file(path_file: str, degrees: bool) -> list[JointTriplet]:
             f"{path_file}: expected header 'theta1,theta2,theta3'"
         )
     waypoints = []
-    for lineno, row in enumerate(reader, 2):
+    for lineno, row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 3:

@@ -183,8 +183,8 @@ def classify_joint_degeneracy(j: JointTriplet) -> JointDegeneracy:
 
 
 def _fold_half(a: float) -> float:
-    # Representative of an angle-mod-pi class in (-pi/2, pi/2].
-    a = wrap_angle(a)
+    # Representative in (-pi/2, pi/2] of the angle-mod-pi class of an atan2
+    # output a in [-pi, pi]: -pi and pi both fold to +0.0.
     if a > HALF_PI:
         return a - math.pi
     if a <= -HALF_PI:
@@ -268,6 +268,46 @@ def direct_solution(k: int, phi: float, trig, q1: float, q2: float):
     if i >= 1:
         cp, sp = math.cos(e.psi), math.sin(e.psi)
     return e, rotation_entries(trig[5], trig[4], ct, st, cp, sp)
+
+
+# Column signs of the half-turns H_i: cascade solution i is R H_i, R the
+# first (`_half_turn`: psi + pi is a half-turn about x, theta + pi with
+# -psi one about y).  Legs 1, 2, 3 read columns 1, 2, 0 of R and flipping
+# a column flips that leg's B_ii, so H_i flips as P_i does.  Each order of
+# `_ORDERS` lists them canonically: solution k is R H_order[k].
+_HALF_TURNS = tuple((p3, p1, p2) for p1, p2, p3 in SIGN_TABLE)
+_ORDER_TURNS = {order: tuple(_HALF_TURNS[i] for i in order) for order in _ORDERS.values()}
+
+
+def nearest_direct_solution(trig, q1: float, q2: float, r) -> tuple[int, float]:
+    """Index k (1..4) of the direct solution of generic joints nearest to r
+    (an array or its rows), and its rotation distance, from the joint trig
+    `trig` and joint factors (q1, q2) that `direct_solution` takes.
+
+    The four solutions are R H_k for the cascade's first solution R
+    (`_ORDER_TURNS`), so r^T R_k is M = r^T R with its columns flipped by
+    H_k: `nearest_flip` of M, written in floats from the entries of r and
+    R, over the four half-turns in canonical order (ties go to the lowest
+    index).  Any two solutions are pi apart.  NaN or infinite entries of r
+    give a NaN distance.
+    """
+    _, _, (ct, st, cp, sp), order = _cascade(trig, q1, q2)
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = rotation_entries(
+        trig[5], trig[4], ct, st, cp, sp
+    )
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = as_rows(r)
+    m = (
+        (r00 * a00 + r10 * a10 + r20 * a20,
+         r00 * a01 + r10 * a11 + r20 * a21,
+         r00 * a02 + r10 * a12 + r20 * a22),
+        (r01 * a00 + r11 * a10 + r21 * a20,
+         r01 * a01 + r11 * a11 + r21 * a21,
+         r01 * a02 + r11 * a12 + r21 * a22),
+        (r02 * a00 + r12 * a10 + r22 * a20,
+         r02 * a01 + r12 * a11 + r22 * a21,
+         r02 * a02 + r12 * a12 + r22 * a22),
+    )
+    return nearest_flip(m, _ORDER_TURNS[order])
 
 
 def solve_dk(j: JointTriplet) -> DkResult:

@@ -10,26 +10,13 @@ At an inverse solution sign(q2) is the sign product pi(sigma) of the
 working mode sigma (the `singularity` module docstring proves it), so
 each working mode has a constant assembly mode, SIGN_TABLE.index(pi(sigma)
 sigma) + 1: +++ and --- are in mode 1, --+ and ++- in 2, +-- and -++ in
-3, -+- and +-+ in 4.  `assembly_mode_id` reads the mode from that table,
-with no direct-kinematics solve, wherever a Newton-Kantorovich
-certificate proves it equal to the nearest-solution match within tol
-(`_certified_mode`): an assembled orientation lies within the certified
-radius of r, and every |B_ii| exceeds the radius, so that orientation is
-the direct solution with the numeric signs of diag(B).  Every other
-input is matched against all four direct solutions, the one solve_dk of
-a match (`_match`).  Each match first evaluates its joints once
-(`_generic`): their trig and joint factors, and `dk.joint_degeneracy`'s
-decision that they are generic, which the certificate takes as given.
+3, -+- and +-+ in 4.
 
-The four direct solutions are half-turns of the first about the platform
-axes: R_k = R_1 H_k with H_k = I, diag(1, -1, -1), diag(-1, 1, -1) and
-diag(-1, -1, 1), in solve_dk's canonical order.  The cascade's raw
-solutions are R H_k (psi + pi is a half-turn about x; theta + pi with -psi
-one about y), the H_k form a group, and the canonical order is a
-translation in it.  So r^T R_k is M = r^T R_1 with its columns
-sign-flipped by H_k: one matrix product matches an orientation against
-all four solutions (`nearest_solution`), and any two solutions are pi
-apart.
+`assembly_mode_id` is one match: it evaluates the joints once
+(`_generic`: their trig and joint factors, and `dk.joint_degeneracy`'s
+decision that they are generic), then `dk.nearest_direct_solution` finds
+the direct solution nearest r, and its distance, from the cascade's first
+solution alone, with no full direct-kinematics solve.
 
 The wrist is non-cuspidal: a joint path can change assembly mode only
 where it meets the determinant surface q2 = sin t1 sin t2 sin t3 +
@@ -42,10 +29,9 @@ solution with the start's index.  Every waypoint, the first included,
 costs one joint trig and one solve of the tracked solution alone
 (`dk.direct_solution`, which hands over its Euler triple already wrapped
 and its nine matrix entries), and its q2 ends one certificate and starts
-the next; the first one's index is matched as in assembly_mode_id
-(`_match`), on that same joint trig and q2.  The entries of all
-waypoints go into one flat list that becomes one (N, 3, 3) array at the
-end.
+the next; the first one's index is matched as in assembly_mode_id, on
+that same joint trig and q2.  The entries of all waypoints go into one
+flat list that becomes one (N, 3, 3) array at the end.
 """
 
 from __future__ import annotations
@@ -56,7 +42,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .dk import SOLUTION_SIGNATURES, DkResult, direct_solution, joint_degeneracy, solve_dk
+from .dk import (
+    SOLUTION_SIGNATURES,
+    direct_solution,
+    joint_degeneracy,
+    nearest_direct_solution,
+    solve_dk,  # noqa: F401  (bench/tracing.py patches modes.solve_dk)
+)
 from .exceptions import (
     DegenerateJoints,
     NoMatchingSolution,
@@ -65,33 +57,19 @@ from .exceptions import (
     StartNotASolution,
 )
 from .mechanism import (
-    SIGN_TABLE,
     SIGNATURES,
     STRUCTURE_TOL,
     JointTriplet,
     WorkingModeSignature,
     b_diagonal,
     det_factor,
-    jacobian_rows,
     joint_factors,
     joint_trig,
-    leg_residuals,
-    leg_table,
 )
-from .so3 import EulerZyx, euler_to_rotation, nearest_flip, wrap_angle
+from .so3 import EulerZyx, wrap_angle
 
 # Orientation-to-solution matching tolerance (rotation distance, radians).
 MATCH_TOL = 1e-6
-
-# Column signs of the half-turns H_k: direct solution k is R_1 H_k.  Legs
-# 1, 2, 3 read columns 1, 2, 0 of R, flipping a column flips that leg's
-# B_ii, and R_1 has signature sign(q2) * +++, so H_k flips as P_k does.
-_HALF_TURNS = tuple((p3, p1, p2) for p1, p2, p3 in SIGN_TABLE)
-
-# Rounding allowance of `_certified_mode`: a bound on the rounding error of
-# each entry it computes, and on the residuals of solve_dk's solutions.
-_ROUNDING = 1e-14
-_SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -175,138 +153,23 @@ def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
     )
 
 
-def nearest_solution(dk: DkResult, r: np.ndarray) -> tuple[int, float]:
-    """Index (1..4) of the finite direct solution of `dk` nearest to r, and
-    its rotation distance.
-
-    With M = r^T R_1, r^T R_k = M H_k: `nearest_flip` of M and the
-    half-turns (ties as there).  NaN in r gives a NaN distance.
-    """
-    return nearest_flip((r.T @ euler_to_rotation(dk.solutions[0])).tolist(), _HALF_TURNS)
-
-
-def _certified_mode(trig, q2: float, r: np.ndarray) -> tuple[int, float] | None:
-    """(k, rad): for generic joints j with joint trig `trig` and
-    determinant factor q2 (`joint_factors`), nearest_solution(solve_dk(j),
-    r) gives index k at a distance of at most rad, and k is
-    SIGN_TABLE.index(sign(q2) sigma) + 1 for the signs sigma of the
-    numeric diag(B); None wherever that is not proven.  The caller decides
-    that j is generic (`_generic`); no joint function is evaluated here.
-
-    Let e = _ROUNDING, rho the numeric residuals, A the numeric Jacobian
-    (rows w_i x v_i), b = (x1, y2, z3) its diagonal, diag(B), and delta = ||r r^T - I||_F + e.
-    Write r = R0 (I + S), R0 orthogonal and S symmetric (polar form).  The
-    singular values s of r have |s - 1| <= |s^2 - 1|, so ||S||_2 <= delta
-    and each v_i = r v'_i is within delta of R0 v'_i.
-
-    1. Lipschitz constant.  F(omega) = residuals(exp(omega^) R0) has
-       entries w_i . exp(omega^) R0 v'_i with unit vectors on both sides.
-       By Duhamel's formula the second derivative of exp(omega^ + s a^)
-       in s is twice an integral, over a simplex of area 1/2, of products
-       of rotations with two factors a^, so it is at most |a|^2 in norm:
-       each gradient of F_i is 1-Lipschitz and F' is L-Lipschitz with
-       L = sqrt(3), on all of R^3.
-    2. Newton-Kantorovich.  F'(0) = -A(R0), whose rows are within delta
-       of A's (rounding included), so ||A(R0) - A||_F <= sqrt(3) delta.
-       With ||A^-1||_F = ||adj A||_F / |det A| and N = ||adj A||_F + e,
-       the Neumann series gives ||A(R0)^-1|| <= beta = N / (|det A| - e
-       - sqrt(3) N delta) when that denominator is positive.  F(0) is
-       within delta of rho in each entry, so ||F'(0)^-1 F(0)|| <= eta =
-       beta (||rho|| + sqrt(3) delta).  If h = beta L eta <= 1/2, F has a
-       zero omega* with |omega*| <= t* = 2 eta / (1 + sqrt(1 - 2 h)) <=
-       2 eta: R* = exp(omega*^) R0 is orthogonal, satisfies every
-       constraint and lies t* or less from R0.
-    3. The zero is direct solution k.  B_ii = v_i . (u_i x w_i) moves by
-       at most the move of v_i, so |B_ii(R*) - b_i| <= delta + t* < rad
-       (below); with |b_i| > rad, R* has the signs sigma and is not
-       trivial (diag(B) = 0 there).  A proper nontrivial zero has
-       signature sign(q2) P_k, of sign product +1; if R0 is improper, -R*
-       is one, with signature -sigma, so sign(q2) sigma is outside the
-       table and None is returned.  Otherwise R* is direct solution k.
-    4. nearest_solution finds it.  The other solutions are half-turns
-       of R*, at pi - t* or more, so with rad < 1/4 (which makes
-       delta < 1/12) trace(r^T R_k) is the largest.  The (|skew|, trace
-       - 1) point of r^T R_k is that of R0^T R_k, on the circle of radius
-       2 at the angle d, moved by at most delta sqrt(4 d^2 + 9) (S is
-       symmetric; |tr(S Q)| <= 3 ||S||_2), which turns it by less than
-       3 delta.  So the distance it reports is at most rad = t* +
-       3 delta + e (1 + 2 beta).
-
-    The last term is the float slack: solve_dk's solutions have residuals
-    below e, so by step 2 applied there each is within 2 beta e of the
-    exact one; that covers the distance's rounding and keeps solve_dk's
-    own diag(B), of magnitude |B_ii(R*)| > 2 delta + e (1 + 2 beta), on
-    the signs that give its canonical order.  Every comparison fails on
-    NaN, so a NaN or infinite entry in r gives None.
-    """
-    rows = r.tolist()
-    rho = leg_residuals(trig, leg_table(rows))
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = jacobian_rows(trig, rows)
-    # the columns of adj A are the cross products of the rows
-    u1, u2, u3 = y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3
-    v1, v2, v3 = y3 * z1 - z3 * y1, z3 * x1 - x3 * z1, x3 * y1 - y3 * x1
-    w1, w2, w3 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
-    det = x1 * u1 + y1 * u2 + z1 * u3
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-    g01 = r00 * r10 + r01 * r11 + r02 * r12
-    g02 = r00 * r20 + r01 * r21 + r02 * r22
-    g12 = r10 * r20 + r11 * r21 + r12 * r22
-    delta = _ROUNDING + math.hypot(
-        r00 * r00 + r01 * r01 + r02 * r02 - 1.0,
-        r10 * r10 + r11 * r11 + r12 * r12 - 1.0,
-        r20 * r20 + r21 * r21 + r22 * r22 - 1.0,
-        g01, g01, g02, g02, g12, g12,
-    )
-    n = _ROUNDING + math.hypot(u1, u2, u3, v1, v2, v3, w1, w2, w3)
-    den = abs(det) - _ROUNDING - _SQRT3 * n * delta
-    if not den > 0.0:
-        return None
-    beta = n / den
-    eta = beta * (math.hypot(*rho) + _SQRT3 * delta)
-    h = _SQRT3 * beta * eta
-    if not h <= 0.5:
-        return None
-    rad = (
-        2.0 * eta / (1.0 + math.sqrt(1.0 - 2.0 * h))
-        + 3.0 * delta
-        + _ROUNDING * (1.0 + 2.0 * beta)
-    )
-    if not (rad < 0.25 and abs(x1) > rad and abs(y2) > rad and abs(z3) > rad):
-        return None
-    s = 1 if q2 > 0.0 else -1
-    rel = (s if x1 > 0.0 else -s, s if y2 > 0.0 else -s, s if z3 > 0.0 else -s)
-    return (SIGN_TABLE.index(rel) + 1, rad) if rel in SIGN_TABLE else None
-
-
 def assembly_mode_id(
     j: JointTriplet, r: np.ndarray, tol: float = MATCH_TOL
 ) -> int:
     """Index (1..4) of the canonical direct solution within `tol` of r
     (NaN fails).
 
-    Joints that are not generic raise DegenerateJoints (`_generic`).
-    Where `_certified_mode` proves the answer within tol it is read from
-    the sign table, with no direct-kinematics solve; every other input is
-    matched against solve_dk's four solutions (`nearest_solution`).
+    Joints that are not generic raise DegenerateJoints (`_generic`);
+    generic ones are matched against their four direct solutions by
+    `dk.nearest_direct_solution`.
     """
-    trig, _, q2 = _generic(j)
-    idx, dist = _match(j, trig, q2, r, tol)
+    trig, q1, q2 = _generic(j)
+    idx, dist = nearest_direct_solution(trig, q1, q2, r)
     if not dist <= tol:
         raise NoMatchingSolution(
             "orientation matches no nontrivial direct solution of these joints"
         )
     return idx
-
-
-def _match(j: JointTriplet, trig, q2: float, r: np.ndarray, tol: float) -> tuple[int, float]:
-    """(k, distance) of the direct solution of generic joints j, with joint
-    trig `trig` and determinant factor q2, nearest to r: the certified
-    radius where `_certified_mode` proves k within tol, else
-    nearest_solution of solve_dk, the only solve of a mode match."""
-    certified = _certified_mode(trig, q2, r)
-    if certified is not None and certified[1] <= tol:  # NaN fails too
-        return certified
-    return nearest_solution(solve_dk(j), r)
 
 
 def _segment_crossing(
@@ -363,18 +226,18 @@ def track_path(
     """Track the assembly mode along a joint path.
 
     `start` must match one of the four direct solutions of path[0] within
-    MATCH_TOL (`_match`; else StartNotASolution); its index is the tracked
-    mode.  Each segment is first certified to keep |q2| > cfg.singular_tol
-    (see _segment_crossing); every waypoint's orientation, path[0]'s too,
-    is the direct solution with that index, solved alone by
-    `direct_solution` (bit for bit the solution solve_dk returns, and its
-    matrix).  Inside one
-    sign domain of q2 every B_ii is nonzero, so each solution keeps its
-    working-mode signature and the canonical order pins the index to that
-    signature.  A SingularityCrossing is reported on the first segment
-    that is not certified ("determinant sign change" or "determinant
-    factor within tolerance"), or whose end waypoint has no finite direct
-    solutions ("direct solve became ...", by `joint_degeneracy`).
+    MATCH_TOL (`dk.nearest_direct_solution`; else StartNotASolution); its
+    index is the tracked mode.  Each segment is first certified to keep
+    |q2| > cfg.singular_tol (see _segment_crossing); every waypoint's
+    orientation, path[0]'s too, is the direct solution with that index,
+    solved alone by `direct_solution` (bit for bit the solution solve_dk
+    returns, and its matrix).  Inside one sign domain of q2 every B_ii is
+    nonzero, so each solution keeps its working-mode signature and the
+    canonical order pins the index to that signature.  A
+    SingularityCrossing is reported on the first segment that is not
+    certified ("determinant sign change" or "determinant factor within
+    tolerance"), or whose end waypoint has no finite direct solutions
+    ("direct solve became ...", by `joint_degeneracy`).
     Condition pairs and trivial-only joints have |q2| <= 2 STRUCTURE_TOL
     (proved in `joint_degeneracy`), inside the default singular_tol, so a
     certified end waypoint is generic with no look at the condition pairs
@@ -395,7 +258,7 @@ def track_path(
     kind = joint_degeneracy(a, trig, qa).kind
     if kind != "generic":
         raise StartNotASolution(f"first waypoint has branch {kind!r}, not finite solutions")
-    mode, dist = _match(a, trig, qa, start, MATCH_TOL)
+    mode, dist = nearest_direct_solution(trig, q1, qa, start)
     if not dist <= MATCH_TOL:  # NaN fails too
         raise StartNotASolution(
             f"start orientation is {dist:.3e} rad from the nearest "

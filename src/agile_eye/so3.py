@@ -114,19 +114,23 @@ def validate_rotation(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def rotation_angle(m) -> float:
-    """Angle of a rotation given by its rows (float triples), in [0, pi].
+def rotation_angle(m, h=(1.0, 1.0, 1.0)) -> float:
+    """Angle of the rotation M diag(h), for M given by its rows (float
+    triples) and a sign triple h, in [0, pi].
 
     |vee(M - M^T)| = 2 sin(angle) and trace(M) - 1 = 2 cos(angle); their
-    atan2 keeps full precision over the whole range.  NaN or infinite
-    entries give NaN (atan2 of two infinities would give a multiple of
-    pi/4), and so do entries whose sums overflow.  M is assumed to be a
-    rotation and is not checked (`validate_rotation` checks); a positive
-    multiple of the identity reads as angle 0.
+    atan2 keeps full precision over the whole range.  Each entry of M
+    diag(h) is an entry of M times a sign, which is exact, so the angle is
+    that of the flipped matrix bit for bit.  NaN or infinite entries give
+    NaN (atan2 of two infinities would give a multiple of pi/4), and so do
+    entries whose sums overflow.  M is assumed to be a rotation and is not
+    checked (`validate_rotation` checks); a positive multiple of the
+    identity reads as angle 0.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
-    s = math.hypot(m21 - m12, m02 - m20, m10 - m01)
-    c = m00 + m11 + m22 - 1.0
+    h0, h1, h2 = h
+    s = math.hypot(m21 * h1 - m12 * h2, m02 * h2 - m20 * h0, m10 * h0 - m01 * h1)
+    c = m00 * h0 + m11 * h1 + m22 * h2 - 1.0
     return math.atan2(s, c) if math.isfinite(s + c) else math.nan
 
 
@@ -142,18 +146,13 @@ def nearest_flip(m, flips) -> tuple[int, float]:
     may get either, as its traces round.  M diag(h) is M with column i
     times h_i.  NaN or infinite entries give a NaN angle (`rotation_angle`).
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    (m00, _, _), (_, m11, _), (_, _, m22) = m
     traces = [h0 * m00 + h1 * m11 + h2 * m22 for h0, h1, h2 in flips]
     k = 0
     for i in (1, 2, 3):
         if traces[i] > traces[k]:
             k = i
-    h0, h1, h2 = flips[k]
-    return k + 1, rotation_angle((
-        (m00 * h0, m01 * h1, m02 * h2),
-        (m10 * h0, m11 * h1, m12 * h2),
-        (m20 * h0, m21 * h1, m22 * h2),
-    ))
+    return k + 1, rotation_angle(m, flips[k])
 
 
 # An infinite entry makes the product NaN (inf * 0) and sets numpy's

@@ -40,6 +40,7 @@ import sys
 import numpy as np
 
 from agile_eye import (
+    AgileEyeError,
     JointTriplet,
     assembly_mode_id,
     classify_configuration,
@@ -82,7 +83,7 @@ def joints():
 def _outcome(call):
     try:
         return call()
-    except Exception as exc:  # the class is the outcome; messages may carry distances
+    except (AgileEyeError, ValueError) as exc:  # messages may carry distances
         return type(exc).__name__
 
 

@@ -330,14 +330,18 @@ OVERSIZED = "field larger than field limit (131072)"
         ("theta1,theta2,theta3\n0,0,0\n\n0,abc,0\n", ":4", "could not convert"),
         (f"theta1,theta2,theta3\n0,0,0\n0,{'0' * 131073},0\n", ":3", OVERSIZED),
         (f"theta1,theta2,{'t' * 131073}\n0,0,0\n", ":1", OVERSIZED),
+        ('theta1,theta2,theta3\n"0\n",0,0\n0,abc,0\n', ":4", "could not convert"),
+        ('theta1,theta2,theta3\n0,0,0\n"0\n",0\n', ":3", "expected 3 columns"),
     ],
     ids=[
         "empty", "header_only", "blank_rows_only", "two_columns", "four_columns", "text_cell",
-        "oversized_row_field", "oversized_header_field",
+        "oversized_row_field", "oversized_header_field", "after_multiline_field",
+        "multiline_field",
     ],
 )
 def test_track_bad_path_file_is_usage_error(runner, tmp_path, text, where, message):
-    # a row's line number counts the header and any skipped blank rows
+    # a row's line number is the physical line it starts on: it counts the
+    # header, any skipped blank rows and the lines of a quoted field
     path = tmp_path / "path.csv"
     path.write_text(text)
     result = runner.invoke(main, ["track", str(path), "--start-euler", "0", "0", "0"])

@@ -92,8 +92,8 @@ def test_track_output_byte_identical(case, tmp_path):
 
 def test_track_solves_the_first_waypoint_once(tmp_path, monkeypatch):
     # the signature printed on each step comes from the tracker's one
-    # direct solve per waypoint; the certificate matches the start, so no
-    # waypoint takes a full solve_dk
+    # direct solve per waypoint; the start is matched from the cascade's
+    # first solution, so no waypoint takes a full solve_dk
     case = next(c for c in TRACK_CORPUS if c["name"] == "loop_mode_2")
     path_file = tmp_path / "path.csv"
     path_file.write_text(case["path"])

@@ -18,11 +18,12 @@ SETTINGS = {
     "grid_n", "residual_tol", "singular_tol", "output_format", "tol_residual", "tol_singular"
 }
 ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-# (module, name) imported only so that bench/tracing.py can patch it
-PATCHED_IMPORTS = {("cli.py", "iter_records")}
+# (module, name) imported only so that bench/tracing.py can patch it: the
+# sweep's record path, and the full direct solve that a mode match no longer runs
+PATCHED_IMPORTS = {("cli.py", "iter_records"), ("modes.py", "solve_dk")}
 TOLERANCE_HOMES = {
     "mechanism.py": {"STRUCTURE_TOL"},
-    "modes.py": {"MATCH_TOL", "assembly_mode_id(tol)", "_match(tol)"},
+    "modes.py": {"MATCH_TOL", "assembly_mode_id(tol)"},
     "so3.py": {"ORTHONORMAL_TOL"},
 }
 
@@ -34,8 +35,11 @@ HOMES = {
         [("cli.py", "_emit"), ("cli.py", "track"), ("config.py", "ToolConfig")],
     # each sign of diag(B) is computed once; a caller with A reads A's rows
     ("leg_b", "name attr"): [("mechanism.py", "b_diagonal")],
-    # `agile dk` and a mode match's uncertified fallback; track reads the tracker's solve
-    ("solve_dk", "name attr"): [("cli.py", "dk"), ("modes.py", "_match")],
+    # `agile dk` alone; a mode match and the tracker solve from the cascade's first solution
+    ("solve_dk", "name attr"): [("cli.py", "dk")],
+    # one mode match, for assembly_mode_id and track_path's start alike
+    ("nearest_direct_solution", "call"):
+        [("modes.py", "assembly_mode_id"), ("modes.py", "track_path")],
     # the CLI resolves a --family name through this one table
     ("FAMILY_IDS", "name"):
         [("cli.py", "self_motion"), ("dk.py", "<module>"), ("dk.py", "self_motion_family")],
@@ -53,16 +57,16 @@ BARRED = {
     ("cli.py", None): {"FAMILY_LABELS.index", "isdigit"},
     # the generic-joints rule is dk.joint_degeneracy's
     ("modes.py", None): {"condition_pairs"},
-    # the certificate takes its caller's joint evaluation
-    ("modes.py", "_certified_mode"): {"joint_trig", "joint_factors", "det_factor", "JointTriplet"},
     # every waypoint, the first included, goes through dk.direct_solution
-    ("modes.py", "track_path"): {"solve_dk", "nearest_solution", "euler_to_rotation"},
+    ("modes.py", "track_path"): {"solve_dk", "euler_to_rotation"},
 }
 NOT_PACKAGE_NAMES = {"isdigit"}  # BARRED names defined outside the package
 RETIRED = {
     "validate",  # ToolConfig checks itself when it is built
     "finite_solutions",  # dk._half_turn builds every direct solution
     "_finite_dk",  # modes._generic evaluates a match's joints once
+    # dk.nearest_direct_solution is the one mode match: no certificate, no fallback
+    "_certified_mode", "_ROUNDING", "_SQRT3", "_match", "nearest_solution",
 }
 
 
@@ -566,11 +570,14 @@ def test_checker_flags_rotation_angle_references(tmp_path):
 def test_checker_flags_joint_evaluations(tmp_path):
     _assert_flags(tmp_path, {"modes.py":
         "from .mechanism import condition_pairs  # condition_pairs\n"
-        "def _certified_mode(j: JointTriplet, r):  # JointTriplet\n"
-        "    q2 = det_factor(*joint_trig(*j.as_tuple()))  # det_factor joint_trig\n"
+        "_ROUNDING, _SQRT3 = 1e-14, math.sqrt(3.0)  # _ROUNDING _SQRT3\n"
+        "def _certified_mode(j: JointTriplet, r):  # _certified_mode\n"
+        "    q2 = det_factor(*joint_trig(*j.as_tuple()))\n"
         "    return solve_dk(j)  # solve_dk\n"
-        "def _match(j, r):\n"
-        "    return dk.solve_dk(j), mechanism.condition_pairs  # solve_dk condition_pairs\n"})
+        "def _match(j, r):  # _match\n"
+        "    return dk.solve_dk(j), mechanism.condition_pairs  # solve_dk condition_pairs\n"
+        "def assembly_mode_for(j, sig):\n"
+        "    return dk.nearest_direct_solution(*_generic(j), sig)  # nearest_direct_solution\n"})
 
 
 def test_checker_flags_builders_and_full_solves(tmp_path):
@@ -590,5 +597,5 @@ def test_barred_rows_go_stale_when_renamed():
     renamed = {"track_path": "follow_path", "solve_dk": "solve_direct", "FAMILY_LABELS": "LABELS"}
     sites = [(m, renamed.get(n, n), r, renamed.get(o, o), line) for m, n, r, o, line in SITES]
     stale = [_stale(sites, *row, BARRED[row]) for row in BARRED]
-    assert stale == [["FAMILY_LABELS is defined nowhere"], [], [], [
+    assert stale == [["FAMILY_LABELS is defined nowhere"], [], [
         "modes.py has no track_path", "solve_dk is defined nowhere"]]

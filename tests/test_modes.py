@@ -28,15 +28,18 @@ from agile_eye import (
     working_mode_signature,
     wrap_angle,
 )
+from agile_eye import dk as dk_module
 from agile_eye import modes
+from agile_eye.dk import nearest_direct_solution
 from agile_eye.mechanism import (
     SIGN_TABLE,
     b_diagonal,
     constraint_residuals,
     det_factor,
+    joint_factors,
     joint_trig,
 )
-from agile_eye.modes import MATCH_TOL, SingularityCrossing, TrackResult, nearest_solution
+from agile_eye.modes import MATCH_TOL, SingularityCrossing, TrackResult
 from agile_eye.singularity import jacobians
 from agile_eye.so3 import ORTHONORMAL_TOL, nearest_flip
 from conftest import (
@@ -261,6 +264,26 @@ def test_direct_solutions_are_half_turns_of_the_first(t1, t2, t3):
     _assert_half_turn_order(JointTriplet(t1, t2, t3))
 
 
+@settings(max_examples=300, deadline=None)
+@given(angles, angles, angles)
+def test_leg_flips_permute_the_direct_solutions(t1, t2, t3):
+    # The working/assembly mode relation from the joint side: turning leg i
+    # by pi negates (s_i, c_i), so it negates residual i and B_ii, and
+    # multiplies q2 by pi(sigma) for the flips sigma.  Every direct solution
+    # of j therefore solves the flipped joints too, with signature
+    # sigma sign(q2) P_k: the four solutions are the same set, solution k
+    # at index SIGN_TABLE.index(pi(sigma) sigma P_k) of the flipped joints.
+    j = JointTriplet(t1, t2, t3)
+    assume(abs(det_factor(*joint_trig(t1, t2, t3))) > 1e-3)
+    mats = [euler_to_rotation(s) for s in solve_dk(j).solutions]
+    for sigma in itertools.product((1, -1), repeat=3):
+        turned = (t + (math.pi if s < 0 else 0.0) for t, s in zip(j.as_tuple(), sigma))
+        flipped = [euler_to_rotation(s) for s in solve_dk(JointTriplet(*turned)).solutions]
+        for k, p in enumerate(SIGN_TABLE):
+            moved = tuple(math.prod(sigma) * s * x for s, x in zip(sigma, p))
+            assert np.max(np.abs(flipped[SIGN_TABLE.index(moved)] - mats[k])) <= 1e-12
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     angles,
@@ -272,6 +295,12 @@ def test_half_turn_order_near_determinant_surface(t1, t2, log_q2, sign):
     j = _near_surface_joints(t1, t2, sign * 10.0**log_q2)
     assume(j is not None)
     _assert_half_turn_order(j)
+
+
+def _nearest(j, r):
+    # the one mode match, on j's own joint evaluation
+    trig = joint_trig(*j.as_tuple())
+    return nearest_direct_solution(trig, *joint_factors(*trig), r)
 
 
 def _assembly_mode_id_by_search(j, r, tol=MATCH_TOL):
@@ -368,8 +397,8 @@ def test_assembly_mode_id_exact_solutions_match_search(t1, t2, t3, k):
     st.sampled_from([-1.0, 1.0, None]),
 )
 def test_direct_solution_residuals_within_rounding_allowance(t1, t2, t3, log_q2, sign):
-    # the certificate's float slack takes solve_dk's residuals below 1e-14,
-    # on uniform joints (sign None) and near the determinant surface
+    # solve_dk's solutions have residuals below 1e-14, a few ulp, on
+    # uniform joints (sign None) and near the determinant surface
     j = JointTriplet(t1, t2, t3) if sign is None else _near_surface_joints(t1, t2, sign * 10.0**log_q2)
     assume(j is not None)
     j, sols = _finite_solutions(*j.as_tuple())
@@ -379,7 +408,7 @@ def test_direct_solution_residuals_within_rounding_allowance(t1, t2, t3, log_q2,
 
 @settings(max_examples=400, deadline=None)
 @given(angles, angles, angles, angles, angles, angles)
-def test_nearest_solution_matches_four_distance_search(t1, t2, t3, phi, theta, psi):
+def test_nearest_direct_solution_matches_four_distance_search(t1, t2, t3, phi, theta, psi):
     # any orientation, assembled or not; where two distances tie within
     # 1e-12, rounding may pick either, so such a case is left out
     j, sols = _finite_solutions(t1, t2, t3)
@@ -387,7 +416,7 @@ def test_nearest_solution_matches_four_distance_search(t1, t2, t3, phi, theta, p
     dists = [rotation_distance(r, euler_to_rotation(s)) for s in sols]
     best = min(range(4), key=dists.__getitem__)
     assume(sorted(dists)[1] - dists[best] > 1e-12)
-    k, dist = nearest_solution(solve_dk(j), r)
+    k, dist = _nearest(j, r)
     assert k == best + 1
     assert abs(dist - dists[best]) <= 1e-15
 
@@ -395,10 +424,11 @@ def test_nearest_solution_matches_four_distance_search(t1, t2, t3, phi, theta, p
 def test_nearest_flip_tie_goes_to_lowest_index():
     # a quarter-turn about x has diagonal (1, 0, 0): the half-turns 1 and 2
     # both give trace 1, and both rotations are quarter-turns
-    assert [np.diag(h).tolist() for h in modes._HALF_TURNS] == [h.tolist() for h in HALF_TURNS]
+    turns = dk_module._HALF_TURNS
+    assert [np.diag(h).tolist() for h in turns] == [h.tolist() for h in HALF_TURNS]
     quarter_x = ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0))
-    assert nearest_flip(quarter_x, modes._HALF_TURNS) == (1, math.pi / 2)
-    swapped = (modes._HALF_TURNS[1], modes._HALF_TURNS[0], *modes._HALF_TURNS[2:])
+    assert nearest_flip(quarter_x, turns) == (1, math.pi / 2)
+    swapped = (turns[1], turns[0], *turns[2:])
     assert nearest_flip(quarter_x, swapped) == (1, math.pi / 2)
 
 
@@ -502,7 +532,7 @@ def test_assembly_mode_id_non_finite_orientation(entry, value):
     assert math.isnan(rotation_distance(r, np.eye(3)))
     assert math.isnan(rotation_distance(np.eye(3), r))
     assert math.isnan(rotation_distance(r, euler_to_rotation(dk.solutions[0])))
-    assert math.isnan(nearest_solution(dk, r)[1])
+    assert math.isnan(_nearest(FIG_JOINTS, r)[1])
     for tol in (MATCH_TOL, 1.0):
         with pytest.raises(NoMatchingSolution):
             assembly_mode_id(FIG_JOINTS, r, tol)
@@ -518,7 +548,7 @@ def test_assembly_mode_id_nan_tol():
 def test_assembly_mode_id_regular_poses_need_no_direct_solve(rng, monkeypatch):
     # At IK solutions with |q2| and every |B_ii| at least 1e-3, working
     # mode sigma is in assembly mode SIGN_TABLE.index(pi(sigma) sigma) + 1,
-    # and the certificate proves it with no direct-kinematics solve.
+    # and the one match finds it with no full direct-kinematics solve.
     cases = []
     while len(cases) < 2000:
         r = random_orientation(rng)
@@ -546,8 +576,8 @@ def test_assembly_mode_id_regular_poses_need_no_direct_solve(rng, monkeypatch):
 )
 def test_assembly_mode_id_declines_degenerate_joints(j, monkeypatch):
     # joints that are not generic are declined by joint_degeneracy, at one
-    # of their own (trivial) orientations too, before any certificate or
-    # solve, with the message of solve_dk's branch
+    # of their own (trivial) orientations too, before any match or solve,
+    # with the message of solve_dk's branch
     r = solve_dk(j).trivial[0]
     branch = solve_dk(j).branch
     solves = count_calls(monkeypatch, "solve_dk", [modes])
@@ -558,8 +588,8 @@ def test_assembly_mode_id_declines_degenerate_joints(j, monkeypatch):
 
 
 def test_diag_b_is_read_from_jacobian_rows(rng, monkeypatch):
-    # jacobians and the certificate build A's rows and take diag(B) from
-    # them; leg_b is for b_diagonal alone
+    # jacobians builds A's rows and takes diag(B) from them, and a mode
+    # match reads no diag(B); leg_b is for b_diagonal alone
     from agile_eye import mechanism, singularity
 
     calls = count_calls(monkeypatch, "leg_b", (mechanism, singularity, modes))
@@ -626,23 +656,19 @@ def test_track_rejects_degenerate_first_waypoint(j, branch, monkeypatch):
     assert solves == {}
 
 
-def test_track_start_declined_by_certificate_keeps_its_mode(monkeypatch):
+def test_track_start_scaled_off_so3_keeps_its_mode(monkeypatch):
     # Scaling an exact solution by 1 + 2e-7 leaves it within rounding of
-    # that solution, but its orthonormality defect alone puts the
-    # certificate's radius above MATCH_TOL: one solve_dk matches it, with
-    # the index and the track of the exact start.
+    # that solution: it is matched with the index and the track of the
+    # exact start, with no solve_dk.
     path = [FIG_JOINTS, JointTriplet(-0.25, -0.65, 0.15), JointTriplet(-0.2, -0.6, 0.2)]
     for k, sol in enumerate(solve_dk(FIG_JOINTS).solutions):
         exact = euler_to_rotation(sol)
         start = exact * (1.0 + 2e-7)
-        trig = joint_trig(*FIG_JOINTS.as_tuple())
-        certified = modes._certified_mode(trig, det_factor(*trig), start)
-        assert certified is None or certified[1] > MATCH_TOL
-        index, dist = nearest_solution(solve_dk(FIG_JOINTS), start)
+        index, dist = _nearest(FIG_JOINTS, start)
         assert index == k + 1 and dist < 1e-15
         solves = count_calls(monkeypatch, "solve_dk", [modes])
         result = track_path(path, start)
-        assert solves == {"agile_eye.modes": 1}
+        assert solves == {}
         monkeypatch.undo()
         assert result.mode_id == k + 1
         assert result == track_path(path, exact)
@@ -921,9 +947,9 @@ def test_track_index_matches_nearest_continuation(rng):
 
 
 def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
-    # The spy sits on the cascade core that solve_dk and direct_solution
-    # share, so it sees the direct solve of every waypoint, path[0]'s
-    # included.
+    # The spy sits on the cascade core that solve_dk, direct_solution and
+    # nearest_direct_solution share, so it sees the start's match on
+    # path[0], then the direct solve of every waypoint, path[0]'s included.
     import agile_eye.dk as dk
 
     solves = []
@@ -949,8 +975,9 @@ def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
             start = euler_to_rotation(solve_dk(path[0]).solutions[mode])
             solves.clear()
             result = track_path(path, start)
-            # one direct solve per reached waypoint, none between them
-            assert solves == [joint_trig(*j.as_tuple()) for j in path[: len(result.eulers)]]
+            # the match, then one direct solve per reached waypoint, none between them
+            reached = path[:1] + path[: len(result.eulers)]
+            assert solves == [joint_trig(*j.as_tuple()) for j in reached]
             for k, (r, e) in enumerate(zip(result.orientations, result.eulers)):
                 assert e == solve_dk(path[k]).solutions[mode]
                 assert np.array_equal(r, euler_to_rotation(e))
@@ -959,9 +986,9 @@ def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
 def test_track_per_waypoint_work(rng, monkeypatch):
     # README's cost statement: every waypoint, path[0]'s included, takes
     # one q2 (joint_factors) and one one-solution solve (direct_solution),
-    # and the cascade core runs once per waypoint.  path[0] is matched by
-    # the certificate on that same q2, with no solve_dk; no waypoint looks
-    # at a condition pair.  On these paths |q2| >= 0.05 at every waypoint
+    # and the cascade core runs once per waypoint.  path[0] is matched on
+    # that same trig and q2 by nearest_direct_solution, which runs the core
+    # once more, with no solve_dk; no waypoint looks at a condition pair.  On these paths |q2| >= 0.05 at every waypoint
     # and L <= 0.6 per segment, so the curvature bound 0.05 - 0.6**2 / 8 >
     # singular_tol clears each whole segment, with no bisection.
     import agile_eye.dk as dk
@@ -995,7 +1022,7 @@ def test_track_per_waypoint_work(rng, monkeypatch):
                 "solve_dk": 0,
                 "direct_solution": len(path),
                 "condition_pairs": 0,
-                "_cascade": len(path),
+                "_cascade": len(path) + 1,
             }
 
 
@@ -1113,13 +1140,13 @@ def _reference_track_path(path, start, cfg=ToolConfig()):
         raise StartNotASolution(
             f"first waypoint has branch {dk0.branch!r}, not finite solutions"
         )
-    mode, dist = nearest_solution(dk0, start)
-    if not dist <= MATCH_TOL:  # NaN fails too
+    dists = [rotation_distance(start, euler_to_rotation(s)) for s in dk0.solutions]
+    best = min(range(4), key=dists.__getitem__)
+    if not dists[best] <= MATCH_TOL:  # NaN fails too
         raise StartNotASolution(
-            f"start orientation is {dist:.3e} rad from the nearest "
+            f"start orientation is {dists[best]:.3e} rad from the nearest "
             f"direct solution (tol {MATCH_TOL:g})"
         )
-    best = mode - 1
     sig = dk0.signatures[best]
     eulers = [dk0.solutions[best]]
     orientations = [euler_to_rotation(eulers[0])]

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agile_eye import (
@@ -16,6 +17,7 @@ from agile_eye import (
     validate_rotation,
     wrap_angle,
 )
+from agile_eye.so3 import rotation_angle
 from conftest import axis_angle_rotation, random_euler
 
 R_TO1 = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
@@ -210,6 +212,27 @@ def test_rotation_distance_accurate_near_half_turn(rng):
         assert abs(rotation_distance(np.eye(3), b) - (math.pi - delta)) < 1e-14
         a = euler_to_rotation(random_euler(rng))
         assert abs(rotation_distance(a, a @ b) - (math.pi - delta)) < 1e-14
+
+
+# rotation-sized entries most of the time, any float or an edge value otherwise
+EDGE_FLOATS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
+)
+SIGN_TRIPLES = [h for signs in ((1, -1), (1.0, -1.0)) for h in itertools.product(signs, repeat=3)]
+
+
+@settings(max_examples=300)
+@given(st.lists(EDGE_FLOATS, min_size=9, max_size=9), st.sampled_from(SIGN_TRIPLES))
+def test_rotation_angle_reads_sign_flips_in_place(entries, h):
+    # the angle of M diag(h) from M and h is bit for bit the angle of the
+    # matrix with its columns flipped, on any entries
+    m = [entries[0:3], entries[3:6], entries[6:9]]
+    flipped = [[x * sign for x, sign in zip(row, h)] for row in m]
+    got, want = rotation_angle(m, h), rotation_angle(flipped)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_rotation_distance_nan_is_nan():
