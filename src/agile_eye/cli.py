@@ -365,7 +365,7 @@ def _csv_rows(path_file: str, text: str):
 
 def _read_path_file(path_file: str, degrees: bool) -> list[JointTriplet]:
     try:
-        with open(path_file, newline="", encoding="utf-8") as fh:
+        with open(path_file, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"{path_file}: {exc}") from exc

@@ -21,7 +21,7 @@ CONFIG_ENV_VAR = "AGILE_CONFIG"
 _FIELD_TYPES = {"residual_tol": float, "singular_tol": float, "grid_n": int, "output_format": str}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToolConfig:
     residual_tol: float = 1e-6
     singular_tol: float = 1e-7

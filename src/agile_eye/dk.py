@@ -44,7 +44,7 @@ from .mechanism import (
     joint_factors,
     joint_trig,
 )
-from .so3 import HALF_PI, EulerZyx, nearest_flip, rotation_entries, wrap_angle
+from .so3 import HALF_PI, EulerZyx, nearest_flip, rotation_entries
 
 # T_k = C diag(h_k), C the cyclic column permutation (column j of C is
 # e_(j-1 mod 3)): h_k holds the nonzero entries T[2, 0], T[0, 1], T[1, 2].
@@ -78,7 +78,7 @@ _PAIR_DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointDegeneracy:
     """Degeneracy class of a joint triplet.
 
@@ -92,7 +92,7 @@ class JointDegeneracy:
     pair: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DkResult:
     """Full direct-kinematics outcome for one joint triplet.
 
@@ -194,7 +194,7 @@ def _fold_half(a: float) -> float:
 
 # Canonical order, keyed by (B11 > 0, q2 > 0) at the cascade's first
 # solution, whose signature is sign(q2) P_m with P_m,3 = sign(q2)
-# (`_cascade`): cascade solution i has signature sign(q2) P_m P_i, so
+# (`cascade`): cascade solution i has signature sign(q2) P_m P_i, so
 # solution k is cascade solution P.index(P_m P_k).
 _ORDERS = {
     (m1 * m3 > 0, m3 > 0): tuple(
@@ -204,14 +204,16 @@ _ORDERS = {
 }
 
 
-def _cascade(trig, q1: float, q2: float):
+def cascade(trig, q1: float, q2: float):
     """The cascade's first solution (theta, psi), both folded to
     (-pi/2, pi/2], their cosines and sines (ct, st, cp, sp), and the
     canonical order (`_ORDERS`) of generic joints with joint trig `trig`
     and joint factors (q1, q2).  theta solves q1 cos(theta) + q2
     sin(theta) = 0, then psi solves p1 cos(psi) + p2 sin(psi) = 0 or
     p3 cos(psi) + p4 sin(psi) = 0; the four solutions are the half-turn
-    table of `DkResult` on (theta3, theta, psi).
+    table of `DkResult` on (theta3, theta, psi).  `solve_dk`,
+    `direct_solution` and `nearest_direct_solution` all read this one
+    output, so a caller that matches and then solves runs it once.
 
     One sign fixes the order.  theta is folded to (-pi/2, pi/2], and the
     float nearest pi/2 lies below pi/2, so cos(theta) > 0.  Leg 3 reads
@@ -240,27 +242,24 @@ def _cascade(trig, q1: float, q2: float):
 
 def _half_turn(i: int, phi: float, theta: float, psi: float) -> EulerZyx:
     """Entry i (0..3) of the half-turn table on the cascade's first
-    solution (phi, theta, psi), equal to EulerZyx of it bit for bit: with
-    phi in (-pi, pi] and theta, psi folded, only theta + pi, psi + pi and
-    -psi + pi can leave (-pi, pi], so only they are wrapped."""
+    solution (phi, theta, psi)."""
     if i >= 2:
-        theta = wrap_angle(theta + math.pi)
-        psi = -psi if i == 2 else wrap_angle(-psi + math.pi)
+        theta, psi = theta + math.pi, -psi if i == 2 else -psi + math.pi
     elif i == 1:
-        psi = wrap_angle(psi + math.pi)
-    return EulerZyx.from_wrapped(phi, theta, psi)
+        psi += math.pi
+    return EulerZyx(phi, theta, psi)
 
 
-def direct_solution(k: int, phi: float, trig, q1: float, q2: float):
+def direct_solution(k: int, phi: float, trig, first):
     """solve_dk's solutions[k] (0..3) of generic joints with third angle
     phi (a JointTriplet's theta3), joint trig `trig` (`joint_trig`) and
-    joint factors (q1, q2) (`joint_factors`), with the nine entries of its
+    cascade output `first` (`cascade`), with the nine entries of its
     matrix, row by row (`rotation_entries`), both bit for bit: what a
     caller that tracks one solution needs.  A sine or cosine is reused
     only where its angle is the same float: (s3, c3) for phi, and the
     cascade's own for theta or psi where the solution keeps them.
     """
-    theta, psi, (ct, st, cp, sp), order = _cascade(trig, q1, q2)
+    theta, psi, (ct, st, cp, sp), order = first
     i = order[k]
     e = _half_turn(i, phi, theta, psi)
     if i >= 2:
@@ -279,10 +278,10 @@ _HALF_TURNS = tuple((p3, p1, p2) for p1, p2, p3 in SIGN_TABLE)
 _ORDER_TURNS = {order: tuple(_HALF_TURNS[i] for i in order) for order in _ORDERS.values()}
 
 
-def nearest_direct_solution(trig, q1: float, q2: float, r) -> tuple[int, float]:
+def nearest_direct_solution(trig, first, r) -> tuple[int, float]:
     """Index k (1..4) of the direct solution of generic joints nearest to r
     (an array or its rows), and its rotation distance, from the joint trig
-    `trig` and joint factors (q1, q2) that `direct_solution` takes.
+    `trig` and cascade output `first` that `direct_solution` takes.
 
     The four solutions are R H_k for the cascade's first solution R
     (`_ORDER_TURNS`), so r^T R_k is M = r^T R with its columns flipped by
@@ -291,7 +290,7 @@ def nearest_direct_solution(trig, q1: float, q2: float, r) -> tuple[int, float]:
     index).  Any two solutions are pi apart.  NaN or infinite entries of r
     give a NaN distance.
     """
-    _, _, (ct, st, cp, sp), order = _cascade(trig, q1, q2)
+    _, _, (ct, st, cp, sp), order = first
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = rotation_entries(
         trig[5], trig[4], ct, st, cp, sp
     )
@@ -314,7 +313,7 @@ def solve_dk(j: JointTriplet) -> DkResult:
     """Solve the direct kinematics for one joint triplet.
 
     Generic joints give four nontrivial Euler solutions in canonical
-    order (`_cascade`): solution k has working-mode signature
+    order (`cascade`): solution k has working-mode signature
     sign(q2) * P_k, with P the mechanism's SIGN_TABLE, which the result
     reports with q2 (`DkResult.signatures`).  Degenerate joints
     (within STRUCTURE_TOL) give the self-motion or trivial-only branch
@@ -336,7 +335,7 @@ def solve_dk(j: JointTriplet) -> DkResult:
         )
     if deg.kind == "trivial_only":
         return DkResult(branch="trivial_only", q2=q2)
-    theta, psi, _, order = _cascade(trig, q1, q2)
+    theta, psi, _, order = cascade(trig, q1, q2)
     solutions = tuple(_half_turn(i, j.theta3, theta, psi) for i in order)
     return DkResult(branch="finite", q2=q2, solutions=solutions)
 

@@ -19,7 +19,7 @@ from .mechanism import SIGNATURES, STRUCTURE_TOL, JointTriplet, WorkingModeSigna
 from .so3 import wrap_angle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LegIkOutcome:
     """Per-leg result: two antipodal angles, or an arbitrary (singular) leg."""
 
@@ -27,7 +27,7 @@ class LegIkOutcome:
     angles: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IkSolutionSet:
     """Outcome of the full inverse-kinematic solve.
 
@@ -79,8 +79,6 @@ def solve_ik(r: np.ndarray, fill_arbitrary: bool = False) -> IkSolutionSet:
     legs = tuple(_leg_outcome(i, n, d) for i, (n, d) in enumerate(leg_table(r), 1))
     if any(leg.arbitrary for leg in legs) and not fill_arbitrary:
         return IkSolutionSet(legs, ())
-    # every angle is in (-pi, pi] already (`_leg_outcome` wraps both), as
-    # is the fill 0.0, so the triplets are built without a second wrap
     options = [(0.0,) if leg.arbitrary else leg.angles for leg in legs]
-    enumerated = tuple(JointTriplet.from_wrapped(*c) for c in itertools.product(*options))
+    enumerated = tuple(JointTriplet(*c) for c in itertools.product(*options))
     return IkSolutionSet(legs, enumerated)

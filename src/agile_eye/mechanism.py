@@ -49,7 +49,7 @@ STRUCTURE_TOL = 1e-9
 SIGN_TABLE = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkingModeSignature:
     """Signs of (B11, B22, B33); one of the 8 working modes."""
 
@@ -76,7 +76,7 @@ class WorkingModeSignature:
 SIGNATURES = {s: WorkingModeSignature(*s) for s in itertools.product((1, -1), repeat=3)}
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class JointTriplet:
     """Active-joint angles (theta1, theta2, theta3), each in (-pi, pi]."""
 
@@ -84,28 +84,19 @@ class JointTriplet:
     theta2: float
     theta3: float
 
-    # Written by hand so that each field is set once, already wrapped.  Not
-    # through self.__dict__, which is cheaper to write but makes CPython
-    # give each instance its own dict: every later field read then takes
-    # about twice as long, and every kinematic call reads these fields.
     def __init__(self, theta1: float, theta2: float, theta3: float):
-        object.__setattr__(self, "theta1", wrap_angle(float(theta1)))
-        object.__setattr__(self, "theta2", wrap_angle(float(theta2)))
-        object.__setattr__(self, "theta3", wrap_angle(float(theta3)))
+        _set_theta1(self, wrap_angle(float(theta1)))
+        _set_theta2(self, wrap_angle(float(theta2)))
+        _set_theta3(self, wrap_angle(float(theta3)))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta1, self.theta2, self.theta3)
 
-    @classmethod
-    def from_wrapped(cls, theta1: float, theta2: float, theta3: float) -> JointTriplet:
-        """The triplet of three floats already in (-pi, pi], stored as
-        given: equal to JointTriplet(theta1, theta2, theta3), without the
-        wraps.  The range is the caller's to guarantee; it is not checked."""
-        j = object.__new__(cls)
-        object.__setattr__(j, "theta1", theta1)
-        object.__setattr__(j, "theta2", theta2)
-        object.__setattr__(j, "theta3", theta3)
-        return j
+
+# each slot is written once, already wrapped, through its member descriptor
+_set_theta1, _set_theta2, _set_theta3 = (
+    JointTriplet.theta1.__set__, JointTriplet.theta2.__set__, JointTriplet.theta3.__set__
+)
 
 
 def joint_trig(t1: float, t2: float, t3: float):

@@ -13,8 +13,8 @@ sigma) + 1: +++ and --- are in mode 1, --+ and ++- in 2, +-- and -++ in
 3, -+- and +-+ in 4.
 
 `assembly_mode_id` is one match: it evaluates the joints once
-(`_generic`: their trig and joint factors, and `dk.joint_degeneracy`'s
-decision that they are generic), then `dk.nearest_direct_solution` finds
+(`_generic`: their trig and joint factors, `dk.joint_degeneracy`'s
+decision that they are generic, and the cascade core), then `dk.nearest_direct_solution` finds
 the direct solution nearest r, and its distance, from the cascade's first
 solution alone, with no full direct-kinematics solve.
 
@@ -26,12 +26,13 @@ order ties each index 1..4 to a signature.  Tracking is therefore two
 steps per segment: certify by Lipschitz and curvature bounds that |q2|
 stays above the singular tolerance, then take the end waypoint's direct
 solution with the start's index.  Every waypoint, the first included,
-costs one joint trig and one solve of the tracked solution alone
-(`dk.direct_solution`, which hands over its Euler triple already wrapped
-and its nine matrix entries), and its q2 ends one certificate and starts
-the next; the first one's index is matched as in assembly_mode_id, on
-that same joint trig and q2.  The entries of all waypoints go into one
-flat list that becomes one (N, 3, 3) array at the end.
+costs one joint trig, one run of the cascade core (`dk.cascade`) and one
+solve of the tracked solution alone (`dk.direct_solution`, which hands
+over its Euler triple and its nine matrix entries), and its q2 ends one
+certificate and starts the next; the first one's index is matched as in
+assembly_mode_id, on that same joint trig and cascade output.  The
+entries of all waypoints go into one flat list that becomes one
+(N, 3, 3) array at the end.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ToolConfig
 from .dk import (
     SOLUTION_SIGNATURES,
+    cascade,
     direct_solution,
     joint_degeneracy,
     nearest_direct_solution,
@@ -72,7 +74,7 @@ from .so3 import EulerZyx, wrap_angle
 MATCH_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingularityCrossing:
     """Report of a singularity encountered while tracking a path."""
 
@@ -80,7 +82,7 @@ class SingularityCrossing:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackResult:
     """Orientation path produced by track_path.
 
@@ -121,9 +123,9 @@ def working_mode_signature(j: JointTriplet, r: np.ndarray) -> WorkingModeSignatu
 
 
 def _generic(j: JointTriplet):
-    """(trig, q1, q2): the joint trig (`joint_trig`) and joint factors of
-    generic joints; DegenerateJoints on any other (`joint_degeneracy`),
-    ValueError on a NaN joint."""
+    """(trig, q2, first): the joint trig (`joint_trig`), determinant factor
+    and cascade output (`dk.cascade`) of generic joints; DegenerateJoints
+    on any other (`joint_degeneracy`), ValueError on a NaN joint."""
     trig = joint_trig(*j.as_tuple())
     q1, q2 = joint_factors(*trig)
     kind = joint_degeneracy(j, trig, q2).kind
@@ -131,7 +133,7 @@ def _generic(j: JointTriplet):
         raise DegenerateJoints(
             f"direct kinematics branch is {kind!r}; finite solutions required"
         )
-    return trig, q1, q2
+    return trig, q2, cascade(trig, q1, q2)
 
 
 def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
@@ -143,10 +145,10 @@ def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
     (`dk.direct_solution`, bit for bit solve_dk's); joints that are not
     generic raise DegenerateJoints.
     """
-    trig, q1, q2 = _generic(j)
+    trig, q2, first = _generic(j)
     signatures = SOLUTION_SIGNATURES[q2 > 0.0]
     if sig in signatures:
-        return direct_solution(signatures.index(sig), j.theta3, trig, q1, q2)[0]
+        return direct_solution(signatures.index(sig), j.theta3, trig, first)[0]
     raise NoSuchMode(
         f"signature {sig.label} not realized: these joints admit the "
         f"sign-product {'+' if q2 > 0.0 else '-'} group only"
@@ -163,8 +165,8 @@ def assembly_mode_id(
     generic ones are matched against their four direct solutions by
     `dk.nearest_direct_solution`.
     """
-    trig, q1, q2 = _generic(j)
-    idx, dist = nearest_direct_solution(trig, q1, q2, r)
+    trig, _, first = _generic(j)
+    idx, dist = nearest_direct_solution(trig, first, r)
     if not dist <= tol:
         raise NoMatchingSolution(
             "orientation matches no nontrivial direct solution of these joints"
@@ -231,7 +233,8 @@ def track_path(
     |q2| > cfg.singular_tol (see _segment_crossing); every waypoint's
     orientation, path[0]'s too, is the direct solution with that index,
     solved alone by `direct_solution` (bit for bit the solution solve_dk
-    returns, and its matrix).  Inside one sign domain of q2 every B_ii is
+    returns, and its matrix) from one `cascade` per waypoint, the one the
+    match read on path[0].  Inside one sign domain of q2 every B_ii is
     nonzero, so each solution keeps its working-mode signature and the
     canonical order pins the index to that signature.  A
     SingularityCrossing is reported on the first segment that is not
@@ -258,14 +261,15 @@ def track_path(
     kind = joint_degeneracy(a, trig, qa).kind
     if kind != "generic":
         raise StartNotASolution(f"first waypoint has branch {kind!r}, not finite solutions")
-    mode, dist = nearest_direct_solution(trig, q1, qa, start)
+    first = cascade(trig, q1, qa)
+    mode, dist = nearest_direct_solution(trig, first, start)
     if not dist <= MATCH_TOL:  # NaN fails too
         raise StartNotASolution(
             f"start orientation is {dist:.3e} rad from the nearest "
             f"direct solution (tol {MATCH_TOL:g})"
         )
     best, sig = mode - 1, SOLUTION_SIGNATURES[qa > 0.0][mode - 1]
-    e, entries = direct_solution(best, a.theta3, trig, q1, qa)
+    e, entries = direct_solution(best, a.theta3, trig, first)
     eulers = [e]
     # every waypoint's nine matrix entries, row by row: one array at the end
     flat = list(entries)
@@ -281,7 +285,7 @@ def track_path(
         if reason is not None:
             crossing = SingularityCrossing(seg, reason)
             return _track_result(flat, eulers, mode, sig, crossing)
-        e, entries = direct_solution(best, b.theta3, trig, q1, qb)
+        e, entries = direct_solution(best, b.theta3, trig, cascade(trig, q1, qb))
         eulers.append(e)
         flat += entries
         a, qa = b, qb

@@ -64,7 +64,7 @@ from .mechanism import (
 from .so3 import rotation_distance, wrap_angle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JacobianPair:
     """Matrix A (rows w_i x v_i) and the diagonal of B."""
 
@@ -72,7 +72,7 @@ class JacobianPair:
     b_diag: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingularityClass:
     """Classification of an assembled configuration.
 

@@ -34,7 +34,7 @@ def wrap_angle(x: float) -> float:
     return math.pi if y == -math.pi else y
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class EulerZyx:
     """ZYX Euler triplet (phi, theta, psi); each angle normalized to (-pi, pi]."""
 
@@ -42,28 +42,19 @@ class EulerZyx:
     theta: float
     psi: float
 
-    # Written by hand so that each field is set once, already wrapped, into
-    # the instance dict: half the cost of object.__setattr__, though each
-    # later field read takes about twice as long, which suits a result that
-    # is read once or twice (JointTriplet, read by every call, does not).
     def __init__(self, phi: float, theta: float, psi: float):
-        fields = self.__dict__
-        fields["phi"] = wrap_angle(float(phi))
-        fields["theta"] = wrap_angle(float(theta))
-        fields["psi"] = wrap_angle(float(psi))
+        _set_phi(self, wrap_angle(float(phi)))
+        _set_theta(self, wrap_angle(float(theta)))
+        _set_psi(self, wrap_angle(float(psi)))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi, self.theta, self.psi)
 
-    @classmethod
-    def from_wrapped(cls, phi: float, theta: float, psi: float) -> EulerZyx:
-        """The triplet of three floats already in (-pi, pi], stored as
-        given: equal to EulerZyx(phi, theta, psi), without the wraps.  The
-        range is the caller's to guarantee; it is not checked."""
-        e = object.__new__(cls)
-        fields = e.__dict__
-        fields["phi"], fields["theta"], fields["psi"] = phi, theta, psi
-        return e
+
+# each slot is written once, already wrapped, through its member descriptor
+_set_phi, _set_theta, _set_psi = (
+    EulerZyx.phi.__set__, EulerZyx.theta.__set__, EulerZyx.psi.__set__
+)
 
 
 def rotation_entries(cf, sf, ct, st, cp, sp) -> tuple[float, ...]:

@@ -45,7 +45,7 @@ DEGENERACY_TAGS = ("generic", "self_motion", "trivial_only")
 _CHUNK_CELLS = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     """One grid cell of the sweep."""
 

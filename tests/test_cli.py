@@ -366,14 +366,17 @@ def test_track_skips_blank_path_rows(runner, tmp_path):
     from agile_eye import JointTriplet, solve_dk
 
     path = tmp_path / "path.csv"
-    path.write_text("theta1,theta2,theta3\n\n-0.3,-0.7,0.1\n , ,\n-0.3,-0.7,0.1\n\n")
     start = solve_dk(JointTriplet(-0.3, -0.7, 0.1)).solutions[0]
-    result = invoke(
-        runner,
-        ["track", str(path), "--start-euler", *(repr(a) for a in start.as_tuple())],
-    )
-    assert result.exit_code == 0
-    assert [s["step"] for s in json.loads(result.output)["steps"]] == [0, 1]
+    # a UTF-8 byte order mark, as spreadsheet "CSV UTF-8" exports write, is not header text
+    for bom in ("", "\ufeff"):
+        text = "theta1,theta2,theta3\n\n-0.3,-0.7,0.1\n , ,\n-0.3,-0.7,0.1\n\n"
+        path.write_text(bom + text, encoding="utf-8")
+        result = invoke(
+            runner,
+            ["track", str(path), "--start-euler", *(repr(a) for a in start.as_tuple())],
+        )
+        assert result.exit_code == 0
+        assert [s["step"] for s in json.loads(result.output)["steps"]] == [0, 1]
 
 
 def test_track_degrees_path_rows_match_radians(runner, tmp_path):

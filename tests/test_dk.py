@@ -29,7 +29,7 @@ from agile_eye import (
     validate_rotation,
     working_mode_signature,
 )
-from agile_eye.dk import direct_solution, nearest_trivial
+from agile_eye.dk import cascade, direct_solution, nearest_trivial
 from agile_eye.mechanism import STRUCTURE_TOL, det_factor, joint_factors, joint_trig
 from conftest import (
     HALF_PI,
@@ -276,7 +276,7 @@ def test_direct_solution_is_half_turn_table_entry_bit_for_bit(t1, t2, t3):
     assume(classify_joint_degeneracy(j).kind == "generic")
     dk = solve_dk(j)
     for k, want in enumerate(_half_turn_table(j, dk)):
-        e, entries = direct_solution(k, j.theta3, trig, q1, q2)
+        e, entries = direct_solution(k, j.theta3, trig, cascade(trig, q1, q2))
         assert e == want == dk.solutions[k]
         for got in (e, dk.solutions[k]):
             assert list(map(_bits, got.as_tuple())) == list(map(_bits, want.as_tuple()))

@@ -49,7 +49,7 @@ HOMES = {
     ("rotation_angle", "import name attr"):
         [("so3.py", "nearest_flip"), ("so3.py", "rotation_distance")],
     # one builder of a finite direct solution, for solve_dk and direct_solution alike
-    ("EulerZyx.from_wrapped", "call"): [("dk.py", "_half_turn")],
+    ("EulerZyx", "call"): [("dk.py", "_half_turn")],
 }
 # (module, owner or None for the whole module): names with no site there
 BARRED = {
@@ -67,6 +67,7 @@ RETIRED = {
     "_finite_dk",  # modes._generic evaluates a match's joints once
     # dk.nearest_direct_solution is the one mode match: no certificate, no fallback
     "_certified_mode", "_ROUNDING", "_SQRT3", "_match", "nearest_solution",
+    "from_wrapped",  # one constructor per value type, which wraps every angle it stores
 }
 
 
@@ -226,6 +227,25 @@ def _private_module_reads(path: Path, modules):
         and isinstance(node.value, ast.Name)
         and node.value.id in aliases
     ]
+
+
+def _slotless_dataclasses(path: Path):
+    """(line, name) of every class decorated `dataclass` (bare, called or as
+    an attribute) with neither `slots=True` nor a `__slots__` of its own."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        own = [t for s in node.body if isinstance(s, ast.Assign) for t in s.targets]
+        if "__slots__" in {getattr(t, "id", None) for t in own}:
+            continue
+        for deco in node.decorator_list:
+            func, keywords = (deco.func, deco.keywords) if isinstance(deco, ast.Call) else (deco, [])
+            if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
+                continue
+            if not any(k.arg == "slots" and getattr(k.value, "value", None) is True for k in keywords):
+                found.append((node.lineno, node.name))
+    return found
 
 
 def _from_angles_in(call: ast.Call) -> bool:
@@ -455,6 +475,34 @@ def test_checker_flags_formula_copies(tmp_path):
     assert _private_module_reads(probe, {"dk", "so3"}) == [(10, "dk", "_ORDERS"), (10, "so3", "_private")]
 
 
+def test_dataclasses_have_slots():
+    # value objects have no instance dict; SweepResult caches its arrays in one
+    slotless = [(path.name, name) for path in MODULES for _, name in _slotless_dataclasses(path)]
+    assert slotless == [("sweep.py", "SweepResult")]
+
+
+def test_checker_flags_slotless_dataclasses(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import dataclasses\n"
+        "@dataclass\n"
+        "class Bare: x: int\n"
+        "@dataclass(frozen=True)\n"
+        "class Frozen: x: int\n"
+        "@dataclasses.dataclass(frozen=True, slots=False)\n"
+        "class Dotted: x: int\n"
+        "@dataclass(frozen=True, slots=True)\n"
+        "class Slots: x: int\n"
+        "@dataclass\n"
+        "class Own:\n"
+        "    __slots__ = ('x',)\n"
+        "class Plain: x: int\n"
+        "@functools.total_ordering\n"
+        "class Ordered: pass\n"
+    )
+    assert _slotless_dataclasses(probe) == [(3, "Bare"), (5, "Frozen"), (7, "Dotted")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     unused = [name for _, name in _unused_imports(path) if (path.name, name) not in PATCHED_IMPORTS]
@@ -583,12 +631,14 @@ def test_checker_flags_joint_evaluations(tmp_path):
 def test_checker_flags_builders_and_full_solves(tmp_path):
     _assert_flags(tmp_path, {"dk.py":
         "def finite_solutions(phi, q1, q2):  # finite_solutions\n"
-        "    return EulerZyx.from_wrapped(phi, q1, q2)  # EulerZyx.from_wrapped\n"
-        "finite_solutions = JointTriplet.from_wrapped  # finite_solutions\n"
-        "def other(finite_solutions): return finite_solutions  # finite_solutions\n", "modes.py":
+        "    return EulerZyx.from_wrapped(phi, q1, q2)  # from_wrapped\n"
+        "finite_solutions = JointTriplet.from_wrapped  # finite_solutions from_wrapped\n"
+        "def other(finite_solutions): return finite_solutions  # finite_solutions\n"
+        "def direct_solution(k, e): return so3.EulerZyx(*e), EulerZyx  # EulerZyx\n", "modes.py":
         "def track_path(path, start):\n"
         "    dk0 = modes.solve_dk(path[0])  # solve_dk solve_dk\n"
-        "    rows = [EulerZyx.from_wrapped(*e) for e in dk0]  # EulerZyx.from_wrapped\n"
+        "    rows = [EulerZyx.from_wrapped(*e) for e in dk0]  # from_wrapped\n"
+        "    first = EulerZyx(*dk0.solutions[0])  # EulerZyx\n"
         "    return euler_to_rotation, nearest_solution  # euler_to_rotation nearest_solution\n"})
 
 

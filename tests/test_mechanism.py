@@ -1,16 +1,23 @@
+import copy
 import dataclasses
-import gc
+import importlib
 import math
+import pickle
+import pkgutil
+import weakref
 
 import numpy as np
 import pytest
 
+import agile_eye
+import agile_eye.config
 from agile_eye import (
     JointTriplet,
     constraint_residuals,
     euler_to_rotation,
     solve_ik,
     trivial_orientations,
+    wrap_angle,
 )
 from agile_eye.mechanism import STRUCTURE_TOL, as_rows
 from conftest import (
@@ -75,23 +82,95 @@ def test_residual_trig_expansions(rng):
         assert abs(res[2] - f3) < 1e-12
 
 
-def test_joint_triplets_keep_the_default_dataclass_layout():
-    # a triplet whose fields were written through self.__dict__ would own
-    # a dict (CPython 3.11+), which makes every later field read slower
-    @dataclasses.dataclass(frozen=True)
-    class Default:
-        theta1: float
-        theta2: float
-        theta3: float
+def _built_values():
+    """One instance of each package value type, as the package builds it."""
+    j = JointTriplet(-0.3, -0.7, 0.1)
+    dk = agile_eye.solve_dk(j)
+    r = euler_to_rotation(dk.solutions[0])
+    ik = solve_ik(r)
+    path = [(0.0, 0.0, 0.0), (0.4, 0.1, 0.0), (2.5, 0.1, 0.0)]  # q2 changes sign
+    start = euler_to_rotation(agile_eye.solve_dk(JointTriplet(*path[0])).solutions[1])
+    track = agile_eye.track_path(path, start)
+    values = [
+        ik.enumerated[5], dk.signatures[2], dk.solutions[3], dk, ik.legs[0], ik,
+        agile_eye.classify_joint_degeneracy(JointTriplet(0.3, 0.0, math.pi / 2)),
+        track.crossing, track, agile_eye.jacobians(j, r),
+        agile_eye.classify_configuration(j, r),
+        next(agile_eye.iter_records(agile_eye.run_sweep(8))),
+        agile_eye.config.parse_config_text("grid_n = 9"),
+    ]
+    return {type(v).__name__: v for v in values}
 
-    def layout(x):
-        return [type(ref) for ref in gc.get_referents(x)]
 
-    want = layout(Default(0.1, 0.2, 0.3))
-    assert layout(JointTriplet(0.1, 0.2, 0.3)) == want
-    assert layout(JointTriplet.from_wrapped(0.1, 0.2, 0.3)) == want
-    sols = solve_ik(euler_to_rotation((0.100, -0.672, -0.383))).enumerated
-    assert len(sols) == 8 and all(layout(j) == want for j in sols)
+VALUES = _built_values()
+
+
+def _same(a, b) -> bool:
+    """Equal type and contents, float bits and array bytes included."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    return a == b
+
+
+def _outcome(f):
+    # a result, or the type of the exception raised (arrays compare to no bool)
+    try:
+        return f()
+    except Exception as exc:
+        return type(exc)
+
+
+def test_value_types_cover_the_package_dataclasses():
+    # SweepResult alone keeps an instance dict, for its cached arrays
+    modules = [
+        importlib.import_module(f"agile_eye.{m.name}")
+        for m in pkgutil.iter_modules(agile_eye.__path__)
+        if m.name != "__main__"  # importing it runs the CLI
+    ]
+    found = {
+        name
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+    }
+    assert found - {"SweepResult"} == set(VALUES)
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_type_contract(name):
+    # frozen slots dataclasses: no instance dict or weakref, and the
+    # pickle, deepcopy, ==, hash and replace of the default layout
+    x = VALUES[name]
+    assert not hasattr(x, "__dict__")
+    for inspect in (vars, weakref.ref):
+        with pytest.raises(TypeError):
+            inspect(x)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert _same(pickle.loads(pickle.dumps(x, protocol)), x)
+    y = copy.deepcopy(x)
+    assert y is not x and _same(y, x)
+
+    def key(v):
+        return tuple(getattr(v, f.name) for f in dataclasses.fields(v) if f.compare)
+
+    assert _outcome(lambda: x == y) == _outcome(lambda: key(x) == key(y))
+    assert _outcome(lambda: hash(x)) == _outcome(lambda: hash(key(x)))
+    for f in dataclasses.fields(x):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, f.name, getattr(x, f.name))
+    if name in ("JointTriplet", "EulerZyx"):
+        first = dataclasses.fields(x)[0].name
+        moved = dataclasses.replace(x, **{first: 7.0})
+        assert _same(moved.as_tuple(), (wrap_angle(7.0), *x.as_tuple()[1:]))
 
 
 def singular_legs(r) -> tuple[bool, bool, bool]:

@@ -30,7 +30,7 @@ from agile_eye import (
 )
 from agile_eye import dk as dk_module
 from agile_eye import modes
-from agile_eye.dk import nearest_direct_solution
+from agile_eye.dk import cascade, nearest_direct_solution
 from agile_eye.mechanism import (
     SIGN_TABLE,
     b_diagonal,
@@ -300,7 +300,7 @@ def test_half_turn_order_near_determinant_surface(t1, t2, log_q2, sign):
 def _nearest(j, r):
     # the one mode match, on j's own joint evaluation
     trig = joint_trig(*j.as_tuple())
-    return nearest_direct_solution(trig, *joint_factors(*trig), r)
+    return nearest_direct_solution(trig, cascade(trig, *joint_factors(*trig)), r)
 
 
 def _assembly_mode_id_by_search(j, r, tol=MATCH_TOL):
@@ -947,19 +947,20 @@ def test_track_index_matches_nearest_continuation(rng):
 
 
 def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
-    # The spy sits on the cascade core that solve_dk, direct_solution and
-    # nearest_direct_solution share, so it sees the start's match on
-    # path[0], then the direct solve of every waypoint, path[0]'s included.
+    # The spy sits on the cascade core, in modes and in dk, so it sees one
+    # run per reached waypoint, path[0]'s included: the start's match hands
+    # its output to path[0]'s direct solve.
     import agile_eye.dk as dk
 
     solves = []
-    core = dk._cascade
+    core = dk.cascade
 
     def counting(trig, q1, q2):
         solves.append(trig)
         return core(trig, q1, q2)
 
-    monkeypatch.setattr(dk, "_cascade", counting)
+    for module in (modes, dk):
+        monkeypatch.setattr(module, "cascade", counting)
     paths = _in_domain_paths(rng, 25)
     # and a path that ends at a sign change after two clean segments
     paths.append(
@@ -975,8 +976,8 @@ def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
             start = euler_to_rotation(solve_dk(path[0]).solutions[mode])
             solves.clear()
             result = track_path(path, start)
-            # the match, then one direct solve per reached waypoint, none between them
-            reached = path[:1] + path[: len(result.eulers)]
+            # one cascade per reached waypoint, none between them
+            reached = path[: len(result.eulers)]
             assert solves == [joint_trig(*j.as_tuple()) for j in reached]
             for k, (r, e) in enumerate(zip(result.orientations, result.eulers)):
                 assert e == solve_dk(path[k]).solutions[mode]
@@ -985,16 +986,17 @@ def test_track_waypoints_are_exact_direct_solutions(rng, monkeypatch):
 
 def test_track_per_waypoint_work(rng, monkeypatch):
     # README's cost statement: every waypoint, path[0]'s included, takes
-    # one q2 (joint_factors) and one one-solution solve (direct_solution),
-    # and the cascade core runs once per waypoint.  path[0] is matched on
-    # that same trig and q2 by nearest_direct_solution, which runs the core
-    # once more, with no solve_dk; no waypoint looks at a condition pair.  On these paths |q2| >= 0.05 at every waypoint
-    # and L <= 0.6 per segment, so the curvature bound 0.05 - 0.6**2 / 8 >
-    # singular_tol clears each whole segment, with no bisection.
+    # one q2 (joint_factors), one run of the cascade core and one
+    # one-solution solve (direct_solution).  path[0] is matched by
+    # nearest_direct_solution on that same trig and cascade output, with no
+    # solve_dk; no waypoint looks at a condition pair.  On these paths
+    # |q2| >= 0.05 at every waypoint and L <= 0.6 per segment, so the
+    # curvature bound 0.05 - 0.6**2 / 8 > singular_tol clears each whole
+    # segment, with no bisection.
     import agile_eye.dk as dk
 
-    names = ("det_factor", "joint_factors", "solve_dk", "direct_solution")
-    calls = dict.fromkeys((*names, "condition_pairs", "_cascade"), 0)
+    names = ("det_factor", "joint_factors", "solve_dk", "direct_solution", "cascade")
+    calls = dict.fromkeys((*names, "condition_pairs"), 0)
 
     def spy(module, name):
         real = getattr(module, name)
@@ -1007,9 +1009,9 @@ def test_track_per_waypoint_work(rng, monkeypatch):
 
     for name in names:
         spy(modes, name)
-    # joint_degeneracy reads the pairs from dk, and both solvers the core
+    # joint_degeneracy reads the pairs from dk, and dk's solvers the core
     spy(dk, "condition_pairs")
-    spy(dk, "_cascade")
+    spy(dk, "cascade")
     for path in _in_domain_paths(rng, 25, step=0.2):
         for mode in range(4):
             start = euler_to_rotation(solve_dk(path[0]).solutions[mode])
@@ -1021,8 +1023,8 @@ def test_track_per_waypoint_work(rng, monkeypatch):
                 "joint_factors": len(path),
                 "solve_dk": 0,
                 "direct_solution": len(path),
+                "cascade": len(path),
                 "condition_pairs": 0,
-                "_cascade": len(path) + 1,
             }
 
 
