@@ -64,12 +64,20 @@ from .mechanism import (
 from .so3 import rotation_distance, wrap_angle
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class JacobianPair:
-    """Matrix A (rows w_i x v_i) and the diagonal of B."""
+    """Matrix A (rows w_i x v_i) and the diagonal of B.  Two pairs are
+    equal when their arrays are; like its arrays, a pair is unhashable."""
 
     a: np.ndarray
     b_diag: np.ndarray
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.a, other.a) and np.array_equal(self.b_diag, other.b_diag)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True, slots=True)

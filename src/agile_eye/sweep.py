@@ -17,8 +17,10 @@ line.  Along a line q2 = rho sin(theta3 + alpha), so a line holds a few
 runs, not grid_n cells.  Runs of equal nonzero code in two lines that
 are neighbours along axis 1 or 2 (with wrap) touch when one run's start
 lies inside the other; the first and last run of a line touch across
-the theta3 wrap.  A union-find over those pairs, in numpy, leaves each
-set rooted at its first run in scan order.
+the theta3 wrap.  A union-find in numpy joins those pairs one relation
+at a time (the theta3 wrap, then the lines at i1 + 1, i1 - 1, i2 + 1
+and i2 - 1), so it never holds more than one relation's pairs, and
+leaves each set rooted at its first run in scan order.
 
 run_sweep keeps only the int8 sign code, evaluated a few theta1 slabs
 at a time, and returns the summary with the runs.  det_a, degeneracy
@@ -133,9 +135,14 @@ def _component_roots(start: np.ndarray, code: np.ndarray, n: int) -> np.ndarray:
     on wall runs.  start holds the runs' flat start cells in scan order
     and code their sign codes."""
     k0 = start % n
+    root = np.arange(len(start))
+    # Across the theta3 wrap: a line's last run to its first.
+    first = np.flatnonzero(k0 == 0)
+    last = np.append(first[1:], len(start)) - 1
+    wrap = (last != first) & (code[first] == code[last]) & (code[first] != 0)
+    root = _join(root, first[wrap], last[wrap])
     live = np.flatnonzero(code)
     i1, i2 = np.divmod(start[live] // n, n)
-    up, vp = [], []
     # The run of a neighbouring line that holds this run's start cell
     # (each line's first run starts at k = 0, so it is in that line).
     for other in (
@@ -146,25 +153,22 @@ def _component_roots(start: np.ndarray, code: np.ndarray, n: int) -> np.ndarray:
     ):
         hit = np.searchsorted(start, other * n + k0[live], side="right") - 1
         same = code[hit] == code[live]
-        up.append(live[same])
-        vp.append(hit[same])
-    # Across the theta3 wrap: a line's last run to its first.
-    first = np.flatnonzero(k0 == 0)
-    last = np.append(first[1:], len(start)) - 1
-    wrap = (last != first) & (code[first] == code[last]) & (code[first] != 0)
-    up.append(first[wrap])
-    vp.append(last[wrap])
-    u, v = np.concatenate(up), np.concatenate(vp)
+        root = _join(root, live[same], hit[same])
+    root[code == 0] = -1
+    return root
 
-    # Hook each larger root under the smaller, then pointer-jump until
-    # every run points at its root; a set's root is never hooked, so it
-    # ends as its smallest run index.
-    root = np.arange(len(start))
+
+def _join(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The union-find array root, which it may update in place, with each
+    pair (u, v) joined.  root must point every run at its root; so does
+    the result.  Each larger root is hooked under the smaller, then
+    pointers jump until stable; a set's smallest run is never hooked, so
+    it stays the set's root."""
     while True:
         ru, rv = root[u], root[v]
         apart = ru != rv
         if not apart.any():
-            break
+            return root
         u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
@@ -172,8 +176,6 @@ def _component_roots(start: np.ndarray, code: np.ndarray, n: int) -> np.ndarray:
             if np.array_equal(jumped, root):
                 break
             root = jumped
-    root[code == 0] = -1
-    return root
 
 
 def _number_components(runs: tuple) -> np.ndarray:

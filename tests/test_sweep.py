@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,13 +287,13 @@ def test_sweep_equal_to_meshgrid_reference_property(n, singular_tol):
 
 
 def _run_labels(code):
-    """Component ids and per-run roots of an int8 sign code by the
-    package's run labelling, as run_sweep uses it."""
+    """Component ids, per-run roots and run start cells of an int8 sign
+    code by the package's run labelling, as run_sweep uses it."""
     n = code.shape[0]
     start = sweep_module._line_starts(code.reshape(-1, n))
     root = sweep_module._component_roots(start, code.reshape(-1)[start], n)
     runs = (np.diff(start, append=code.size), root)
-    return sweep_module._number_components(runs).reshape(code.shape), root
+    return sweep_module._number_components(runs).reshape(code.shape), root, start
 
 
 @st.composite
@@ -317,13 +318,20 @@ def sign_codes(draw):
 @settings(max_examples=150, deadline=None)
 @given(sign_codes())
 def test_run_labels_equal_to_scipy_periodic_reference(code):
-    ids, root = _run_labels(code)
+    ids, root, start = _run_labels(code)
     expected = _reference_ids(code)
     assert ids.dtype == expected.dtype
     np.testing.assert_array_equal(ids, expected)
     # one root per component
     n_components = int(expected.max()) + 1
     assert np.count_nonzero(root == np.arange(len(root))) == n_components
+    # each live run's root is the smallest run index of its component, by
+    # the reference ids (_number_components and the summary's is_root
+    # read this rule); wall runs get -1
+    run_ids = expected.reshape(-1)[start]
+    components, smallest = np.unique(run_ids, return_index=True)
+    smallest_run = np.where(run_ids < 0, -1, smallest[np.searchsorted(components, run_ids)])
+    np.testing.assert_array_equal(root, smallest_run)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -338,9 +346,28 @@ def test_run_labels_join_across_each_wrap_face(axis):
             cell = [at, at, at]
             cell[axis] = k
             code[tuple(cell)] = sign
-    ids, _ = _run_labels(code)
+    ids, *_ = _run_labels(code)
     np.testing.assert_array_equal(ids, _reference_ids(code))
     assert sorted(np.unique(ids).tolist()) == [-1, 0, 1, 2]
+
+
+def test_run_sweep_peak_memory_per_cell():
+    # Summary-only, run_sweep holds the int8 code, the singular mask and
+    # one neighbour relation's union-find pairs at a time.  The traced
+    # peak after a warm-up call stays at or below 6 B per cell at n=128
+    # (4.9 measured; a union-find holding every relation's pairs at once
+    # reads 9.4).
+    n = 128
+    cfg = ToolConfig(singular_tol=1e-7)
+    run_sweep(n, cfg)
+    tracemalloc.start()
+    try:
+        run_sweep(n, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_cell = peak / n**3
+    assert per_cell <= 6.0, f"run_sweep({n}) traced peak {per_cell:.2f} B/cell, above 6"
 
 
 def test_run_sweep_rejects_bad_grid_and_tolerance():
