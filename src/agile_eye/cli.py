@@ -61,48 +61,28 @@ def _fmt(x: float) -> str:
 
 def _json(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, .17g floats."""
-    out = io.StringIO()
-    _write_json(obj, out)
-    return out.getvalue()
-
-
-def _write_json(obj, out) -> None:
     if obj is None:
-        out.write("null")
-    elif obj is True:
-        out.write("true")
-    elif obj is False:
-        out.write("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.write(_fmt(obj))
-    elif isinstance(obj, str):
-        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        out.write("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.write(", ")
-            out.write(f'"{k}": ')
-            _write_json(v, out)
-        out.write("}")
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt(obj)
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, dict):
+        brackets, items = "{}", [(_json(str(k)) + ": ", v) for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.write(", ")
-            _write_json(v, out)
-        out.write("]")
-    elif isinstance(obj, np.ndarray):
-        _write_json(obj.tolist(), out)
+        brackets, items = "[]", [("", v) for v in obj]
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+    return brackets[0] + ", ".join(key + _json(v) for key, v in items) + brackets[1]
 
 
 def _cell(x) -> str:
     """One CSV cell: floats through _fmt, None empty, anything else str."""
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):
         return _fmt(x)
     return "" if x is None else str(x)
 
@@ -137,10 +117,6 @@ def _angles_in(name: str, values, degrees: bool):
     _require_finite(name, values)
     conv = math.radians if degrees else float
     return tuple(conv(v) for v in values)
-
-
-def _matrix_rows(r: np.ndarray):
-    return [[float(x) for x in row] for row in r]
 
 
 def _parse_orientation(euler, matrix, degrees: bool, prefix: str = "") -> np.ndarray:
@@ -212,7 +188,7 @@ def ik(ctx, euler, matrix, fill_arbitrary):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "ik",
-        "orientation": _matrix_rows(r),
+        "orientation": r.tolist(),
         "legs": [
             {
                 "leg": i + 1,
@@ -244,7 +220,7 @@ def dk(ctx, joints):
         "command": "dk",
         "joints": _angles_out(j.as_tuple(), degrees),
         "branch": result.branch,
-        "trivial": [_matrix_rows(m) for m in result.trivial],
+        "trivial": [m.tolist() for m in result.trivial],
     }
     if result.is_finite:
         doc["solutions"] = [
@@ -279,11 +255,11 @@ def jacobian(ctx, joints, euler, matrix):
         "schema_version": SCHEMA_VERSION,
         "command": "jacobian",
         "joints": _angles_out(j.as_tuple(), degrees),
-        "a": _matrix_rows(pair.a),
-        "b_diag": [float(x) for x in pair.b_diag],
+        "a": pair.a.tolist(),
+        "b_diag": pair.b_diag.tolist(),
         "det_a": det3(pair.a),
         "det_a_closed_form_nontrivial": det_a_closed_form(j, "nontrivial"),
-        "residuals": [float(x) for x in constraint_residuals(j, r)],
+        "residuals": constraint_residuals(j, r),
     }
     rows = [(k, doc[k]) for k in ("det_a", "det_a_closed_form_nontrivial")]
     rows += [(f"b{i}{i}", b) for i, b in enumerate(doc["b_diag"], 1)]
@@ -317,7 +293,7 @@ def classify(ctx, joints, euler, matrix):
         "det_a": det3(jacobians(j, r).a),
         "det_factor": det_a_closed_form(j, "nontrivial"),
         "joint_degeneracy": classify_joint_degeneracy(j).kind,
-        "residuals": [float(x) for x in constraint_residuals(j, r)],
+        "residuals": constraint_residuals(j, r),
     }
     _emit(cfg, doc, "key,value", [(k, doc[k]) for k in ("kind", "det_a", "det_factor")])
 
@@ -340,10 +316,10 @@ def self_motion(ctx, family, parameter):
         "command": "self_motion",
         "family_id": fid,
         "family_label": FAMILY_LABELS[fid - 1],
-        "parameter": float(t),
+        "parameter": _angles_out([t], degrees)[0],
         "singular_leg": FAMILY_SINGULAR_LEG[fid],
         "variant": "folded" if fid % 2 == 1 else "extended",
-        "matrix": _matrix_rows(r),
+        "matrix": r.tolist(),
     }
     header = "r11,r12,r13,r21,r22,r23,r31,r32,r33"
     _emit(cfg, doc, header, [[x for row in doc["matrix"] for x in row]])

@@ -1,11 +1,14 @@
 import json
 import math
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agile_eye import cli
 from agile_eye.cli import main
@@ -213,6 +216,17 @@ def test_self_motion_command(runner):
     assert doc["family_label"] == "3b"
     result = runner.invoke(main, ["self-motion", "--family", "9"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("degrees", [135.0, -90.0, 30.0])
+def test_self_motion_parameter_echoed_in_degrees(runner, degrees):
+    # --degrees converts at the I/O boundary both ways, the echoed parameter too
+    args = ["self-motion", "--family", "6", "--parameter"]
+    doc = json.loads(invoke(runner, ["--degrees", *args, repr(degrees)]).output)
+    assert doc["parameter"] == math.degrees(math.radians(degrees))
+    in_radians = json.loads(invoke(runner, [*args, repr(math.radians(degrees))]).output)
+    assert in_radians["parameter"] == math.radians(degrees)
+    assert doc["matrix"] == in_radians["matrix"]
 
 
 @pytest.mark.parametrize("family", ["\u00b2", "\u0663", "0", "9", "7z", "1c", ""])
@@ -491,6 +505,41 @@ def test_json_floats_roundtrip(runner):
     sols = solve_dk(JointTriplet(-0.3, -0.7, 0.1)).solutions
     for got, exact in zip(doc["solutions"], sols):
         assert tuple(got["euler"]) == exact.as_tuple()
+
+
+# every string the CLI prints is a fixed label, so no control characters
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs")))
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**64), 2**64)
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_TEXT, kids),
+)
+
+
+def _exact(value):
+    """`value` with dicts as ("dict", item list), sequences as lists and
+    numbers as their double's bytes, so that == is bitwise and ordered."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, float)):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return ("dict", [(k, _exact(v)) for k, v in value.items()])
+    return [_exact(v) for v in value]
+
+
+@given(_VALUES)
+def test_json_writer_round_trips(value):
+    # .17g prints integral floats as integers (-0.0 as "-0"), so parse every
+    # number as a float; the key order is kept, -0.0 included
+    parsed = json.loads(cli._json(value), parse_int=float)
+    assert _exact(parsed) == _exact(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.zeros(2), {"a": [np.int64(1)]}])
+def test_json_writer_takes_no_numpy_value(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 def test_module_entry_point(tmp_path):

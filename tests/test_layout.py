@@ -29,8 +29,9 @@ TOLERANCE_HOMES = {
 
 # (name, roles): every (module, owner) site of it in those roles, duplicates kept
 HOMES = {
-    # cli._emit writes every command's output; track's stderr line reads the format too
-    ("_json", "name"): [("cli.py", "_emit")],
+    # cli._emit writes every command's output, through one recursive writer (keys, values);
+    # track's stderr line reads the format too
+    ("_json", "name"): [("cli.py", "_emit"), ("cli.py", "_json"), ("cli.py", "_json")],
     ("output_format", "attr"):
         [("cli.py", "_emit"), ("cli.py", "track"), ("config.py", "ToolConfig")],
     # each sign of diag(B) is computed once; a caller with A reads A's rows
@@ -55,12 +56,15 @@ HOMES = {
 BARRED = {
     # a --family name resolves only through dk.FAMILY_IDS
     ("cli.py", None): {"FAMILY_LABELS.index", "isdigit"},
+    # the CLI's writers take the Python values its commands build, no numpy scalar or array
+    ("cli.py", "_json"): {"np"},
+    ("cli.py", "_cell"): {"np"},
     # the generic-joints rule is dk.joint_degeneracy's
     ("modes.py", None): {"condition_pairs"},
     # every waypoint, the first included, goes through dk.direct_solution
     ("modes.py", "track_path"): {"solve_dk", "euler_to_rotation"},
 }
-NOT_PACKAGE_NAMES = {"isdigit"}  # BARRED names defined outside the package
+NOT_PACKAGE_NAMES = {"isdigit", "np"}  # BARRED names defined outside the package
 RETIRED = {
     "validate",  # ToolConfig checks itself when it is built
     "finite_solutions",  # dk._half_turn builds every direct solution
@@ -68,6 +72,7 @@ RETIRED = {
     # dk.nearest_direct_solution is the one mode match: no certificate, no fallback
     "_certified_mode", "_ROUNDING", "_SQRT3", "_match", "nearest_solution",
     "from_wrapped",  # one constructor per value type, which wraps every angle it stores
+    "_write_json", "_matrix_rows",  # cli._json returns the text; matrices print by .tolist()
 }
 
 
@@ -574,7 +579,11 @@ def test_checker_flags_output_decisions(tmp_path):
         "        return _json(doc)  # _json\n"
         "writer = _json  # _json\n"
         "def track(cfg): return cfg.output_format  # output_format\n"
-        "def main(output_format): return ToolConfig(output_format=output_format)\n"})
+        "def main(output_format): return ToolConfig(output_format=output_format)\n"
+        "def _json(obj):\n"
+        "    return isinstance(obj, np.integer), _json(obj)  # np _json\n"
+        "def _cell(x): return np.floating  # np\n"
+        "def _write_json(obj, out): return _matrix_rows(obj)  # _write_json _matrix_rows\n"})
 
 
 def test_checker_flags_uses(tmp_path):
@@ -647,5 +656,5 @@ def test_barred_rows_go_stale_when_renamed():
     renamed = {"track_path": "follow_path", "solve_dk": "solve_direct", "FAMILY_LABELS": "LABELS"}
     sites = [(m, renamed.get(n, n), r, renamed.get(o, o), line) for m, n, r, o, line in SITES]
     stale = [_stale(sites, *row, BARRED[row]) for row in BARRED]
-    assert stale == [["FAMILY_LABELS is defined nowhere"], [], [
+    assert stale == [["FAMILY_LABELS is defined nowhere"], [], [], [], [
         "modes.py has no track_path", "solve_dk is defined nowhere"]]
