@@ -22,10 +22,13 @@ at a time (the theta3 wrap, then the lines at i1 + 1, i1 - 1, i2 + 1
 and i2 - 1), so it never holds more than one relation's pairs, and
 leaves each set rooted at its first run in scan order.
 
-run_sweep keeps only the int8 sign code, evaluated a few theta1 slabs
-at a time, and returns the summary with the runs.  det_a, degeneracy
-and component_id are built the first time each is read, so a
-summary-only caller never builds an n^3 float or id array.
+run_sweep evaluates the sign code a few theta1 slabs at a time and
+keeps only each chunk's run starts and their codes; the wall and
+singular cells are counted inside the chunk loop, carrying over only
+slab 0 (for the theta1 wrap) and the slab before the current chunk.  It
+returns the summary with the runs and holds no n^3 array.  det_a,
+degeneracy and component_id are built the first time each is read, so a
+summary-only caller never builds one.
 """
 
 from __future__ import annotations
@@ -42,9 +45,20 @@ from .mechanism import STRUCTURE_TOL, condition_pairs, det_factor
 
 DEGENERACY_TAGS = ("generic", "self_motion", "trivial_only")
 
-# Cells per evaluation chunk (whole theta1 slabs): 256 kB of floats, so
-# the temporaries stay in cache.
+# Cells per evaluation chunk (whole theta1 slabs, at least one): 256 kB
+# of floats, so the chunk's det, code, singular flags and comparison
+# temporaries stay in cache.  From n = 182 on, a chunk is one slab.
 _CHUNK_CELLS = 1 << 15
+
+# Neighbouring cells inside a chunk: adjacent along each axis, and across
+# the theta2 and theta3 wraps.  The theta1 wrap joins different chunks.
+_CHUNK_FACES = (
+    (np.s_[1:], np.s_[:-1]),
+    (np.s_[:, 1:], np.s_[:, :-1]),
+    (np.s_[:, 0], np.s_[:, -1]),
+    (np.s_[:, :, 1:], np.s_[:, :, :-1]),
+    (np.s_[:, :, 0], np.s_[:, :, -1]),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,24 +148,26 @@ def _component_roots(start: np.ndarray, code: np.ndarray, n: int) -> np.ndarray:
     """Per run, the index of the first run of its torus component, or -1
     on wall runs.  start holds the runs' flat start cells in scan order
     and code their sign codes."""
-    k0 = start % n
     root = np.arange(len(start))
     # Across the theta3 wrap: a line's last run to its first.
-    first = np.flatnonzero(k0 == 0)
+    first = np.flatnonzero(start % n == 0)
     last = np.append(first[1:], len(start)) - 1
     wrap = (last != first) & (code[first] == code[last]) & (code[first] != 0)
     root = _join(root, first[wrap], last[wrap])
     live = np.flatnonzero(code)
-    i1, i2 = np.divmod(start[live] // n, n)
-    # The run of a neighbouring line that holds this run's start cell
-    # (each line's first run starts at k = 0, so it is in that line).
-    for other in (
-        (i1 + 1) % n * n + i2,
-        (i1 - 1) % n * n + i2,
-        i1 * n + (i2 + 1) % n,
-        i1 * n + (i2 - 1) % n,
-    ):
-        hit = np.searchsorted(start, other * n + k0[live], side="right") - 1
+    cell = start[live]
+    i2 = cell // n % n
+    # Each live run's start cell moved to a neighbouring line, one
+    # relation at a time; the run of that line holding the moved cell is
+    # the last to start at or before it (each line's first run starts at
+    # k = 0, so it is in that line).
+    for d in (n * n, -n * n, 1, -1):
+        if abs(d) > 1:  # along i1, wrapping over the whole grid
+            moved = (cell + d) % n**3
+        else:  # along i2, wrapping within its theta1 slab
+            moved = cell + ((i2 + d) % n - i2) * n
+        hit = np.searchsorted(start, moved, side="right") - 1
+        del moved  # hold one relation's arrays at a time
         same = code[hit] == code[live]
         root = _join(root, live[same], hit[same])
     root[code == 0] = -1
@@ -188,6 +204,15 @@ def _number_components(runs: tuple) -> np.ndarray:
     return np.repeat(ids, length)
 
 
+def _mark_differ(x: tuple, y: tuple) -> None:
+    """Flag as singular the cells of two neighbouring (code, singular)
+    views whose codes differ."""
+    (code_x, singular_x), (code_y, singular_y) = x, y
+    differ = code_x != code_y
+    singular_x |= differ
+    singular_y |= differ
+
+
 def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> SweepResult:
     """Evaluate the determinant factor's sign over the joint grid, label
     the sign components and summarise.  Deterministic for fixed grid_n
@@ -206,19 +231,42 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
 
     # Sign code: 1 above tol, -1 below -tol, 0 on walls.  ToolConfig holds
     # tol positive and finite, so 0 is exactly |det| <= tol on the grid's
-    # (finite) values.
-    code = np.empty((n, n, n), dtype=np.int8)
-    near_zero = 0  # cells with |det| <= STRUCTURE_TOL
-    starts = []
+    # (finite) values.  A cell is singular when it is a wall or differs
+    # from either wrapped neighbour along some axis.  Each chunk's cells
+    # are compared within the chunk, then with the chunk before it; a
+    # slab is counted once both theta1 neighbours are compared, so only
+    # slab 0 (head, for the theta1 wrap) and the previous chunk's last
+    # slab (tail) are carried over.
+    near_zero = n_wall = n_singular = 0  # near_zero: |det| <= STRUCTURE_TOL
+    starts, run_codes = [], []
+    head = tail = None  # (code, singular) of one slab
     step = max(1, _CHUNK_CELLS // n**2)
     for a in range(0, n, step):
         det = det_factor(s1[a : a + step], c1[a : a + step], *trig[2:])
         near_zero += int(np.count_nonzero(np.abs(det) <= STRUCTURE_TOL))
-        chunk = code[a : a + step]
-        np.subtract((det > tol).view(np.int8), (det < -tol).view(np.int8), out=chunk)
-        starts.append(_line_starts(chunk.reshape(-1, n)) + a * n * n)
+        code = np.subtract((det > tol).view(np.int8), (det < -tol).view(np.int8))
+        singular = code == 0
+        n_wall += int(np.count_nonzero(singular))
+        for hi, lo in _CHUNK_FACES:
+            _mark_differ((code[hi], singular[hi]), (code[lo], singular[lo]))
+        if tail is None:
+            head = code[0], singular[0]
+        else:
+            _mark_differ(tail, (code[0], singular[0]))
+            if a > 1:  # else the tail is slab 0, counted at the end
+                n_singular += int(np.count_nonzero(tail[1]))
+        n_singular += int(np.count_nonzero(singular[1 if a == 0 else 0 : -1]))
+        tail = code[-1], singular[-1]
+        local = _line_starts(code.reshape(-1, n))
+        starts.append(local + a * n * n)
+        run_codes.append(code.reshape(-1)[local])
+    _mark_differ(tail, head)
+    n_singular += int(np.count_nonzero(head[1])) + int(np.count_nonzero(tail[1]))
     start = np.concatenate(starts)
-    run_code = code.reshape(-1)[start]
+    run_code = np.concatenate(run_codes)
+    # Free the last chunk, the carried slabs and the per-chunk lists
+    # before labelling.
+    del det, code, singular, head, tail, starts, run_codes
 
     # Degeneracy counts: a condition pair wins over |det| <= STRUCTURE_TOL.
     # The pair cells are few; det_factor on their gathered sines and
@@ -228,21 +276,6 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
     i1, i2, i3 = np.unravel_index(pair, (n, n, n))
     pair_det = det_factor(s[i1], c[i1], s[i2], c[i2], s[i3], c[i3])
     trivial = near_zero - int(np.count_nonzero(np.abs(pair_det) <= STRUCTURE_TOL))
-
-    # A cell is singular when it is a wall or differs from either wrapped
-    # neighbour along some axis: compare the adjacent planes, then the
-    # wrap plane.
-    singular = code == 0
-    n_wall = int(np.count_nonzero(singular))
-    for axis in range(3):
-        lead = (slice(None),) * axis
-        for a, b in ((np.s_[1:], np.s_[:-1]), (0, -1)):
-            hi, lo = lead + (a,), lead + (b,)
-            differ = code[hi] != code[lo]
-            singular[hi] |= differ
-            singular[lo] |= differ
-    n_singular = int(np.count_nonzero(singular))
-    del code, singular
 
     root = _component_roots(start, run_code, n)
     is_root = root == np.arange(len(root))

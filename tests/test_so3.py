@@ -16,6 +16,7 @@ from agile_eye import (
     validate_rotation,
     wrap_angle,
 )
+from agile_eye import so3
 from agile_eye.so3 import rotation_angle
 from conftest import axis_angle_rotation, random_euler
 
@@ -175,6 +176,37 @@ def test_malformed_rotation_rejected():
     for r in (np.full((3, 3), math.nan), one_nan, 1e200 * np.eye(3), one_huge):
         with pytest.raises(MalformedRotation):
             validate_rotation(r)
+
+
+def _orthonormal_defect(r):
+    return float(np.max(np.abs(r.T @ r - np.eye(3))))
+
+
+def _det_defect(r):
+    return abs(float(np.linalg.det(r)) - 1.0)
+
+
+@pytest.mark.parametrize(
+    "r, defect, other, message",
+    [
+        # R^T R off by 2e-11 on one entry, det(R) by only 1e-11
+        (np.diag([1.0 + 1e-11, 1.0, 1.0]), _orthonormal_defect, _det_defect, r"R\^T R"),
+        # det(R) off by 3e-11, R^T R by only 2e-11
+        (np.eye(3) * (1.0 + 1e-11), _det_defect, _orthonormal_defect, r"det\(R\)"),
+    ],
+    ids=["orthonormality", "determinant"],
+)
+def test_validate_rotation_tolerance_is_inclusive(r, defect, other, message, monkeypatch):
+    # Each check accepts a defect equal to ORTHONORMAL_TOL and rejects one
+    # a float below it; the matrix's other defect is smaller, so this
+    # check alone decides.
+    tol = defect(r)
+    assert other(r) < np.nextafter(tol, 0.0)
+    monkeypatch.setattr(so3, "ORTHONORMAL_TOL", tol)
+    assert validate_rotation(r) is not None
+    monkeypatch.setattr(so3, "ORTHONORMAL_TOL", np.nextafter(tol, 0.0))
+    with pytest.raises(MalformedRotation, match=message):
+        validate_rotation(r)
 
 
 def test_companion_triplet_same_rotation(rng):

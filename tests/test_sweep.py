@@ -286,6 +286,44 @@ def test_sweep_equal_to_meshgrid_reference_property(n, singular_tol):
     np.testing.assert_array_equal(first, component)
 
 
+def _reference_runs(code, component):
+    """(length, root) per axis-3 run of an int8 sign code, from reference
+    component ids: a run starts at each line start and wherever the code
+    changes along the line; its root is the first run of its component,
+    -1 on walls."""
+    n = code.shape[0]
+    lines = code.reshape(-1, n)
+    new = np.ones(lines.shape, dtype=bool)
+    new[:, 1:] = lines[:, 1:] != lines[:, :-1]
+    start = np.flatnonzero(new)
+    ids = component.reshape(-1)[start]
+    labels, first = np.unique(ids, return_index=True)
+    root = np.where(ids < 0, -1, first[np.searchsorted(labels, ids)])
+    return np.diff(start, append=code.size), root
+
+
+@pytest.mark.parametrize("singular_tol", [1e-7, 0.3, 0.9])
+@pytest.mark.parametrize(
+    "n, slabs",
+    [(11, 1), (13, 2), (14, 3), (12, None)],
+    ids=["one_slab", "two_slabs_odd_n", "three_slabs", "whole_grid"],
+)
+def test_sweep_chunk_edges_equal_to_meshgrid_reference(n, slabs, singular_tol, monkeypatch):
+    # Chunks of one slab (every n >= 182 at the default size), two slabs
+    # of an odd grid (the last chunk holds one), three slabs, and the
+    # whole grid: the singular count carries slab 0 and the previous
+    # chunk's last slab from chunk to chunk.
+    monkeypatch.setattr(sweep_module, "_CHUNK_CELLS", n**2 * slabs if slabs else n**3)
+    cfg = ToolConfig(singular_tol=singular_tol)
+    result = run_sweep(n, cfg)
+    det, _, component, summary = _meshgrid_sweep(n, cfg)
+    assert result.summary == summary
+    code = np.where(np.abs(det) <= singular_tol, 0, np.sign(det)).astype(np.int8)
+    for got, expected in zip(result._runs, _reference_runs(code, component), strict=True):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
 def _run_labels(code):
     """Component ids, per-run roots and run start cells of an int8 sign
     code by the package's run labelling, as run_sweep uses it."""
@@ -328,10 +366,9 @@ def test_run_labels_equal_to_scipy_periodic_reference(code):
     # each live run's root is the smallest run index of its component, by
     # the reference ids (_number_components and the summary's is_root
     # read this rule); wall runs get -1
-    run_ids = expected.reshape(-1)[start]
-    components, smallest = np.unique(run_ids, return_index=True)
-    smallest_run = np.where(run_ids < 0, -1, smallest[np.searchsorted(components, run_ids)])
-    np.testing.assert_array_equal(root, smallest_run)
+    length, expected_root = _reference_runs(code, expected)
+    np.testing.assert_array_equal(np.diff(start, append=code.size), length)
+    np.testing.assert_array_equal(root, expected_root)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -352,22 +389,23 @@ def test_run_labels_join_across_each_wrap_face(axis):
 
 
 def test_run_sweep_peak_memory_per_cell():
-    # Summary-only, run_sweep holds the int8 code, the singular mask and
-    # one neighbour relation's union-find pairs at a time.  The traced
-    # peak after a warm-up call stays at or below 6 B per cell at n=128
-    # (4.9 measured; a union-find holding every relation's pairs at once
-    # reads 9.4).
-    n = 128
+    # Summary-only, run_sweep holds one chunk's code and singular flags,
+    # the run starts and codes, and one neighbour relation's union-find
+    # pairs at a time; no n^3 array.  The traced peak after a warm-up call
+    # stays at or below 3.5 B per cell at n=128 (2.6 measured; an n^3
+    # sign code and singular mask read 4.9) and 2.0 at n=256 (1.3
+    # measured; 3.25 with the n^3 arrays).
     cfg = ToolConfig(singular_tol=1e-7)
-    run_sweep(n, cfg)
-    tracemalloc.start()
-    try:
+    for n, bound in ((128, 3.5), (256, 2.0)):
         run_sweep(n, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    per_cell = peak / n**3
-    assert per_cell <= 6.0, f"run_sweep({n}) traced peak {per_cell:.2f} B/cell, above 6"
+        tracemalloc.start()
+        try:
+            run_sweep(n, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_cell = peak / n**3
+        assert per_cell <= bound, f"run_sweep({n}) traced peak {per_cell:.2f} B/cell, above {bound}"
 
 
 def test_run_sweep_rejects_bad_grid_and_tolerance():
