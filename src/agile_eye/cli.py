@@ -161,11 +161,10 @@ def main(ctx, tol_residual, tol_singular, output_format, degrees):
         overrides["singular_tol"] = tol_singular
     if output_format is not None:
         overrides["output_format"] = output_format
-    if overrides:
-        try:
-            cfg = replace(cfg, **overrides)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+    try:
+        cfg = replace(cfg, **overrides)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     ctx.obj = {"cfg": cfg, "degrees": degrees}
 
 
@@ -446,22 +445,22 @@ def _record_slabs(result):
     grid = [_fmt(v) for v in result.grid]
     n_tags = len(DEGENERACY_TAGS)
     heads = [f"{g2},{g3}," for g2 in grid for g3 in grid]
+    # each read builds its array, so each is read once; the other two
+    # after the table, whose merge is the memory peak
+    det_a = result.det_a
     table_bits = _distinct(
-        np.concatenate(
-            [_distinct(np.abs(det).view(np.int64).ravel()) for det in result.det_a]
-        )
+        np.concatenate([_distinct(np.abs(det).view(np.int64).ravel()) for det in det_a])
     )
     table = [_fmt(v) for v in table_bits.view(np.float64).tolist()]
+    degeneracy, component_id = result.degeneracy, result.component_id
     tails = [
         f",{DEGENERACY_TAGS[k % n_tags]},{k // n_tags - 1}\n"
-        for k in range((int(result.component_id.max()) + 2) * n_tags)
+        for k in range((int(component_id.max()) + 2) * n_tags)
     ]
     signs = ("", "-")
     parts = [""] * (5 * len(heads))
     parts[1::5] = heads
-    for g1, det, deg, comp in zip(
-        grid, result.det_a, result.degeneracy, result.component_id
-    ):
+    for g1, det, deg, comp in zip(grid, det_a, degeneracy, component_id):
         mag = np.abs(det).view(np.int64).ravel()
         # searchsorted runs about twice as fast on sorted queries
         order = mag.argsort()
@@ -517,7 +516,8 @@ def sweep(ctx, grid_n, records_out, no_records):
     keys = ("grid_n", "components_positive", "components_negative",
             "singular_cell_fraction", "wall_cell_fraction")
     rows = [(k, summary[k]) for k in keys]
-    _emit(cfg, summary, "key,value", rows, err=records_on_stdout)
+    doc = {"schema_version": SCHEMA_VERSION, **summary}
+    _emit(cfg, doc, "key,value", rows, err=records_on_stdout)
 
 
 if __name__ == "__main__":

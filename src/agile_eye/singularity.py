@@ -225,6 +225,10 @@ def classify_configuration(
             return _REGULAR
         # Tolerance-band fallback: attribute to the nearest singular structure.
         fid, fdist = _best_family(r, range(1, 7))
+        # Each trivial orientation lies on one curve of each pair (T1 on
+        # families 1, 4, 5; T2 on 2, 3, 5; T3 on 1, 3, 6; T4 on 2, 4, 6),
+        # so a finite fdist never exceeds trivial_dist: only the NaN
+        # distances of an r that is not a rotation fall through.
         if fdist <= trivial_dist:
             return SingularityClass(kind="self_motion", family_id=fid)
     # A trivial orientation is nearest: the det factor tells lockup from infinitesimal.

@@ -26,16 +26,15 @@ run_sweep evaluates the sign code a few theta1 slabs at a time and
 keeps only each chunk's run starts and their codes; the wall and
 singular cells are counted inside the chunk loop, carrying over only
 slab 0 (for the theta1 wrap) and the slab before the current chunk.  It
-returns the summary with the runs and holds no n^3 array.  det_a,
-degeneracy and component_id are built the first time each is read, so a
-summary-only caller never builds one.
+returns the grid, the summary and the runs, read-only, and holds no n^3
+array.  Each read of det_a, degeneracy or component_id builds a new
+array from them, so a summary-only caller never builds one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -73,36 +72,49 @@ class SweepRecord:
     component_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SweepResult:
     """Dense sweep output; arrays are indexed [i1, i2, i3].
 
-    grid and summary are computed by run_sweep.  det_a, degeneracy and
-    component_id are built on first access and cached.
+    grid, summary and the runs are computed by run_sweep.  Each read of
+    det_a, degeneracy or component_id builds a new array from them.  Two
+    results are equal when their summaries are and their grids and runs
+    hold equal arrays; like its arrays, a result is unhashable.
     """
 
     grid: np.ndarray  # shape (n,): the per-axis joint values
     summary: dict
     # (length, root) per axis-3 run in scan order; root is the index of
     # the first run of its component, -1 on walls
-    _runs: tuple = field(default=(), repr=False, compare=False)
+    _runs: tuple = field(repr=False)
 
-    @cached_property
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.summary == other.summary and all(
+            map(np.array_equal, (self.grid, *self._runs), (other.grid, *other._runs))
+        )
+
+    __hash__ = None
+
+    @property
     def det_a(self) -> np.ndarray:
         """Shape (n, n, n) float64: the determinant factor q2."""
         return det_factor(*_trig(self.grid))
 
-    @cached_property
+    @property
     def degeneracy(self) -> np.ndarray:
         """Shape (n, n, n) uint8, an index into DEGENERACY_TAGS."""
-        det = self.det_a
-        degeneracy = np.zeros(det.shape, dtype=np.uint8)
-        # |det| <= STRUCTURE_TOL by two comparisons: no n^3 float temporary
-        degeneracy[(det <= STRUCTURE_TOL) & (det >= -STRUCTURE_TOL)] = 2
-        degeneracy.reshape(-1)[_pair_cells(_trig(self.grid), len(self.grid))] = 1
+        n = len(self.grid)
+        trig = _trig(self.grid)
+        degeneracy = np.zeros((n,) * 3, dtype=np.uint8)
+        # det_a by chunks, as run_sweep reads it: no n^3 float array
+        for a, det in _det_chunks(trig, n):
+            degeneracy[a : a + len(det)][(det <= STRUCTURE_TOL) & (det >= -STRUCTURE_TOL)] = 2
+        degeneracy.reshape(-1)[_pair_cells(trig, n)] = 1
         return degeneracy
 
-    @cached_property
+    @property
     def component_id(self) -> np.ndarray:
         """Shape (n, n, n) int64: torus components of equal det sign,
         numbered from 0 in scan order of their first cell, -1 on walls."""
@@ -122,6 +134,15 @@ def _trig(g: np.ndarray) -> list:
     s, c = np.sin(g), np.cos(g)
     axes = (np.s_[:, None, None], np.s_[None, :, None], np.s_[None, None, :])
     return [v[ax] for ax in axes for v in (s, c)]
+
+
+def _det_chunks(trig: list, n: int) -> Iterator[tuple]:
+    """(a, det) per chunk of whole theta1 slabs from slab a on: the
+    determinant factor evaluated _CHUNK_CELLS cells (at least one slab)
+    at a time, bit for bit its values on the whole grid."""
+    step = max(1, _CHUNK_CELLS // n**2)
+    for a in range(0, n, step):
+        yield a, det_factor(trig[0][a : a + step], trig[1][a : a + step], *trig[2:])
 
 
 def _pair_cells(trig: list, n: int) -> np.ndarray:
@@ -216,8 +237,8 @@ def _mark_differ(x: tuple, y: tuple) -> None:
 def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> SweepResult:
     """Evaluate the determinant factor's sign over the joint grid, label
     the sign components and summarise.  Deterministic for fixed grid_n
-    and tolerances.  det_a, degeneracy and component_id are built on
-    first access to the result's attribute of that name.
+    and tolerances.  The grid and the runs are returned read-only; each
+    read of the result's det_a, degeneracy or component_id builds it.
 
     An explicit grid_n overrides cfg.grid_n and is checked by ToolConfig:
     a float raises TypeError, a value below 8 ValueError."""
@@ -226,7 +247,6 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
     n = cfg.grid_n
     g = joint_grid(n)
     trig = _trig(g)
-    s1, c1 = trig[:2]
     tol = cfg.singular_tol
 
     # Sign code: 1 above tol, -1 below -tol, 0 on walls.  ToolConfig holds
@@ -240,9 +260,7 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
     near_zero = n_wall = n_singular = 0  # near_zero: |det| <= STRUCTURE_TOL
     starts, run_codes = [], []
     head = tail = None  # (code, singular) of one slab
-    step = max(1, _CHUNK_CELLS // n**2)
-    for a in range(0, n, step):
-        det = det_factor(s1[a : a + step], c1[a : a + step], *trig[2:])
+    for a, det in _det_chunks(trig, n):
         near_zero += int(np.count_nonzero(np.abs(det) <= STRUCTURE_TOL))
         code = np.subtract((det > tol).view(np.int8), (det < -tol).view(np.int8))
         singular = code == 0
@@ -272,7 +290,7 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
     # The pair cells are few; det_factor on their gathered sines and
     # cosines is the same float expression, so the same bits.
     pair = _pair_cells(trig, n)
-    s, c = s1.ravel(), c1.ravel()
+    s, c = trig[0].ravel(), trig[1].ravel()
     i1, i2, i3 = np.unravel_index(pair, (n, n, n))
     pair_det = det_factor(s[i1], c[i1], s[i2], c[i2], s[i3], c[i3])
     trivial = near_zero - int(np.count_nonzero(np.abs(pair_det) <= STRUCTURE_TOL))
@@ -281,7 +299,6 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
     is_root = root == np.arange(len(root))
     cells = n**3
     summary = {
-        "schema_version": "1",
         "grid_n": n,
         "components_positive": int(np.count_nonzero(is_root & (run_code > 0))),
         "components_negative": int(np.count_nonzero(is_root & (run_code < 0))),
@@ -291,11 +308,10 @@ def run_sweep(grid_n: int | None = None, cfg: ToolConfig = DEFAULT_CONFIG) -> Sw
             zip(DEGENERACY_TAGS, (cells - len(pair) - trivial, len(pair), trivial))
         ),
     }
-    return SweepResult(
-        grid=g,
-        summary=summary,
-        _runs=(np.diff(start, append=cells), root),
-    )
+    runs = (np.diff(start, append=cells), root)
+    for array in (g, *runs):
+        array.flags.writeable = False
+    return SweepResult(grid=g, summary=summary, _runs=runs)
 
 
 def iter_records(result: SweepResult) -> Iterator[SweepRecord]:

@@ -553,6 +553,17 @@ def test_module_entry_point(tmp_path):
     assert doc["solution_count"] == 8
 
 
+def test_cli_module_runs_as_script():
+    # python -m agile_eye.cli runs the same command group
+    proc = subprocess.run(
+        [sys.executable, "-m", "agile_eye.cli", "sweep", "--grid-n", "8", "--no-records"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["schema_version"] == "1"
+
+
 def test_csv_format_dk(runner):
     result = invoke(runner, ["--format", "csv", "dk", "--", "-0.3", "-0.7", "0.1"])
     lines = result.output.strip().splitlines()

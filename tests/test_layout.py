@@ -481,9 +481,9 @@ def test_checker_flags_formula_copies(tmp_path):
 
 
 def test_dataclasses_have_slots():
-    # value objects have no instance dict; SweepResult caches its arrays in one
+    # value objects have no instance dict
     slotless = [(path.name, name) for path in MODULES for _, name in _slotless_dataclasses(path)]
-    assert slotless == [("sweep.py", "SweepResult")]
+    assert slotless == []
 
 
 def test_checker_flags_slotless_dataclasses(tmp_path):

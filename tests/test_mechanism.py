@@ -96,13 +96,23 @@ def _built_values():
         agile_eye.classify_joint_degeneracy(JointTriplet(0.3, 0.0, math.pi / 2)),
         track.crossing, track, agile_eye.jacobians(j, r),
         agile_eye.classify_configuration(j, r),
-        next(agile_eye.iter_records(agile_eye.run_sweep(8))),
+        next(agile_eye.iter_records(agile_eye.run_sweep(8))), agile_eye.run_sweep(8),
         agile_eye.config.parse_config_text("grid_n = 9"),
     ]
     return {type(v).__name__: v for v in values}
 
 
 VALUES = _built_values()
+
+# The value types that hold arrays, with a changed value for each field.
+ARRAY_CHANGES = {
+    "JacobianPair": lambda x: {"a": x.a.T, "b_diag": x.b_diag + 1.0},
+    "SweepResult": lambda x: {
+        "grid": x.grid + 1.0,
+        "summary": {**x.summary, "grid_n": 9},
+        "_runs": (x._runs[0], x._runs[1] + 1),
+    },
+}
 
 
 def _same(a, b) -> bool:
@@ -129,7 +139,6 @@ def _outcome(f):
 
 
 def test_value_types_cover_the_package_dataclasses():
-    # SweepResult alone keeps an instance dict, for its cached arrays
     modules = [
         importlib.import_module(f"agile_eye.{m.name}")
         for m in pkgutil.iter_modules(agile_eye.__path__)
@@ -142,7 +151,7 @@ def test_value_types_cover_the_package_dataclasses():
         if isinstance(obj, type) and dataclasses.is_dataclass(obj)
         and obj.__module__ == module.__name__
     }
-    assert found - {"SweepResult"} == set(VALUES)
+    assert found == set(VALUES)
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -162,11 +171,13 @@ def test_value_type_contract(name):
     def key(v):
         return tuple(getattr(v, f.name) for f in dataclasses.fields(v) if f.compare)
 
-    if name == "JacobianPair":
-        # equal when both arrays are, and unhashable as its arrays are
+    if name in ARRAY_CHANGES:
+        # equal when every field is, arrays by value, and unhashable as
+        # its arrays are
         assert (x == y) is True and (x != y) is False
+        assert (x == None) is False and (x != None) is True  # noqa: E711
         assert _outcome(lambda: hash(x)) is TypeError
-        for field, change in (("a", x.a.T), ("b_diag", x.b_diag + 1.0)):
+        for field, change in ARRAY_CHANGES[name](x).items():
             other = dataclasses.replace(x, **{field: change})
             assert (x == other) is False and (x != other) is True
     else:

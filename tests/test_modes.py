@@ -167,14 +167,19 @@ def test_assembly_mode_for_reference():
 
 
 def test_assembly_mode_for_opposite_group(rng):
+    # the message names the group the joints do realize: sign(q2)
+    groups = set()
     for _ in range(50):
         j = generic_joints(rng)
         sig = working_mode_signature(
             j, euler_to_rotation(solve_dk(j).solutions[0])
         )
         flipped = WorkingModeSignature(-sig.s1, -sig.s2, -sig.s3)
-        with pytest.raises(NoSuchMode):
+        group = "+" if det_a_closed_form(j) > 0.0 else "-"
+        groups.add(group)
+        with pytest.raises(NoSuchMode, match=rf"sign-product \{group} group only"):
             assembly_mode_for(j, flipped)
+    assert groups == {"+", "-"}
 
 
 def test_assembly_mode_for_degenerate_joints():
@@ -1102,6 +1107,35 @@ def test_track_low_singular_tol_reports_self_motion_waypoint():
     assert result.crossing.segment == 0
     assert result.crossing.reason == "direct solve became self_motion"
     assert len(result.orientations) == 1
+
+
+def test_track_bisection_floor_reports_band():
+    # q2 = c1 c2 on theta3 = 0: 0.504 at both ends, above singular_tol =
+    # 0.5, and at most 0.5065 between them.  Neither bound certifies the
+    # segment (0.404 and 0.499), and L h = 0.2 is already at or below the
+    # tolerance, so the bisection stops there: the band is reported.
+    t1 = math.acos(0.504 / math.cos(0.1))
+    a, b = JointTriplet(t1, 0.1, 0.0), JointTriplet(t1, -0.1, 0.0)
+    assert det_a_closed_form(a) == det_a_closed_form(b) == pytest.approx(0.504)
+    start = euler_to_rotation(solve_dk(a).solutions[0])
+    result = track_path([a, b], start, ToolConfig(singular_tol=0.5))
+    assert result.crossing == SingularityCrossing(0, "determinant factor within tolerance")
+    assert len(result.orientations) == 1
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_track_band_ends_of_opposite_sign_report_band(sign):
+    # q2 = +-4.27e-8 at the two ends: finite solutions at both, each inside
+    # the default singular_tol; the band is reported before the sign change
+    t1, t2 = 1.0, -0.8
+    zero = math.atan2(-math.cos(t1) * math.cos(t2), math.sin(t1) * math.sin(t2))
+    a, b = (JointTriplet(t1, t2, zero + e) for e in (sign * 6e-8, -sign * 6e-8))
+    qa, qb = det_a_closed_form(a), det_a_closed_form(b)
+    assert qa * qb < 0.0 and max(abs(qa), abs(qb)) < ToolConfig().singular_tol
+    assert solve_dk(a).branch == solve_dk(b).branch == "finite"
+    start = euler_to_rotation(solve_dk(a).solutions[0])
+    result = track_path([a, b], start)
+    assert result.crossing == SingularityCrossing(0, "determinant factor within tolerance")
 
 
 def _reference_segment_crossing(a, b, singular_tol):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from agile_eye import (
 from agile_eye import sweep as sweep_module
 from agile_eye.cli import _fmt, _record_slabs, main
 from agile_eye.mechanism import STRUCTURE_TOL
-from agile_eye.sweep import SweepResult
 
 
 def test_joint_grid_interval():
@@ -197,6 +197,33 @@ def _reference_ids(code):
     return component
 
 
+def test_sweep_result_holds_no_writable_state():
+    # a write into a returned array changes no later read, not even of
+    # degeneracy, which is built from det_a; the stored grid and runs are
+    # read-only
+    fresh = run_sweep(8)
+    result = run_sweep(8)
+    result.det_a[...] = 0.0
+    result.degeneracy[...] = 0
+    result.component_id[...] = 7
+    for name in ("det_a", "degeneracy", "component_id"):
+        np.testing.assert_array_equal(getattr(result, name), getattr(fresh, name))
+    for array in (result.grid, *result._runs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def test_sweep_result_equality():
+    # by value, arrays included; unhashable as its arrays are
+    a, b = run_sweep(8), run_sweep(8)
+    assert a == b and not a != b
+    assert a != run_sweep(9)
+    assert a != run_sweep(8, ToolConfig(singular_tol=0.5))
+    assert a != "sweep"
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def _meshgrid_sweep(n, cfg):
     """Reference sweep on full 3-d meshgrid arrays: det_a, degeneracy,
     component ids and summary, written the direct way."""
@@ -225,7 +252,6 @@ def _meshgrid_sweep(n, cfg):
         singular |= sign_code != np.roll(sign_code, 1, axis=axis)
         singular |= sign_code != np.roll(sign_code, -1, axis=axis)
     summary = {
-        "schema_version": "1",
         "grid_n": n,
         "components_positive": len(np.unique(component[(det > 0.0) & (component >= 0)])),
         "components_negative": len(np.unique(component[(det < 0.0) & (component >= 0)])),
@@ -264,9 +290,6 @@ def test_sweep_equal_to_meshgrid_reference_property(n, singular_tol):
     cfg = ToolConfig(singular_tol=singular_tol)
     result = run_sweep(n, cfg)
     det, degeneracy, component, summary = _meshgrid_sweep(n, cfg)
-    # the summary is complete before any n^3 array is built
-    for name in ("det_a", "degeneracy", "component_id"):
-        assert name not in vars(result)
     assert result.summary == summary
     # plain Python numbers, not numpy scalars
     kinds = {k: type(v) for k, v in result.summary.items()}
@@ -281,9 +304,12 @@ def test_sweep_equal_to_meshgrid_reference_property(n, singular_tol):
     np.testing.assert_array_equal(result.det_a.view(np.int64), det.view(np.int64))
     np.testing.assert_array_equal(result.degeneracy, degeneracy)
     first = result.component_id
-    assert result.component_id is first
     assert first.dtype == np.int64
     np.testing.assert_array_equal(first, component)
+    # each read builds a new array
+    again = result.component_id
+    assert again is not first
+    np.testing.assert_array_equal(again, first)
 
 
 def _reference_runs(code, component):
@@ -305,19 +331,21 @@ def _reference_runs(code, component):
 @pytest.mark.parametrize("singular_tol", [1e-7, 0.3, 0.9])
 @pytest.mark.parametrize(
     "n, slabs",
-    [(11, 1), (13, 2), (14, 3), (12, None)],
-    ids=["one_slab", "two_slabs_odd_n", "three_slabs", "whole_grid"],
+    [(11, 1), (13, 2), (14, 3), (12, None), (16, 3)],
+    ids=["one_slab", "two_slabs_odd_n", "three_slabs", "whole_grid", "three_slabs_exact_zeros"],
 )
 def test_sweep_chunk_edges_equal_to_meshgrid_reference(n, slabs, singular_tol, monkeypatch):
     # Chunks of one slab (every n >= 182 at the default size), two slabs
     # of an odd grid (the last chunk holds one), three slabs, and the
     # whole grid: the singular count carries slab 0 and the previous
-    # chunk's last slab from chunk to chunk.
+    # chunk's last slab from chunk to chunk.  The degeneracy array is
+    # built in the same chunks; n = 16 holds exact zeros of q2.
     monkeypatch.setattr(sweep_module, "_CHUNK_CELLS", n**2 * slabs if slabs else n**3)
     cfg = ToolConfig(singular_tol=singular_tol)
     result = run_sweep(n, cfg)
-    det, _, component, summary = _meshgrid_sweep(n, cfg)
+    det, degeneracy, component, summary = _meshgrid_sweep(n, cfg)
     assert result.summary == summary
+    np.testing.assert_array_equal(result.degeneracy, degeneracy)
     code = np.where(np.abs(det) <= singular_tol, 0, np.sign(det)).astype(np.int8)
     for got, expected in zip(result._runs, _reference_runs(code, component), strict=True):
         assert got.dtype == expected.dtype
@@ -506,9 +534,13 @@ def test_record_slabs_signed_values():
     )
     degeneracy = np.arange(27, dtype=np.uint8).reshape(3, 3, 3) % 3
     component = (np.arange(27, dtype=np.int64).reshape(3, 3, 3) % 5) - 1
-    result = SweepResult(grid=np.array([-1.0, 0.25, math.pi]), summary={})
-    # stand in for the arrays built on first read
-    vars(result).update(det_a=det, degeneracy=degeneracy, component_id=component)
+    # stands in for a SweepResult with these arrays
+    result = SimpleNamespace(
+        grid=np.array([-1.0, 0.25, math.pi]),
+        det_a=det,
+        degeneracy=degeneracy,
+        component_id=component,
+    )
     text = "".join(_record_slabs(result))
     expected = "".join(_record_line(rec) + "\n" for rec in iter_records(result))
     assert text == expected
