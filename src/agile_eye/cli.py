@@ -17,7 +17,6 @@ import io
 import math
 import sys
 from dataclasses import replace
-from operator import itemgetter
 
 import click
 import numpy as np
@@ -439,27 +438,29 @@ def _record_slabs(result):
     copy or index array is made; each slab finds its entries in it by
     np.searchsorted.  Degeneracy and component id are one integer key
     into a table of line tails (component ids run from 0, -1 on walls).
-    Each slab is five parts per record (theta1; theta2 and theta3; sign;
-    magnitude; tail), gathered at C level into one list and joined once.
+    A slab is an (n^2, 5) object array, one column per part (theta1;
+    theta2 and theta3; sign; magnitude; tail): the theta1 column is
+    filled by broadcast, the theta2/theta3 column once per grid, and the
+    other three by one numpy gather each from object-array tables.  Its
+    rows are joined once.
     """
     grid = [_fmt(v) for v in result.grid]
     n_tags = len(DEGENERACY_TAGS)
-    heads = [f"{g2},{g3}," for g2 in grid for g3 in grid]
     # each read builds its array, so each is read once; the other two
-    # after the table, whose merge is the memory peak
+    # after the table, so that its merge holds neither
     det_a = result.det_a
     table_bits = _distinct(
         np.concatenate([_distinct(np.abs(det).view(np.int64).ravel()) for det in det_a])
     )
-    table = [_fmt(v) for v in table_bits.view(np.float64).tolist()]
+    table = np.array([_fmt(v) for v in table_bits.view(np.float64).tolist()], dtype=object)
     degeneracy, component_id = result.degeneracy, result.component_id
-    tails = [
-        f",{DEGENERACY_TAGS[k % n_tags]},{k // n_tags - 1}\n"
-        for k in range((int(component_id.max()) + 2) * n_tags)
-    ]
-    signs = ("", "-")
-    parts = [""] * (5 * len(heads))
-    parts[1::5] = heads
+    keys = range((int(component_id.max()) + 2) * n_tags)
+    tails = np.array(
+        [f",{DEGENERACY_TAGS[k % n_tags]},{k // n_tags - 1}\n" for k in keys], dtype=object
+    )
+    signs = np.array(["", "-"], dtype=object)
+    parts = np.empty((len(grid) ** 2, 5), dtype=object)
+    parts[:, 1] = [f"{g2},{g3}," for g2 in grid for g3 in grid]
     for g1, det, deg, comp in zip(grid, det_a, degeneracy, component_id):
         mag = np.abs(det).view(np.int64).ravel()
         # searchsorted runs about twice as fast on sorted queries
@@ -467,12 +468,11 @@ def _record_slabs(result):
         mag_idx = np.empty_like(order)
         mag_idx[order] = table_bits.searchsorted(mag[order])
         sign = np.signbit(det) & ~np.isnan(det)
-        tail_idx = (comp.ravel() + 1) * n_tags + deg.ravel()
-        parts[0::5] = [f"{g1},"] * len(heads)
-        parts[2::5] = itemgetter(*sign.ravel().tolist())(signs)
-        parts[3::5] = itemgetter(*mag_idx.tolist())(table)
-        parts[4::5] = itemgetter(*tail_idx.tolist())(tails)
-        yield "".join(parts)
+        parts[:, 0] = f"{g1},"
+        parts[:, 2] = signs[sign.ravel().view(np.int8)]
+        parts[:, 3] = table[mag_idx]
+        parts[:, 4] = tails[(comp.ravel() + 1) * n_tags + deg.ravel()]
+        yield "".join(parts.ravel().tolist())
 
 
 @main.command()

@@ -100,7 +100,12 @@ class SweepResult:
     @property
     def det_a(self) -> np.ndarray:
         """Shape (n, n, n) float64: the determinant factor q2."""
-        return det_factor(*_trig(self.grid))
+        n = len(self.grid)
+        det_a = np.empty((n,) * 3)
+        # by run_sweep's chunks: one chunk's temporaries, not the array's
+        for a, det in _det_chunks(_trig(self.grid), n):
+            det_a[a : a + len(det)] = det
+        return det_a
 
     @property
     def degeneracy(self) -> np.ndarray:

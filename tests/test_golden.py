@@ -73,6 +73,10 @@ file; each stream is verbatim up to 64 KiB, else its sha256 and length:
   stdout (summary on stderr);
 - n24_wide_walls: a tolerance wide enough for thick walls (component -1);
 - n40_records_file, and n64_csv_records_file at tolerance 1.3e-7;
+- n17_tail_table_records_file: tolerance 0.75 on an odd grid, 8 + 8
+  components, so a 51-entry table of line tails;
+- n13_records_stdout: tolerance 0.3, records on stdout and the JSON
+  summary on stderr;
 - n128_no_records, and n16_no_records_csv as CSV;
 - n7_usage_error: below the smallest grid, exit 2.
 

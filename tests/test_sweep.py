@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,7 @@ from agile_eye import (
 )
 from agile_eye import sweep as sweep_module
 from agile_eye.cli import _fmt, _record_slabs, main
-from agile_eye.mechanism import STRUCTURE_TOL
+from agile_eye.mechanism import STRUCTURE_TOL, det_factor
 
 
 def test_joint_grid_interval():
@@ -416,6 +417,18 @@ def test_run_labels_join_across_each_wrap_face(axis):
     assert sorted(np.unique(ids).tolist()) == [-1, 0, 1, 2]
 
 
+def _traced_peak(fn):
+    """The traced (tracemalloc) peak in bytes of one call of fn, after a
+    warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_run_sweep_peak_memory_per_cell():
     # Summary-only, run_sweep holds one chunk's code and singular flags,
     # the run starts and codes, and one neighbour relation's union-find
@@ -425,15 +438,44 @@ def test_run_sweep_peak_memory_per_cell():
     # measured; 3.25 with the n^3 arrays).
     cfg = ToolConfig(singular_tol=1e-7)
     for n, bound in ((128, 3.5), (256, 2.0)):
-        run_sweep(n, cfg)
-        tracemalloc.start()
-        try:
-            run_sweep(n, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        per_cell = peak / n**3
+        per_cell = _traced_peak(lambda: run_sweep(n, cfg)) / n**3
         assert per_cell <= bound, f"run_sweep({n}) traced peak {per_cell:.2f} B/cell, above {bound}"
+
+
+@pytest.mark.parametrize("n", [8, 40, 48, 128])
+def test_det_a_read_equals_broadcast_formula(n):
+    # det_a is filled chunk by chunk (n = 40: two chunks; 48: a short last
+    # chunk; 128: two slabs a chunk), bit for bit the formula broadcast
+    # over the whole grid
+    result = run_sweep(n)
+    det = result.det_a
+    expected = det_factor(*sweep_module._trig(result.grid))
+    assert det.shape == (n, n, n) and det.dtype == np.float64
+    np.testing.assert_array_equal(det.view(np.int64), expected.view(np.int64))
+
+
+def test_det_a_read_peak_memory():
+    # A read holds its array and one chunk's temporaries: at or below
+    # 1.25 times the array at n=128 (1.06 measured; the broadcast formula
+    # read 2.0, its two n^3 products held together).
+    result = run_sweep(128)
+    nbytes = 8 * 128**3
+    peak = _traced_peak(lambda: result.det_a)
+    assert peak <= 1.25 * nbytes, f"det_a read traced peak {peak / nbytes:.2f} x its array"
+
+
+def test_record_slabs_peak_memory_per_cell():
+    # The records path holds det_a (8 B/cell), component_id (8) and
+    # degeneracy (1), the magnitude and tail tables, and one slab's parts.
+    # Its traced peak after a warm-up was 24.8 B/cell at n=64 and 22.3 at
+    # n=128 with the per-part slice emitter; the bounds allow 1.2 B/cell
+    # more (the column-gather emitter reads 25.1 and 22.5).  A signed
+    # magnitude table, one "-"-prefixed string per entry, read 27.7 and
+    # 25.2, and fails.
+    for n, bound in ((64, 26.0), (128, 23.5)):
+        peak = _traced_peak(lambda: deque(_record_slabs(run_sweep(n)), maxlen=0))
+        per_cell = peak / n**3
+        assert per_cell <= bound, f"_record_slabs({n}) traced peak {per_cell:.2f} B/cell, above {bound}"
 
 
 def test_run_sweep_rejects_bad_grid_and_tolerance():
@@ -546,3 +588,42 @@ def test_record_slabs_signed_values():
     assert text == expected
     assert ",-0,generic," in text and ",0,generic," in text
     assert ",-1.5," in text and ",1.5," in text
+
+
+# Determinants that stress the sign and the magnitude table: signed zeros
+# and infinities, NaN with the sign bit set, subnormals and the extremes.
+_EDGE_DETS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+    2.0**-1070, sys.float_info.min, sys.float_info.max, -sys.float_info.max, 1.5, -1.5,
+]
+
+
+@st.composite
+def record_arrays(draw):
+    """A stand-in for a SweepResult of n = 1 to 5 with drawn arrays."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    cells = n**3
+
+    def cube(elements, dtype):
+        values = draw(st.lists(elements, min_size=cells, max_size=cells))
+        return np.array(values, dtype=dtype).reshape((n,) * 3)
+
+    det = cube(st.sampled_from(_EDGE_DETS) | st.floats(), np.float64)
+    if n > 1:
+        # one magnitude with both signs, in the first and the last slab
+        k = draw(st.integers(min_value=0, max_value=n * n - 1))
+        det[-1].flat[k] = -det[0].flat[k]
+    return SimpleNamespace(
+        grid=np.array(draw(st.lists(st.floats(), min_size=n, max_size=n))),
+        det_a=det,
+        degeneracy=cube(st.integers(min_value=0, max_value=2), np.uint8),
+        component_id=cube(st.integers(min_value=-1, max_value=2 * cells), np.int64),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_arrays())
+def test_record_slabs_equal_to_iter_records_property(result):
+    text = "".join(_record_slabs(result))
+    expected = "".join(_record_line(rec) + "\n" for rec in iter_records(result))
+    assert text == expected
