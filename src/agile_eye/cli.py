@@ -87,11 +87,12 @@ def _cell(x) -> str:
 
 
 def _emit(cfg, doc, header: str, rows, err: bool = False) -> None:
-    """Print `doc` as JSON or, in CSV mode, `header` and one line per row."""
+    """Print `doc` as JSON, stamped with the schema version as its first
+    key, or, in CSV mode, `header` and one line per row."""
     if cfg.output_format == "csv":
         text = "\n".join([header, *(",".join(map(_cell, row)) for row in rows)])
     else:
-        text = _json(doc)
+        text = _json({"schema_version": SCHEMA_VERSION, **doc})
     click.echo(text, err=err)
 
 
@@ -184,7 +185,6 @@ def ik(ctx, euler, matrix, fill_arbitrary):
         for j, label in zip(result.enumerated, labels)
     ]
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "command": "ik",
         "orientation": r.tolist(),
         "legs": [
@@ -214,7 +214,6 @@ def dk(ctx, joints):
     j = JointTriplet(*_angles_in("JOINTS", joints, degrees))
     result = solve_dk(j)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "command": "dk",
         "joints": _angles_out(j.as_tuple(), degrees),
         "branch": result.branch,
@@ -250,7 +249,6 @@ def jacobian(ctx, joints, euler, matrix):
     r = _parse_orientation(euler, matrix, degrees)
     pair = jacobians(j, r)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "command": "jacobian",
         "joints": _angles_out(j.as_tuple(), degrees),
         "a": pair.a.tolist(),
@@ -280,7 +278,6 @@ def classify(ctx, joints, euler, matrix):
         click.echo(f"not assembled: {exc}", err=True)
         sys.exit(EXIT_NOT_ASSEMBLED)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "command": "classify",
         "kind": result.kind,
         "family_id": result.family_id,
@@ -310,7 +307,6 @@ def self_motion(ctx, family, parameter):
         raise click.UsageError(f"unknown self-motion family {label!r}")
     r = self_motion_family(fid, t)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "command": "self_motion",
         "family_id": fid,
         "family_label": FAMILY_LABELS[fid - 1],
@@ -399,7 +395,6 @@ def track(ctx, path_file, start_euler, start_matrix):
         for k, (jk, e) in enumerate(zip(waypoints, result.eulers))
     ]
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "command": "track",
         "steps": steps,
         "mode_constant": True,
@@ -453,15 +448,20 @@ def _record_slabs(result):
         np.concatenate([_distinct(np.abs(det).view(np.int64).ravel()) for det in det_a])
     )
     table = np.array([_fmt(v) for v in table_bits.view(np.float64).tolist()], dtype=object)
-    degeneracy, component_id = result.degeneracy, result.component_id
-    keys = range((int(component_id.max()) + 2) * n_tags)
+    # one tail key per cell, (component id + 1) * n_tags + degeneracy, folded
+    # in place into the array this read built
+    key = result.component_id
+    keys = range((int(key.max()) + 2) * n_tags)
+    key += 1
+    key *= n_tags
+    key += result.degeneracy
     tails = np.array(
         [f",{DEGENERACY_TAGS[k % n_tags]},{k // n_tags - 1}\n" for k in keys], dtype=object
     )
     signs = np.array(["", "-"], dtype=object)
     parts = np.empty((len(grid) ** 2, 5), dtype=object)
     parts[:, 1] = [f"{g2},{g3}," for g2 in grid for g3 in grid]
-    for g1, det, deg, comp in zip(grid, det_a, degeneracy, component_id):
+    for g1, det, tail_key in zip(grid, det_a, key):
         mag = np.abs(det).view(np.int64).ravel()
         # searchsorted runs about twice as fast on sorted queries
         order = mag.argsort()
@@ -471,7 +471,7 @@ def _record_slabs(result):
         parts[:, 0] = f"{g1},"
         parts[:, 2] = signs[sign.ravel().view(np.int8)]
         parts[:, 3] = table[mag_idx]
-        parts[:, 4] = tails[(comp.ravel() + 1) * n_tags + deg.ravel()]
+        parts[:, 4] = tails[tail_key.ravel()]
         yield "".join(parts.ravel().tolist())
 
 
@@ -516,8 +516,7 @@ def sweep(ctx, grid_n, records_out, no_records):
     keys = ("grid_n", "components_positive", "components_negative",
             "singular_cell_fraction", "wall_cell_fraction")
     rows = [(k, summary[k]) for k in keys]
-    doc = {"schema_version": SCHEMA_VERSION, **summary}
-    _emit(cfg, doc, "key,value", rows, err=records_on_stdout)
+    _emit(cfg, summary, "key,value", rows, err=records_on_stdout)
 
 
 if __name__ == "__main__":

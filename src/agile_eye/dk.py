@@ -44,7 +44,7 @@ from .mechanism import (
     joint_factors,
     joint_trig,
 )
-from .so3 import HALF_PI, EulerZyx, nearest_flip, rotation_entries
+from .so3 import HALF_PI, EulerZyx, nearest_flip, relative, rotation_entries
 
 # T_k = C diag(h_k), C the cyclic column permutation (column j of C is
 # e_(j-1 mod 3)): h_k holds the nonzero entries T[2, 0], T[0, 1], T[1, 2].
@@ -138,6 +138,9 @@ def nearest_trivial(r) -> tuple[int, float]:
     `nearest_flip` of r^T C, whose column j is row j-1 of r, written from
     r's entries bit for bit; ties as in `nearest_flip`.
     """
+    # r^T C is picked entry by entry, not computed (`so3.relative`): C is a
+    # permutation, so each entry is one entry of r, and adding the zero
+    # products would turn -0.0 into +0.0 and an infinite entry into NaN
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = as_rows(r)
     return nearest_flip(((r20, r00, r10), (r21, r01, r11), (r22, r02, r12)), _TRIVIAL_SIGNS)
 
@@ -285,28 +288,14 @@ def nearest_direct_solution(trig, first, r) -> tuple[int, float]:
 
     The four solutions are R H_k for the cascade's first solution R
     (`_ORDER_TURNS`), so r^T R_k is M = r^T R with its columns flipped by
-    H_k: `nearest_flip` of M, written in floats from the entries of r and
-    R, over the four half-turns in canonical order (ties go to the lowest
+    H_k: `nearest_flip` of M (`so3.relative` of r and R, in floats), over
+    the four half-turns in canonical order (ties go to the lowest
     index).  Any two solutions are pi apart.  NaN or infinite entries of r
     give a NaN distance.
     """
     _, _, (ct, st, cp, sp), order = first
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = rotation_entries(
-        trig[5], trig[4], ct, st, cp, sp
-    )
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = as_rows(r)
-    m = (
-        (r00 * a00 + r10 * a10 + r20 * a20,
-         r00 * a01 + r10 * a11 + r20 * a21,
-         r00 * a02 + r10 * a12 + r20 * a22),
-        (r01 * a00 + r11 * a10 + r21 * a20,
-         r01 * a01 + r11 * a11 + r21 * a21,
-         r01 * a02 + r11 * a12 + r21 * a22),
-        (r02 * a00 + r12 * a10 + r22 * a20,
-         r02 * a01 + r12 * a11 + r22 * a21,
-         r02 * a02 + r12 * a12 + r22 * a22),
-    )
-    return nearest_flip(m, _ORDER_TURNS[order])
+    a = rotation_entries(trig[5], trig[4], ct, st, cp, sp)
+    return nearest_flip(relative(as_rows(r), (a[0:3], a[3:6], a[6:9])), _ORDER_TURNS[order])
 
 
 def solve_dk(j: JointTriplet) -> DkResult:

@@ -12,11 +12,15 @@ each working mode has a constant assembly mode, SIGN_TABLE.index(pi(sigma)
 sigma) + 1: +++ and --- are in mode 1, --+ and ++- in 2, +-- and -++ in
 3, -+- and +-+ in 4.
 
-`assembly_mode_id` is one match: it evaluates the joints once
-(`_generic`: their trig and joint factors, `dk.joint_degeneracy`'s
-decision that they are generic, and the cascade core), then `dk.nearest_direct_solution` finds
-the direct solution nearest r, and its distance, from the cascade's first
-solution alone, with no full direct-kinematics solve.
+One helper, `_nearest_mode`, answers "which mode is r at joints j?" for
+`assembly_mode_id` and for `track_path`'s start alike.  It evaluates the
+joints once (`_generic`: their trig and joint factors,
+`dk.joint_degeneracy`'s decision that they are generic, and the cascade
+core), then `dk.nearest_direct_solution` finds the direct solution
+nearest r, and its distance, from the cascade's first solution alone,
+with no full direct-kinematics solve, and the distance is checked
+against the tolerance.  Its errors name the branch, or the distance and
+the tolerance; the tracker re-raises them as StartNotASolution.
 
 The wrist is non-cuspidal: a joint path can change assembly mode only
 where it meets the determinant surface q2 = sin t1 sin t2 sin t3 +
@@ -29,8 +33,8 @@ solution with the start's index.  Every waypoint, the first included,
 costs one joint trig, one run of the cascade core (`dk.cascade`) and one
 solve of the tracked solution alone (`dk.direct_solution`, which hands
 over its Euler triple and its nine matrix entries), and its q2 ends one
-certificate and starts the next; the first one's index is matched as in
-assembly_mode_id, on that same joint trig and cascade output.  The
+certificate and starts the next; the first one's index is matched by
+`_nearest_mode`, whose joint trig and cascade output it then reads.  The
 entries of all waypoints go into one flat list that becomes one
 (N, 3, 3) array at the end.
 """
@@ -130,10 +134,22 @@ def _generic(j: JointTriplet):
     q1, q2 = joint_factors(*trig)
     kind = joint_degeneracy(j, trig, q2).kind
     if kind != "generic":
-        raise DegenerateJoints(
-            f"direct kinematics branch is {kind!r}; finite solutions required"
-        )
+        raise DegenerateJoints(f"branch {kind!r}, not finite solutions")
     return trig, q2, cascade(trig, q1, q2)
+
+
+def _nearest_mode(j: JointTriplet, r, tol: float):
+    """(mode, trig, q2, first): the index (1..4) of the direct solution of
+    j within `tol` of r (`dk.nearest_direct_solution`), with `_generic`'s
+    output for j.  DegenerateJoints as `_generic`; NoMatchingSolution
+    naming the distance where it exceeds tol (NaN fails too)."""
+    trig, q2, first = _generic(j)
+    mode, dist = nearest_direct_solution(trig, first, r)
+    if not dist <= tol:
+        raise NoMatchingSolution(
+            f"orientation is {dist:.3e} rad from the nearest direct solution (tol {tol:g})"
+        )
+    return mode, trig, q2, first
 
 
 def assembly_mode_for(j: JointTriplet, sig: WorkingModeSignature) -> EulerZyx:
@@ -163,15 +179,10 @@ def assembly_mode_id(
 
     Joints that are not generic raise DegenerateJoints (`_generic`);
     generic ones are matched against their four direct solutions by
-    `dk.nearest_direct_solution`.
+    `dk.nearest_direct_solution`, and NoMatchingSolution names the
+    nearest one's distance and `tol` (`_nearest_mode`).
     """
-    trig, _, first = _generic(j)
-    idx, dist = nearest_direct_solution(trig, first, r)
-    if not dist <= tol:
-        raise NoMatchingSolution(
-            "orientation matches no nontrivial direct solution of these joints"
-        )
-    return idx
+    return _nearest_mode(j, r, tol)[0]
 
 
 def _segment_crossing(
@@ -228,13 +239,14 @@ def track_path(
     """Track the assembly mode along a joint path.
 
     `start` must match one of the four direct solutions of path[0] within
-    MATCH_TOL (`dk.nearest_direct_solution`; else StartNotASolution); its
-    index is the tracked mode.  Each segment is first certified to keep
-    |q2| > cfg.singular_tol (see _segment_crossing); every waypoint's
-    orientation, path[0]'s too, is the direct solution with that index,
-    solved alone by `direct_solution` (bit for bit the solution solve_dk
-    returns, and its matrix) from one `cascade` per waypoint, the one the
-    match read on path[0].  Inside one sign domain of q2 every B_ii is
+    MATCH_TOL, by the match assembly_mode_id runs (`_nearest_mode`; else
+    StartNotASolution, with its message after "first waypoint has " or
+    "start "); its index is the tracked mode.  Each segment is first
+    certified to keep |q2| > cfg.singular_tol (see _segment_crossing);
+    every waypoint's orientation, path[0]'s too, is the direct solution
+    with that index, solved alone by `direct_solution` (bit for bit the
+    solution solve_dk returns, and its matrix) from one `cascade` per
+    waypoint, the one the match read on path[0].  Inside one sign domain of q2 every B_ii is
     nonzero, so each solution keeps its working-mode signature and the
     canonical order pins the index to that signature.  A
     SingularityCrossing is reported on the first segment that is not
@@ -256,18 +268,12 @@ def track_path(
             raise ValueError(f"waypoint {k}: joints {p.as_tuple()} are not finite")
 
     a = waypoints[0]
-    trig = joint_trig(*a.as_tuple())
-    q1, qa = joint_factors(*trig)
-    kind = joint_degeneracy(a, trig, qa).kind
-    if kind != "generic":
-        raise StartNotASolution(f"first waypoint has branch {kind!r}, not finite solutions")
-    first = cascade(trig, q1, qa)
-    mode, dist = nearest_direct_solution(trig, first, start)
-    if not dist <= MATCH_TOL:  # NaN fails too
-        raise StartNotASolution(
-            f"start orientation is {dist:.3e} rad from the nearest "
-            f"direct solution (tol {MATCH_TOL:g})"
-        )
+    try:
+        mode, trig, qa, first = _nearest_mode(a, start, MATCH_TOL)
+    except DegenerateJoints as exc:
+        raise StartNotASolution(f"first waypoint has {exc}") from exc
+    except NoMatchingSolution as exc:
+        raise StartNotASolution(f"start {exc}") from exc
     best, sig = mode - 1, SOLUTION_SIGNATURES[qa > 0.0][mode - 1]
     e, entries = direct_solution(best, a.theta3, trig, first)
     eulers = [e]

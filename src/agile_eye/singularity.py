@@ -48,13 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .dk import PAIR_FAMILIES, nearest_trivial, self_motion_family
+from .dk import PAIR_FAMILIES, joint_degeneracy, nearest_trivial, self_motion_family
 from .exceptions import DenominatorDegenerate, NotAssembled
 from .mechanism import (
     SIGN_TABLE,
     STRUCTURE_TOL,
     JointTriplet,
-    condition_pairs,
     det_factor,
     jacobian_rows,
     joint_trig,
@@ -209,9 +208,10 @@ def classify_configuration(
     if not (abs(e1) <= tol and abs(e2) <= tol and abs(e3) <= tol):  # NaN fails too
         worst = float(np.max(np.abs((e1, e2, e3))))
         raise NotAssembled(f"constraint residuals reach {worst:.3e} (> {tol:g})")
-    pairs = condition_pairs(*trig)
-    if True in pairs:
-        fid, dist = _best_family(r, PAIR_FAMILIES[pairs.index(True) + 1])
+    q2 = det_factor(*trig)
+    pair = joint_degeneracy(j, trig, q2).pair
+    if pair is not None:
+        fid, dist = _best_family(r, PAIR_FAMILIES[pair])
         if dist < cfg.singular_tol:
             return SingularityClass(kind="self_motion", family_id=fid)
     trivial_id, trivial_dist = nearest_trivial(rows)
@@ -232,6 +232,5 @@ def classify_configuration(
         if fdist <= trivial_dist:
             return SingularityClass(kind="self_motion", family_id=fid)
     # A trivial orientation is nearest: the det factor tells lockup from infinitesimal.
-    q2 = det_factor(*trig)
     kind = "lockup" if abs(q2) > STRUCTURE_TOL else "infinitesimal_at_trivial"
     return SingularityClass(kind=kind, trivial_id=trivial_id)

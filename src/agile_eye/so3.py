@@ -4,6 +4,11 @@ Orientations are parameterized as R = Rz(phi) @ Ry(theta) @ Rx(psi) (the
 ZYX Euler convention).  Angles live in the half-open interval (-pi, pi],
 with +pi retained.  Rotation matrices are plain 3x3 float64 numpy arrays;
 the Euler triplet is the one dedicated type.
+
+The relative rotation a^T b has one home, `relative`, which sums each
+entry in floats in one fixed order; the metric (`rotation_distance`) and
+the assembly-mode match (`dk.nearest_direct_solution`) both read it, and
+`rotation_angle` reads the angle of the result.
 """
 
 from __future__ import annotations
@@ -146,15 +151,31 @@ def nearest_flip(m, flips) -> tuple[int, float]:
     return k + 1, rotation_angle(m, flips[k])
 
 
-# An infinite entry makes the product NaN (inf * 0) and sets numpy's
-# invalid flag; rotation_angle returns NaN for it, so no warning is due.
-@np.errstate(invalid="ignore")
-def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Geodesic angle between two rotations, in [0, pi]: the angle of
-    a^T b.  NaN if either has a NaN or infinite entry.  Both are assumed
-    to be rotations and are not checked (`validate_rotation` checks); a
-    positive multiple of a rotation is at distance 0 from it, up to
-    rounding: rotation_distance(2 I, I) is 0."""
-    # np.dot makes the same BLAS call as a.T @ b, with less overhead
-    return rotation_angle(np.dot(a.T, b).tolist())
+def relative(a, b) -> tuple[tuple[float, float, float], ...]:
+    """The rows of a^T b, for a and b given by their rows (float
+    triples): the one home of the relative rotation.  Entry (i, j) is
+    a0i b0j + a1i b1j + a2i b2j, summed in that order.  Float arithmetic
+    warns of nothing: an infinite entry times zero gives NaN, and an
+    overflowing product inf."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (
+        (a00 * b00 + a10 * b10 + a20 * b20,
+         a00 * b01 + a10 * b11 + a20 * b21,
+         a00 * b02 + a10 * b12 + a20 * b22),
+        (a01 * b00 + a11 * b10 + a21 * b20,
+         a01 * b01 + a11 * b11 + a21 * b21,
+         a01 * b02 + a11 * b12 + a21 * b22),
+        (a02 * b00 + a12 * b10 + a22 * b20,
+         a02 * b01 + a12 * b11 + a22 * b21,
+         a02 * b02 + a12 * b12 + a22 * b22),
+    )
 
+
+def rotation_distance(a, b) -> float:
+    """Geodesic angle between two rotations (3x3 arrays), in [0, pi]: the
+    angle of a^T b (`relative`).  NaN if either has a NaN or infinite
+    entry.  Both are assumed to be rotations and are not checked
+    (`validate_rotation` checks); a positive multiple of a rotation is at
+    distance 0 from it, up to rounding: rotation_distance(2 I, I) is 0."""
+    return rotation_angle(relative(a.tolist(), b.tolist()))

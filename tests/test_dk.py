@@ -29,8 +29,10 @@ from agile_eye import (
     validate_rotation,
     working_mode_signature,
 )
-from agile_eye.dk import cascade, direct_solution, nearest_trivial
-from agile_eye.mechanism import STRUCTURE_TOL, det_factor, joint_factors, joint_trig
+from agile_eye import dk as dk_module
+from agile_eye.dk import cascade, direct_solution, nearest_direct_solution, nearest_trivial
+from agile_eye.mechanism import STRUCTURE_TOL, as_rows, det_factor, joint_factors, joint_trig
+from agile_eye.so3 import nearest_flip, rotation_entries
 from conftest import (
     HALF_PI,
     PLATFORM_HOME,
@@ -281,6 +283,62 @@ def test_direct_solution_is_half_turn_table_entry_bit_for_bit(t1, t2, t3):
         for got in (e, dk.solutions[k]):
             assert list(map(_bits, got.as_tuple())) == list(map(_bits, want.as_tuple()))
         assert list(map(_bits, entries)) == list(map(_bits, euler_to_rotation(want).ravel()))
+
+
+def _nearest_by_inline_expansion(trig, first, r):
+    # nearest_direct_solution with M = r^T R written out by hand, as it was
+    # before so3.relative: entry (i, j) is r0i a0j + r1i a1j + r2i a2j
+    _, _, (ct, sn, cp, sp), order = first
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = rotation_entries(
+        trig[5], trig[4], ct, sn, cp, sp
+    )
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = as_rows(r)
+    m = (
+        (r00 * a00 + r10 * a10 + r20 * a20,
+         r00 * a01 + r10 * a11 + r20 * a21,
+         r00 * a02 + r10 * a12 + r20 * a22),
+        (r01 * a00 + r11 * a10 + r21 * a20,
+         r01 * a01 + r11 * a11 + r21 * a21,
+         r01 * a02 + r11 * a12 + r21 * a22),
+        (r02 * a00 + r12 * a10 + r22 * a20,
+         r02 * a01 + r12 * a11 + r22 * a21,
+         r02 * a02 + r12 * a12 + r22 * a22),
+    )
+    return nearest_flip(m, dk_module._ORDER_TURNS[order])
+
+
+# rotation-sized entries most of the time, any float or an edge value otherwise
+_ENTRIES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.tuples(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 3),
+    st.integers(min_value=-2, max_value=3),
+    st.tuples(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 3),
+    st.lists(_ENTRIES, min_size=9, max_size=9),
+)
+def test_nearest_direct_solution_equals_inline_expansion_bit_for_bit(joints, pick, euler, entries):
+    # the match reads M = r^T R through so3.relative, which sums each entry
+    # in the order of the hand expansion it replaced: the same index and
+    # distance bits, for r a direct solution (pick 0..3), another rotation
+    # (-1) or any nine floats (-2), as an array or as its rows
+    j = JointTriplet(*joints)
+    assume(classify_joint_degeneracy(j).kind == "generic")
+    trig = joint_trig(*j.as_tuple())
+    first = cascade(trig, *joint_factors(*trig))
+    if pick >= 0:
+        r = euler_to_rotation(solve_dk(j).solutions[pick])
+    else:
+        r = euler_to_rotation(euler) if pick == -1 else np.array(entries).reshape(3, 3)
+    want_k, want_dist = _nearest_by_inline_expansion(trig, first, r)
+    for given_r in (r, r.tolist()):
+        k, dist = nearest_direct_solution(trig, first, given_r)
+        assert (k, _bits(dist)) == (want_k, _bits(want_dist))
 
 
 def test_signatures_are_shared_per_sign_of_q2(rng):

@@ -23,7 +23,7 @@ ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 PATCHED_IMPORTS = {("cli.py", "iter_records"), ("modes.py", "solve_dk")}
 TOLERANCE_HOMES = {
     "mechanism.py": {"STRUCTURE_TOL"},
-    "modes.py": {"MATCH_TOL", "assembly_mode_id(tol)"},
+    "modes.py": {"MATCH_TOL", "assembly_mode_id(tol)", "_nearest_mode(tol)"},
     "so3.py": {"ORTHONORMAL_TOL"},
 }
 
@@ -39,8 +39,11 @@ HOMES = {
     # `agile dk` alone; a mode match and the tracker solve from the cascade's first solution
     ("solve_dk", "name attr"): [("cli.py", "dk")],
     # one mode match, for assembly_mode_id and track_path's start alike
-    ("nearest_direct_solution", "call"):
-        [("modes.py", "assembly_mode_id"), ("modes.py", "track_path")],
+    ("nearest_direct_solution", "call"): [("modes.py", "_nearest_mode")],
+    # one relative rotation r^T R, for the metric and the mode match alike
+    ("relative", "call"): [("dk.py", "nearest_direct_solution"), ("so3.py", "rotation_distance")],
+    # every JSON document is stamped with the schema version in one place
+    ("SCHEMA_VERSION", "name"): [("cli.py", "<module>"), ("cli.py", "_emit")],
     # the CLI resolves a --family name through this one table
     ("FAMILY_IDS", "name"):
         [("cli.py", "self_motion"), ("dk.py", "<module>"), ("dk.py", "self_motion_family")],
@@ -61,6 +64,9 @@ BARRED = {
     ("cli.py", "_cell"): {"np"},
     # the generic-joints rule is dk.joint_degeneracy's
     ("modes.py", None): {"condition_pairs"},
+    ("singularity.py", None): {"condition_pairs"},
+    # the metric is float arithmetic on the rows of r^T R (so3.relative)
+    ("so3.py", "rotation_distance"): {"np"},
     # every waypoint, the first included, goes through dk.direct_solution
     ("modes.py", "track_path"): {"solve_dk", "euler_to_rotation"},
 }
@@ -568,7 +574,14 @@ def _assert_flags(tmp_path, probes):
     flags = [e for (n, roles), homes in HOMES.items() for e in _home_errors(sites, n, roles, homes)]
     flags += [e for (m, o), names in BARRED.items() for e in _barred_errors(sites, m, o, names)]
     flags += _barred_errors(sites, None, None, RETIRED)
-    assert sorted((name, module, line) for name, module, _, line in flags) == sorted(expected)
+    # an unfilled home's line is None, which sorts first, not against ints
+    got = sorted(((name, module, line) for name, module, _, line in flags), key=_flag_order)
+    assert got == sorted(expected, key=_flag_order)
+
+
+def _flag_order(flag):
+    name, module, line = flag
+    return name, module, line is not None, line or 0
 
 
 def test_checker_flags_output_decisions(tmp_path):
@@ -583,7 +596,8 @@ def test_checker_flags_output_decisions(tmp_path):
         "def _json(obj):\n"
         "    return isinstance(obj, np.integer), _json(obj)  # np _json\n"
         "def _cell(x): return np.floating  # np\n"
-        "def _write_json(obj, out): return _matrix_rows(obj)  # _write_json _matrix_rows\n"})
+        "def _write_json(obj, out): return _matrix_rows(obj)  # _write_json _matrix_rows\n"
+        "def ik(ctx): return {'schema_version': SCHEMA_VERSION}  # SCHEMA_VERSION\n"})
 
 
 def test_checker_flags_uses(tmp_path):
@@ -621,7 +635,8 @@ def test_checker_flags_rotation_angle_references(tmp_path):
         "def nearest_flip(m):\n"
         "    return so3.rotation_angle(m), rotation_angle  # rotation_angle rotation_angle\n"
         "ANGLE = rotation_angle  # rotation_angle\n"
-        "def rotation_angle(m): return 'rotation_angle'\n"})
+        "def rotation_angle(m): return 'rotation_angle'\n"
+        "def rotation_distance(a, b): return relative(np.dot(a.T, b), b)  # np relative\n"})
 
 
 def test_checker_flags_joint_evaluations(tmp_path):
@@ -634,7 +649,9 @@ def test_checker_flags_joint_evaluations(tmp_path):
         "def _match(j, r):  # _match\n"
         "    return dk.solve_dk(j), mechanism.condition_pairs  # solve_dk condition_pairs\n"
         "def assembly_mode_for(j, sig):\n"
-        "    return dk.nearest_direct_solution(*_generic(j), sig)  # nearest_direct_solution\n"})
+        "    return dk.nearest_direct_solution(*_generic(j), sig)  # nearest_direct_solution\n",
+        "singularity.py":
+        "def classify_configuration(j, r): return condition_pairs(*trig)  # condition_pairs\n"})
 
 
 def test_checker_flags_builders_and_full_solves(tmp_path):
@@ -656,5 +673,5 @@ def test_barred_rows_go_stale_when_renamed():
     renamed = {"track_path": "follow_path", "solve_dk": "solve_direct", "FAMILY_LABELS": "LABELS"}
     sites = [(m, renamed.get(n, n), r, renamed.get(o, o), line) for m, n, r, o, line in SITES]
     stale = [_stale(sites, *row, BARRED[row]) for row in BARRED]
-    assert stale == [["FAMILY_LABELS is defined nowhere"], [], [], [], [
+    assert stale == [["FAMILY_LABELS is defined nowhere"], [], [], [], [], [], [
         "modes.py has no track_path", "solve_dk is defined nowhere"]]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -586,7 +587,7 @@ def test_assembly_mode_id_declines_degenerate_joints(j, monkeypatch):
     r = solve_dk(j).trivial[0]
     branch = solve_dk(j).branch
     solves = count_calls(monkeypatch, "solve_dk", [modes])
-    message = f"direct kinematics branch is {branch!r}; finite solutions required"
+    message = f"branch {branch!r}, not finite solutions"
     with pytest.raises(DegenerateJoints, match=f"^{message}$"):
         assembly_mode_id(j, r)
     assert solves == {}
@@ -629,6 +630,21 @@ def test_track_constant_path():
     assert len(result.orientations) == 5
     for r in result.orientations:
         assert rotation_distance(r, start) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [MATCH_TOL, 2e-3])
+def test_mode_match_and_track_start_name_the_distance(tol):
+    # assembly_mode_id and track_path's start are one match: each rejection
+    # names the nearest solution's distance and the tolerance, the start's
+    # with the tracker's prefix
+    r = euler_to_rotation((1.2, 0.4, 0.9))
+    dist = _nearest(FIG_JOINTS, r)[1]
+    message = f"orientation is {dist:.3e} rad from the nearest direct solution (tol {tol:g})"
+    with pytest.raises(NoMatchingSolution, match=f"^{re.escape(message)}$"):
+        assembly_mode_id(FIG_JOINTS, r, tol)
+    start = f"start orientation is {dist:.3e} rad from the nearest direct solution (tol 1e-06)"
+    with pytest.raises(StartNotASolution, match=f"^{re.escape(start)}$"):
+        track_path([FIG_JOINTS], r)
 
 
 def test_track_requires_valid_start():

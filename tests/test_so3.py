@@ -3,6 +3,7 @@ import math
 import struct
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -229,6 +230,35 @@ def test_rotation_distance_values(rng):
     # symmetry
     a, b = euler_to_rotation(random_euler(rng)), euler_to_rotation(random_euler(rng))
     assert rotation_distance(a, b) == pytest.approx(rotation_distance(b, a))
+    # a positive multiple of a rotation reads as that rotation
+    assert rotation_distance(2.0 * np.eye(3), np.eye(3)) == 0.0
+
+
+def _angle_50_digits(a, b):
+    """The angle of a^T b for the float entries of a and b, in 50-digit
+    arithmetic: atan2(|vee(M - M^T)|, trace(M) - 1) of the exact product."""
+    with mpmath.workdps(50):
+        a, b = ([[mpmath.mpf(x) for x in row] for row in m.tolist()] for m in (a, b))
+        m = [[sum(a[k][i] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        s = mpmath.sqrt(
+            (m[2][1] - m[1][2]) ** 2 + (m[0][2] - m[2][0]) ** 2 + (m[1][0] - m[0][1]) ** 2
+        )
+        return mpmath.atan2(s, m[0][0] + m[1][1] + m[2][2] - 1)
+
+
+ANGLES = st.tuples(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANGLES, ANGLES)
+@example((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+@example((0.0, 0.0, 0.0), (math.pi, 0.0, 0.0))
+@example((0.4, 0.2, -1.0), (0.4, 0.2, -1.0 + 1e-9))
+def test_rotation_distance_near_50_digit_angle(e1, e2):
+    # 20,000 random pairs measured at most 3.6e-16 rad from the 50-digit
+    # angle (np.dot in place of so3.relative: 3.55e-16)
+    a, b = euler_to_rotation(e1), euler_to_rotation(e2)
+    assert abs(rotation_distance(a, b) - _angle_50_digits(a, b)) <= 4.4e-16
 
 
 def test_rotation_distance_accurate_near_half_turn(rng):

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -465,14 +464,14 @@ def test_det_a_read_peak_memory():
 
 
 def test_record_slabs_peak_memory_per_cell():
-    # The records path holds det_a (8 B/cell), component_id (8) and
-    # degeneracy (1), the magnitude and tail tables, and one slab's parts.
-    # Its traced peak after a warm-up was 24.8 B/cell at n=64 and 22.3 at
-    # n=128 with the per-part slice emitter; the bounds allow 1.2 B/cell
-    # more (the column-gather emitter reads 25.1 and 22.5).  A signed
-    # magnitude table, one "-"-prefixed string per entry, read 27.7 and
-    # 25.2, and fails.
-    for n, bound in ((64, 26.0), (128, 23.5)):
+    # The records path holds det_a (8 B/cell) and one tail key per cell (8),
+    # folded in place from component_id and degeneracy, the magnitude and
+    # tail tables, and one slab's parts.  Its traced peak after a warm-up
+    # is 24.2 B/cell at n=64 and 21.5 at n=128.  Holding component_id and
+    # degeneracy apart for the whole pass read 25.1 and 22.5, and fails at
+    # n=128; a signed magnitude table, one "-"-prefixed string per entry,
+    # read 27.7 and 25.2, and fails.
+    for n, bound in ((64, 25.0), (128, 22.4)):
         peak = _traced_peak(lambda: deque(_record_slabs(run_sweep(n)), maxlen=0))
         per_cell = peak / n**3
         assert per_cell <= bound, f"_record_slabs({n}) traced peak {per_cell:.2f} B/cell, above {bound}"
@@ -562,6 +561,18 @@ def test_cli_records_match_iter_records(n, tol_args, tmp_path):
     assert any(rec.component_id == -1 for rec in records) == walls
 
 
+class _SweepArrays:
+    """Stands in for a SweepResult with given arrays: like it, each read of
+    det_a, degeneracy or component_id hands out a new array."""
+
+    def __init__(self, grid, det_a, degeneracy, component_id):
+        self.grid, self._arrays = grid, (det_a, degeneracy, component_id)
+
+    det_a = property(lambda self: self._arrays[0].copy())
+    degeneracy = property(lambda self: self._arrays[1].copy())
+    component_id = property(lambda self: self._arrays[2].copy())
+
+
 def test_record_slabs_signed_values():
     # -0.0 and 0.0 must not share a string, nor may -x and x, within one
     # slab or across slabs; the magnitude table also meets the extremes.
@@ -576,8 +587,7 @@ def test_record_slabs_signed_values():
     )
     degeneracy = np.arange(27, dtype=np.uint8).reshape(3, 3, 3) % 3
     component = (np.arange(27, dtype=np.int64).reshape(3, 3, 3) % 5) - 1
-    # stands in for a SweepResult with these arrays
-    result = SimpleNamespace(
+    result = _SweepArrays(
         grid=np.array([-1.0, 0.25, math.pi]),
         det_a=det,
         degeneracy=degeneracy,
@@ -613,7 +623,7 @@ def record_arrays(draw):
         # one magnitude with both signs, in the first and the last slab
         k = draw(st.integers(min_value=0, max_value=n * n - 1))
         det[-1].flat[k] = -det[0].flat[k]
-    return SimpleNamespace(
+    return _SweepArrays(
         grid=np.array(draw(st.lists(st.floats(), min_size=n, max_size=n))),
         det_a=det,
         degeneracy=cube(st.integers(min_value=0, max_value=2), np.uint8),
